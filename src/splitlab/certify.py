@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from itertools import combinations
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from .cuts import CornerModel, boundary_hull, rays_into_corners

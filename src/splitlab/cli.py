@@ -25,7 +25,7 @@ from .ranks import (
     probe_rounds,
     rotate_facet,
 )
-from .splits import Split, sweep_sequence_2d
+from .splits import sweep_sequence_2d
 
 
 def _load_json(path: str) -> dict:
@@ -41,9 +41,12 @@ def _load_json(path: str) -> dict:
 def _write(text: str, out: Optional[str]) -> None:
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out, "w") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise GeometryError(f"cannot write {out}: {exc}") from exc
 
 
 def _parse_witness(text: str) -> tuple[Fraction, ...]:
@@ -205,7 +208,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        text = args.func(args)
+        _write(args.func(args), args.out)
     except NotLatticeFreeError as exc:
         w = ", ".join(serialize.emit_rational(c) for c in exc.witness)
         sys.stderr.write(f"error: body is not lattice-free; interior integer point ({w})\n")
@@ -213,7 +216,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     except GeometryError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    _write(text, args.out)
     return 0
 
 

@@ -14,13 +14,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor, gcd
+from math import ceil, floor
 from typing import Optional, Sequence
 
 from .linalg import (
     det,
     dot,
-    hermite_normal_form,
     integer_solve_rows,
     nullspace,
     rank,
@@ -239,7 +238,7 @@ def _v_to_h(
 
 
 # ---------------------------------------------------------------------------
-# hyperplanes and lattices
+# hyperplanes
 
 
 @dataclass(frozen=True)
@@ -269,27 +268,6 @@ class Hyperplane:
 
     def evaluate(self, point: Sequence) -> Fraction:
         return dot(self.normal, as_point(point)) - self.offset
-
-
-def facet_hyperplane_has_integer_point(h: Hyperplane) -> bool:
-    return h.has_integer_point()
-
-
-@dataclass(frozen=True)
-class IntegerLattice:
-    """A full-rank sublattice of Z^m plus an integer translation."""
-
-    basis: tuple[IntVec, ...]  # Hermite normal form, lower triangular
-    translation: IntVec
-
-    @staticmethod
-    def make(generators: Sequence[Sequence[int]], translation: Sequence[int] = ()) -> "IntegerLattice":
-        basis = hermite_normal_form([tuple(g) for g in generators])
-        if len(basis) != (len(basis[0]) if basis else 0):
-            raise GeometryError("lattice basis must be square (full-rank lattice)")
-        m = len(basis)
-        shift = tuple(translation) if translation else (0,) * m
-        return IntegerLattice(tuple(basis), shift)
 
 
 # ---------------------------------------------------------------------------
@@ -349,10 +327,6 @@ class Polyhedron:
         )
 
     # -- basic predicates --------------------------------------------------
-
-    @property
-    def rep_status(self) -> str:
-        return "synchronized"
 
     @property
     def is_empty(self) -> bool:
@@ -452,10 +426,6 @@ def convex_hull(points: Sequence[Sequence], rays: Sequence[Sequence] = ()) -> Po
     if not points and not rays:
         raise GeometryError("convex_hull of empty input needs a dimension; use Polyhedron.empty")
     return Polyhedron.from_generators(points, rays)
-
-
-def enumerate_vertices(ineqs: Sequence[tuple[Sequence, object]], dim: int) -> Polyhedron:
-    return Polyhedron.from_inequalities(ineqs, dim)
 
 
 def lattice_points(p: Polyhedron) -> list[Point]:

@@ -20,18 +20,6 @@ def dot(a: Sequence, b: Sequence):
     return sum(x * y for x, y in zip(a, b))
 
 
-def vec_sub(a: Sequence, b: Sequence) -> tuple:
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def vec_add(a: Sequence, b: Sequence) -> tuple:
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def vec_scale(c, a: Sequence) -> tuple:
-    return tuple(c * x for x in a)
-
-
 def vec_gcd(values: Iterable[int]) -> int:
     g = 0
     for v in values:
@@ -248,47 +236,3 @@ def integer_kernel(rows: Sequence[Sequence[int]], m: int) -> list[IntVector]:
         if all(H[i][j] == 0 for i in range(len(A))):
             basis.append(tuple(U[i][j] for i in range(m)))
     return basis
-
-
-def hermite_normal_form(rows: Sequence[Sequence[int]]) -> list[IntVector]:
-    """Canonical lattice basis of the row span.
-
-    The result is lower triangular with positive diagonal when the input
-    is square and nonsingular; entries left of each pivot are reduced to
-    the range [0, pivot).
-    """
-    if not rows:
-        return []
-    m = len(rows[0])
-    # reverse columns, compute an upper-triangular HNF, reverse back
-    work = [list(r[::-1]) for r in rows]
-    n = len(work)
-    r = 0
-    piv_cols: list[int] = []
-    for c in range(m):
-        while True:
-            nz = [i for i in range(r, n) if work[i][c] != 0]
-            if not nz:
-                break
-            if len(nz) == 1:
-                if nz[0] != r:
-                    work[r], work[nz[0]] = work[nz[0]], work[r]
-                break
-            nz.sort(key=lambda i: abs(work[i][c]))
-            i0 = nz[0]
-            for i in nz[1:]:
-                q = work[i][c] // work[i0][c]
-                work[i] = [x - q * y for x, y in zip(work[i], work[i0])]
-        if r < n and work[r][c] != 0:
-            if work[r][c] < 0:
-                work[r] = [-x for x in work[r]]
-            for i in range(r):
-                q = work[i][c] // work[r][c]
-                if q:
-                    work[i] = [x - q * y for x, y in zip(work[i], work[r])]
-            piv_cols.append(c)
-            r += 1
-            if r == n:
-                break
-    basis = [tuple(row[::-1]) for row in work[:r]]
-    return basis[::-1]

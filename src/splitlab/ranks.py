@@ -17,7 +17,7 @@ from math import ceil, floor as math_floor
 from typing import Optional, Sequence, Union
 
 from .certify import faces, has_2hyperplane_property
-from .cuts import CornerModel, boundary_point, intersection_cut
+from .cuts import CornerModel, boundary_point
 from .geometry import (
     GeometryError,
     Hyperplane,
@@ -30,25 +30,17 @@ from .geometry import (
     lattice_points,
     require_lattice_free,
 )
-from .linalg import (
-    dot,
-    integer_kernel,
-    rank as mat_rank,
-    scale_primitive,
-    solve,
-    vec_gcd,
-)
+from .linalg import dot, integer_kernel, rank as mat_rank, solve
 from .splits import (
     Split,
-    SplitClass,
     SplitSequence,
     SqrtRational,
+    apply_round,
     apply_split,
     classify_split,
     enumerate_splits,
-    facet_split,
-    facet_split_width_sq,
-    round_of_splits,
+    facet_splits,
+    round_width_sq,
     split_confines,
 )
 
@@ -100,20 +92,43 @@ class ReductionReport:
             raise GeometryError("reduction coefficient escaped (0, 1]")
 
 
+def _nonempty(items: Sequence) -> Sequence:
+    if not items:
+        raise GeometryError("strategy produced an empty split set")
+    return items
+
+
 @dataclass(frozen=True)
 class EnumerateStrategy:
+    """Every enumerated split touching the box, in every round."""
+
     bound: int
     box: tuple[tuple[Fraction, Fraction], ...]
+
+    def splits_for_round(self, r: int, x_dim: int) -> list[Split]:
+        return _nonempty(enumerate_splits(x_dim, self.bound, self.box))
 
 
 @dataclass(frozen=True)
 class ExplicitStrategy:
+    """One split of the sequence per round; no splits past its end."""
+
     sequence: SplitSequence
+
+    def splits_for_round(self, r: int, x_dim: int) -> list[Split]:
+        seq = _nonempty(self.sequence.splits)
+        return [seq[r - 1]] if r <= len(seq) else []
 
 
 @dataclass(frozen=True)
 class FacetRoundsStrategy:
+    """The facet splits of round r's reference polytope."""
+
     references: tuple[Polyhedron, ...]  # one reference polytope per round
+
+    def splits_for_round(self, r: int, x_dim: int) -> list[Split]:
+        refs = _nonempty(self.references)
+        return facet_splits(refs[r - 1]) if r <= len(refs) else []
 
 
 Strategy = Union[EnumerateStrategy, ExplicitStrategy, FacetRoundsStrategy]
@@ -222,26 +237,6 @@ def probe_rounds(
         raise GeometryError("budget must be a positive number of rounds")
     wit = [as_point(w) for w in witnesses]
     coords = _x_coords(cone.poly)
-
-    def round_splits(r: int) -> list[Split]:
-        if isinstance(strategy, EnumerateStrategy):
-            splits = enumerate_splits(cone.x_dim, strategy.bound, strategy.box)
-            if not splits:
-                raise GeometryError("strategy produced an empty split set")
-            return splits
-        if isinstance(strategy, ExplicitStrategy):
-            seq = strategy.sequence.splits
-            if not seq:
-                raise GeometryError("strategy produced an empty split set")
-            return [seq[r - 1]] if r <= len(seq) else []
-        refs = strategy.references
-        if not refs:
-            raise GeometryError("strategy produced an empty split set")
-        if r > len(refs):
-            return []
-        qx = refs[r - 1]
-        return [facet_split(qx, i) for i in range(len(qx.facet_inequalities()))]
-
     q = cone.poly
     profiles = [_profile(q, wit)]
     applied: list[Split] = []
@@ -249,17 +244,10 @@ def probe_rounds(
     q_round: Optional[int] = None
     rounds_done = 0
     for r in range(1, budget + 1):
-        splits = round_splits(r)
+        splits = strategy.splits_for_round(r, cone.x_dim)
         if not splits:
             break
-        result = q
-        for s in splits:
-            piece = apply_split(q, s, coords)
-            if not piece.contains_polyhedron(result):
-                result = result.intersect(piece)
-            if result.is_empty:
-                break
-        q = result
+        q = apply_round(q, splits, coords)
         applied.extend(splits)
         rounds_done = r
         profiles.append(_profile(q, wit))
@@ -304,13 +292,6 @@ def _diameter_sq(qx: Polyhedron) -> Fraction:
             d = [vs[i][k] - vs[j][k] for k in range(qx.dim)]
             best = max(best, Fraction(dot(d, d)))
     return best
-
-
-def _min_round_width_sq(qx: Polyhedron) -> Fraction:
-    widths = [
-        facet_split_width_sq(qx, i) for i in range(len(qx.facet_inequalities()))
-    ]
-    return min(widths)
 
 
 def _rotation_sin_sq(
@@ -367,7 +348,7 @@ def reduction_coefficient(qx: Polyhedron, s: Split) -> ReductionReport:
         raise GeometryError("reduction coefficients need a full-dimensional polytope")
     one = SqrtRational(Fraction(1))
     diam_sq = _diameter_sq(qx)
-    width_sq = _min_round_width_sq(qx)
+    width_sq = round_width_sq(qx)
     qxs = apply_split(qx, s)
     if qxs == qx or qxs.is_empty or qxs.affine_dim() < qx.dim:
         return ReductionReport(
@@ -439,23 +420,18 @@ def execute_finite_rank(
     applied: list[Split] = []
     tags: list[str] = []
     verdict = "persists_positive_through_budget"
-    total = 0
     q_final: Optional[int] = None
     rounds_done = 0
+    facet_rounds = [facet_splits(shadow) for shadow in shadows[:-1]]
     for _ in range(cap):
-        for j, s in enumerate(sequence.splits):
-            shadow = shadows[j]
-            q, _w = round_of_splits(q, shadow, coords)
-            n_facets = len(shadow.facet_inequalities())
-            total += n_facets
-            applied.extend(facet_split(shadow, i) for i in range(n_facets))
-            tags.extend(["facet-round"] * n_facets)
+        for fs, s in zip(facet_rounds, sequence.splits):
+            q = apply_round(q, fs, coords)
+            applied.extend(fs)
+            tags.extend(["facet-round"] * len(fs))
             q = apply_split(q, s, coords)
-            total += 1
             applied.append(s)
             tags.append("user")
         q = apply_split(q, englobing, coords)
-        total += 1
         applied.append(englobing)
         tags.append("user")
         rounds_done += 1
@@ -463,7 +439,7 @@ def execute_finite_rank(
         top = max_height(q)
         if top is None or top <= 0:
             verdict = "height_nonpositive_at_round_q"
-            q_final = total
+            q_final = len(applied)
             break
     return ProbeReport(
         rounds_done,

@@ -19,9 +19,9 @@ from .certify import (
     TwoHPReport,
 )
 from .cuts import CornerModel, CutCoefficients
-from .geometry import GeometryError, Point, Polyhedron, as_point
-from .ranks import HeightProfile, ProbeReport, ReductionReport
-from .splits import Split, SplitSequence, SqrtRational
+from .geometry import GeometryError, Point, Polyhedron
+from .ranks import HeightProfile, ProbeReport
+from .splits import Split, SplitSequence
 
 DECIMAL_DIGITS = 12
 
@@ -59,23 +59,18 @@ def emit_decimal(x: Fraction, digits: int = DECIMAL_DIGITS) -> str:
     return f"{sign}{whole}.{frac:0{digits}d}"
 
 
+def _list(value: Any, what: str) -> list:
+    if not isinstance(value, list):
+        raise GeometryError(f"{what} must be a JSON list")
+    return value
+
+
 def parse_point(items: Sequence) -> Point:
-    return tuple(parse_rational(c) for c in items)
+    return tuple(parse_rational(c) for c in _list(items, "coordinates"))
 
 
 def emit_point(p: Sequence) -> list[str]:
     return [emit_rational(c) for c in p]
-
-
-def emit_point_decimal(p: Sequence) -> list[str]:
-    return [emit_decimal(c) for c in p]
-
-
-def emit_sqrt(v: SqrtRational) -> dict:
-    return {
-        "square": emit_rational(v.square),
-        "decimal_lower": v.decimal_lower(DECIMAL_DIGITS),
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -100,12 +95,10 @@ def polyhedron_from_dict(data: dict) -> Polyhedron:
     dim = data["dim"]
     if not isinstance(dim, int) or dim < 1:
         raise GeometryError("polyhedron dimension must be a positive integer")
-    verts = [parse_point(v) for v in data.get("vertices", [])]
-    rays = [parse_point(r) for r in data.get("rays", [])]
-    ineqs = [
-        (tuple(parse_rational(c) for c in row["a"]), parse_rational(row["b"]))
-        for row in data.get("inequalities", [])
-    ]
+    verts = [parse_point(v) for v in _list(data.get("vertices", []), "'vertices'")]
+    rays = [parse_point(r) for r in _list(data.get("rays", []), "'rays'")]
+    rows = _list(data.get("inequalities", []), "'inequalities'")
+    ineqs = [_parse_inequality(row) for row in rows]
     for v in verts + rays:
         if len(v) != dim:
             raise GeometryError("generator dimension mismatch")
@@ -127,6 +120,12 @@ def polyhedron_from_dict(data: dict) -> Polyhedron:
     raise GeometryError("polyhedron JSON carries no generators or inequalities")
 
 
+def _parse_inequality(row: Any) -> tuple:
+    if not isinstance(row, dict) or not isinstance(row.get("a"), list) or "b" not in row:
+        raise GeometryError("each inequality needs a list 'a' and a 'b'")
+    return parse_point(row["a"]), parse_rational(row["b"])
+
+
 def corner_model_to_dict(m: CornerModel) -> dict:
     return {
         "f": emit_point(m.f),
@@ -137,7 +136,8 @@ def corner_model_to_dict(m: CornerModel) -> dict:
 def corner_model_from_dict(data: dict) -> CornerModel:
     if not isinstance(data, dict) or "f" not in data or "rays" not in data:
         raise GeometryError("corner model JSON needs 'f' and 'rays' fields")
-    return CornerModel.make(parse_point(data["f"]), [parse_point(r) for r in data["rays"]])
+    rays = [parse_point(r) for r in _list(data["rays"], "'rays'")]
+    return CornerModel.make(parse_point(data["f"]), rays)
 
 
 def cut_to_dict(cut: CutCoefficients) -> dict:
@@ -158,7 +158,7 @@ def split_to_dict(s: Split) -> dict:
 def split_from_dict(data: dict) -> Split:
     if not isinstance(data, dict) or "pi" not in data or "pi0" not in data:
         raise GeometryError("split JSON needs 'pi' and 'pi0' fields")
-    pi = [parse_rational(x) for x in data["pi"]]
+    pi = parse_point(data["pi"])
     pi0 = parse_rational(data["pi0"])
     if any(x.denominator != 1 for x in pi) or pi0.denominator != 1:
         raise GeometryError("split data must be integer")
@@ -175,9 +175,9 @@ def sequence_to_dict(seq: SplitSequence) -> dict:
 def sequence_from_dict(data: dict) -> SplitSequence:
     if not isinstance(data, dict) or "splits" not in data:
         raise GeometryError("split sequence JSON needs a 'splits' field")
-    splits = [split_from_dict(s) for s in data["splits"]]
+    splits = [split_from_dict(s) for s in _list(data["splits"], "'splits'")]
     prov = data.get("provenance")
-    if prov is not None and len(prov) != len(splits):
+    if prov is not None and len(_list(prov, "'provenance'")) != len(splits):
         raise GeometryError("one provenance tag per split required")
     return SplitSequence.make(splits, prov)
 
@@ -279,16 +279,6 @@ def probe_report_to_csv(report: ProbeReport) -> str:
             else:
                 lines.append(f"{r},{j},{emit_rational(h)},{emit_decimal(h)}")
     return "\n".join(lines) + "\n"
-
-
-def reduction_to_dict(report: ReductionReport) -> dict:
-    return {
-        "width": emit_sqrt(report.width),
-        "diam": emit_sqrt(report.diam),
-        "sines": [emit_sqrt(s) for s in report.sines],
-        "delta": emit_sqrt(report.delta),
-        "degenerate": report.degenerate,
-    }
 
 
 def dumps(obj: dict) -> str:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from math import ceil, floor, isqrt
 from typing import Optional, Sequence
 
@@ -231,8 +232,8 @@ def split_confines(
     return all(lo <= dot(a, v) <= hi for v in q.vertices)
 
 
-def facet_split(qx: Polyhedron, facet_index: int) -> Split:
-    """The split whose boundary planes sandwich the given facet of qx.
+def facet_splits(qx: Polyhedron) -> list[Split]:
+    """One split per facet of qx, whose boundary planes sandwich the facet.
 
     The facet normal is already a coprime integer vector; the far plane
     sits at the next integer level inward, so when the facet plane holds
@@ -240,19 +241,46 @@ def facet_split(qx: Polyhedron, facet_index: int) -> Split:
     """
     if qx.is_empty or qx.affine_dim() != qx.dim:
         raise GeometryError("facet splits need a full-dimensional polyhedron")
-    facets = qx.facet_inequalities()
-    if not 0 <= facet_index < len(facets):
+    return [Split(a, ceil(b) - 1) for a, b in qx.facet_inequalities()]
+
+
+def facet_split(qx: Polyhedron, facet_index: int) -> Split:
+    """The facet split of the given facet of qx."""
+    splits = facet_splits(qx)
+    if not 0 <= facet_index < len(splits):
         raise GeometryError("facet index out of range")
-    a, b = facets[facet_index]
-    pi0 = ceil(b) - 1
-    return Split(a, pi0)
+    return splits[facet_index]
 
 
 def facet_split_width_sq(qx: Polyhedron, facet_index: int) -> Fraction:
     """Squared distance between the facet plane and the far split plane."""
     a, b = qx.facet_inequalities()[facet_index]
-    pi0 = ceil(b) - 1
-    return (b - pi0) ** 2 / Fraction(dot(a, a))
+    return (b - facet_split(qx, facet_index).pi0) ** 2 / Fraction(dot(a, a))
+
+
+def round_width_sq(qx: Polyhedron) -> Fraction:
+    """Squared width of the facet-split round of qx: the least facet width."""
+    return min(
+        facet_split_width_sq(qx, i) for i in range(len(qx.facet_inequalities()))
+    )
+
+
+def apply_round(
+    q: Polyhedron, splits: Sequence[Split], split_coords: Optional[Sequence[int]] = None
+) -> Polyhedron:
+    """Apply every split to q and intersect the results.
+
+    A piece that already contains the running intersection is skipped;
+    so is q itself, which apply_split returns when the split englobes q.
+    """
+    result = q
+    for s in splits:
+        piece = apply_split(q, s, split_coords)
+        if piece is not q and not piece.contains_polyhedron(result):
+            result = result.intersect(piece)
+        if result.is_empty:
+            break
+    return result
 
 
 def round_of_splits(
@@ -265,22 +293,8 @@ def round_of_splits(
     """
     if not qx.is_bounded:
         raise GeometryError("rounds need a bounded reference polytope")
-    if qx.is_empty or qx.affine_dim() != qx.dim:
-        raise GeometryError("rounds need a full-dimensional reference polytope")
-    facets = qx.facet_inequalities()
-    result = q
-    width_sq: Optional[Fraction] = None
-    for idx in range(len(facets)):
-        s = facet_split(qx, idx)
-        w = facet_split_width_sq(qx, idx)
-        width_sq = w if width_sq is None else min(width_sq, w)
-        piece = apply_split(q, s, split_coords)
-        if not piece.contains_polyhedron(result):
-            result = result.intersect(piece)
-        if result.is_empty:
-            break
-    assert width_sq is not None
-    return result, SqrtRational(width_sq)
+    result = apply_round(q, facet_splits(qx), split_coords)
+    return result, SqrtRational(round_width_sq(qx))
 
 
 def enumerate_splits(
@@ -295,24 +309,10 @@ def enumerate_splits(
         return []
     if len(box) != dim:
         raise GeometryError("box must give one interval per coordinate")
-    directions: list[IntVec] = []
-
-    def gen(prefix: list[int]) -> None:
-        if len(prefix) == dim:
-            v = tuple(prefix)
-            if any(v) and vec_gcd(v) == 1:
-                lead = next(x for x in v if x != 0)
-                if lead > 0:
-                    directions.append(v)
-            return
-        for x in range(-bound, bound + 1):
-            prefix.append(x)
-            gen(prefix)
-            prefix.pop()
-
-    gen([])
     out: list[Split] = []
-    for pi in sorted(directions):
+    for pi in product(range(-bound, bound + 1), repeat=dim):
+        if not any(pi) or vec_gcd(pi) != 1 or next(x for x in pi if x) < 0:
+            continue
         minv = sum(
             min(pi[i] * Fraction(box[i][0]), pi[i] * Fraction(box[i][1]))
             for i in range(dim)

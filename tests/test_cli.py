@@ -168,3 +168,26 @@ def test_missing_file(capsys):
     code, _, err = run(capsys, "check2hp", "/nonexistent/file.json")
     assert code == 2
     assert "cannot read" in err
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        {"dim": 2, "inequalities": [{"b": "1"}]},
+        {"dim": 2, "vertices": 5},
+    ],
+    ids=["inequality_without_a", "vertices_not_a_list"],
+)
+def test_malformed_body_exits_2(files, capsys, body):
+    code, out, err = run(capsys, "check2hp", files("bad.json", body))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+def test_unwritable_out_exits_2(files, capsys, tmp_path):
+    target = str(tmp_path / "missing" / "x.json")
+    code, out, err = run(capsys, "check2hp", files("l.json", BODY), "--out", target)
+    assert code == 2
+    assert out == ""
+    assert "cannot write" in err

@@ -6,7 +6,6 @@ from itertools import product
 from splitlab.linalg import (
     det,
     dot,
-    hermite_normal_form,
     integer_kernel,
     integer_solve_rows,
     nullspace,
@@ -91,12 +90,3 @@ def test_integer_kernel():
         assert vec_gcd(v) >= 1
     # kernel vectors generate the full lattice slice: (1,-1,0) and e3 reachable
     assert rank(list(ker)) == 2
-
-
-def test_hermite_normal_form():
-    h = hermite_normal_form([[2, 0], [1, 1]])
-    # lower triangular with positive diagonal
-    assert h[0][1] == 0
-    assert h[0][0] > 0 and h[1][1] > 0
-    # determinant preserved up to sign
-    assert abs(det([[Fraction(x) for x in row] for row in h])) == 2

@@ -27,7 +27,7 @@ from splitlab.ranks import (
     region_bound_check,
     rotate_facet,
 )
-from splitlab.splits import Split, SplitSequence
+from splitlab.splits import Split, SplitSequence, facet_splits
 
 from conftest import make_rng
 
@@ -124,6 +124,37 @@ def test_probe_facet_rounds_strategy():
     assert heights[1] < heights[0]
 
 
+@pytest.mark.parametrize(
+    "strategy",
+    [
+        EnumerateStrategy(0, PROBE_BOX),
+        ExplicitStrategy(SplitSequence.make([])),
+        FacetRoundsStrategy(()),
+    ],
+    ids=["enumerate", "explicit", "facet_rounds"],
+)
+def test_strategy_empty_split_set(strategy):
+    with pytest.raises(GeometryError, match="strategy produced an empty split set"):
+        strategy.splits_for_round(1, 2)
+    cone = lift(TYPE1_MODEL, TYPE1_T, floor=4)
+    with pytest.raises(GeometryError, match="strategy produced an empty split set"):
+        probe_rounds(cone, strategy, 1, [TYPE1_MODEL.f])
+
+
+def test_strategy_splits_for_round():
+    s1, s2 = Split.make((1, 0), 0), Split.make((0, 1), 0)
+    explicit = ExplicitStrategy(SplitSequence.make([s1, s2]))
+    assert [explicit.splits_for_round(r, 2) for r in (1, 2, 3)] == [[s1], [s2], []]
+    facet = FacetRoundsStrategy((TYPE1_T, UNIT_SQ))
+    assert facet.splits_for_round(1, 2) == facet_splits(TYPE1_T)
+    assert facet.splits_for_round(2, 2) == facet_splits(UNIT_SQ)
+    assert facet.splits_for_round(3, 2) == []
+    enum = EnumerateStrategy(1, PROBE_BOX)
+    assert enum.splits_for_round(1, 2) == enum.splits_for_round(5, 2) != []
+    with pytest.raises(GeometryError, match="one interval per coordinate"):
+        enum.splits_for_round(1, 3)
+
+
 def test_executor_slab():
     cone = lift(SQ_MODEL, UNIT_SQ, floor=8)
     report = execute_finite_rank(
@@ -140,6 +171,7 @@ def test_executor_type2_regression():
     report = execute_finite_rank(cone, program)
     assert report.verdict == "height_nonpositive_at_round_q"
     assert report.q == 5  # frozen regression value
+    assert report.q == len(report.sequence.splits)
     assert report.rounds_applied == 1
     assert report.profiles[-1].global_max == 0
     # the recorded sequence replays to the same bound

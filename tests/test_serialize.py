@@ -114,3 +114,21 @@ def test_dumps_deterministic():
     b = serialize.dumps(serialize.polyhedron_to_dict(convex_hull([(0, 1), (1, 0), (0, 0)])))
     assert a == b
     assert a.endswith("\n")
+
+
+@pytest.mark.parametrize(
+    "parse, data",
+    [
+        (serialize.polyhedron_from_dict, {"dim": 2, "rays": {"x": 1}}),
+        (serialize.polyhedron_from_dict, {"dim": 2, "vertices": ["12"]}),
+        (serialize.polyhedron_from_dict, {"dim": 2, "inequalities": [{"a": "1", "b": "0"}]}),
+        (serialize.polyhedron_from_dict, {"dim": 2, "inequalities": [["1", "0"]]}),
+        (serialize.corner_model_from_dict, {"f": ["1/2"], "rays": 3}),
+        (serialize.split_from_dict, {"pi": 1, "pi0": "0"}),
+        (serialize.sequence_from_dict, {"splits": {"pi": ["1"], "pi0": "0"}}),
+        (serialize.sequence_from_dict, {"splits": [], "provenance": 0}),
+    ],
+)
+def test_malformed_shapes_raise_geometry_error(parse, data):
+    with pytest.raises(GeometryError):
+        parse(data)

@@ -1,20 +1,24 @@
 """Split disjunctions: application, classification, rounds, enumeration, sweep."""
 
 from fractions import Fraction
+from functools import reduce
+from math import ceil, floor
 
 import pytest
 
 from splitlab.geometry import GeometryError, Polyhedron, convex_hull, lattice_points
-from splitlab.linalg import dot
+from splitlab.linalg import dot, vec_gcd
 from splitlab.splits import (
     Split,
     SplitSequence,
     SqrtRational,
+    apply_round,
     apply_split,
     classify_split,
     enumerate_splits,
     facet_split,
     facet_split_width_sq,
+    facet_splits,
     round_of_splits,
     split_confines,
     sweep_sequence_2d,
@@ -101,8 +105,6 @@ def test_englobing_idempotence_randomized():
         pi = (rng.randint(-2, 2), rng.randint(-2, 2))
         if not any(pi):
             continue
-        from splitlab.linalg import vec_gcd
-
         if vec_gcd(pi) != 1:
             continue
         s = Split.make(pi, rng.randint(-4, 4))
@@ -171,6 +173,45 @@ def test_round_of_splits_unit_square():
     out, width = round_of_splits(UNIT_SQ, UNIT_SQ)
     assert out == UNIT_SQ
     assert width.square == 1
+
+
+def random_split(rng, q: Polyhedron) -> Split:
+    """A random split whose boundary planes pass near a vertex of q."""
+    while True:
+        pi = tuple(rng.randint(-2, 2) for _ in range(q.dim))
+        if any(pi) and vec_gcd(pi) == 1:
+            level = dot(pi, rng.choice(q.vertices))
+            return Split.make(pi, floor(level) - rng.randint(0, 1))
+
+
+def test_apply_round_matches_reference(rng):
+    for dim, cases in ((2, 30), (3, 10)):
+        for _ in range(cases):
+            pts = [
+                tuple(F(rng.randint(-6, 6), rng.choice((1, 2, 3))) for _ in range(dim))
+                for _ in range(dim + 2)
+            ]
+            q = convex_hull(pts)
+            splits = [random_split(rng, q) for _ in range(rng.randint(1, 4))]
+            reference = reduce(
+                Polyhedron.intersect, [apply_split(q, s) for s in splits], q
+            )
+            assert apply_round(q, splits) == reference
+            # splits whose low side holds all of q englobe it
+            englobing = [
+                Split(s.pi, ceil(max(dot(s.pi, v) for v in q.vertices)))
+                for s in splits
+            ]
+            assert apply_round(q, englobing) is q
+
+
+def test_facet_splits_match_facets():
+    tri = convex_hull([(0, 0), (1, F(1, 2)), (0, 1)])
+    splits = facet_splits(tri)
+    assert [s.pi for s in splits] == [a for a, _ in tri.facet_inequalities()]
+    assert [facet_split(tri, i) for i in range(len(splits))] == splits
+    with pytest.raises(GeometryError):
+        facet_splits(convex_hull([(0, 0), (1, 1)]))
 
 
 def test_enumerate_splits_counts():
