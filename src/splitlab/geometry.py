@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor
+from math import ceil, floor, gcd
 from typing import Optional, Sequence
 
 from .linalg import (
@@ -24,7 +24,6 @@ from .linalg import (
     nullspace,
     rank,
     scale_primitive,
-    solve,
 )
 
 MAX_DIM = 4
@@ -63,95 +62,74 @@ def _check_dim(dim: int) -> None:
 # double description core
 
 
+def _combine(s: int, u: IntVec, t: int, v: IntVec) -> IntVec:
+    """The primitive form of the nonzero integer vector s·u − t·v."""
+    w = tuple(s * x - t * y for x, y in zip(u, v))
+    g = gcd(*w)
+    return tuple(c // g for c in w)
+
+
 def _pointed_cone_rays(rows: list[IntVec], d: int) -> list[IntVec]:
     """Extreme rays of the pointed cone {x : r·x <= 0 for r in rows}.
 
-    Requires rank(rows) == d.  Incremental double description with
-    bitmask tight-sets and the combinatorial adjacency test.
+    Requires rank(rows) == d.  Integer incremental double description
+    seeded with all of R^d as lineality space (the d unit lines) and no
+    rays.  A row that cuts a remaining line l turns l into the ray on its
+    feasible side and projects the other lines and every ray along l onto
+    the row's hyperplane; any other row is a double-description step over
+    the pointed part, with bitmask tight sets (bit k is row k) and the
+    combinatorial adjacency test.
     """
-    if d == 0:
-        return []
-    rows = [r for r in rows if any(r)]
-    # greedy maximal independent subset to seed the recursion base
-    base: list[int] = []
-    chosen: list[IntVec] = []
-    for i, r in enumerate(rows):
-        if len(base) == d:
-            break
-        if rank(chosen + [r], d) > len(base):
-            base.append(i)
-            chosen.append(r)
-    if len(base) < d:
-        raise GeometryError("cone is not pointed")
-
-    A0 = [rows[i] for i in base]
+    lines = [tuple(int(i == j) for j in range(d)) for i in range(d)]
     rays: list[IntVec] = []
-    for k in range(d):
-        rhs = [Fraction(-1) if j == k else Fraction(0) for j in range(d)]
-        sol = solve(A0, rhs)
-        assert sol is not None
-        rays.append(scale_primitive(sol))
-    processed: list[IntVec] = list(A0)
     masks: list[int] = []
-    for r in rays:
-        m = 0
-        for bit, row in enumerate(processed):
-            if dot(row, r) == 0:
-                m |= 1 << bit
-        masks.append(m)
-
-    base_set = set(base)
-    for idx in [i for i in range(len(rows)) if i not in base_set]:
-        a = rows[idx]
+    for idx, a in enumerate(rows):
+        bit = 1 << idx
+        lvals = [dot(a, l) for l in lines]
+        cut = next((i for i, v in enumerate(lvals) if v != 0), None)
+        if cut is not None:
+            l, al = lines.pop(cut), lvals.pop(cut)
+            sgn = 1 if al > 0 else -1
+            lines = [_combine(al, m, am, l) for m, am in zip(lines, lvals)]
+            rays = [_combine(abs(al), r, sgn * dot(a, r), l) for r in rays]
+            rays.append(tuple(-sgn * y for y in l))
+            masks = [m | bit for m in masks] + [bit - 1]
+            continue
         vals = [dot(a, r) for r in rays]
-        bit = 1 << len(processed)
         if any(v > 0 for v in vals):
             pos = [i for i, v in enumerate(vals) if v > 0]
             neg = [i for i, v in enumerate(vals) if v < 0]
-            created: dict[IntVec, None] = {}
+            created: dict[IntVec, int] = {}
             for i in pos:
                 for j in neg:
                     common = masks[i] & masks[j]
-                    if common.bit_count() < d - 2:
+                    if common.bit_count() < d - len(lines) - 2:
                         continue
                     if any(
                         k != i and k != j and common & masks[k] == common
                         for k in range(len(rays))
                     ):
                         continue
-                    comb = tuple(
-                        vals[i] * rays[j][c] - vals[j] * rays[i][c] for c in range(d)
-                    )
-                    created[scale_primitive(comb)] = None
+                    # a positive combination is tight exactly where both are
+                    created[_combine(vals[i], rays[j], vals[j], rays[i])] = common | bit
             keep = [i for i, v in enumerate(vals) if v <= 0]
-            new_rays = [rays[i] for i in keep]
-            new_masks = [
+            rays = [rays[i] for i in keep] + list(created)
+            masks = [
                 masks[i] | (bit if vals[i] == 0 else 0) for i in keep
-            ]
-            for r in created:
-                m = bit  # tight on the current row by construction
-                for b, row in enumerate(processed):
-                    if dot(row, r) == 0:
-                        m |= 1 << b
-                new_rays.append(r)
-                new_masks.append(m)
-            rays, masks = new_rays, new_masks
+            ] + list(created.values())
         else:
             masks = [m | (bit if v == 0 else 0) for m, v in zip(masks, vals)]
-        processed.append(a)
+    if lines:
+        raise GeometryError("cone is not pointed")
     return rays
 
 
 def cone_rays(rows: Sequence[Sequence[int]], d: int) -> tuple[list[IntVec], list[IntVec]]:
     """(lineality basis, extreme rays) of {x in R^d : r·x <= 0 for r in rows}."""
     clean = [tuple(r) for r in rows if any(r)]
-    if not clean:
-        lines = [tuple(int(i == j) for j in range(d)) for i in range(d)]
-        return lines, []
-    null = nullspace(clean, d)
-    lines = [scale_primitive(v) for v in null]
-    if not lines:
+    if rank(clean, d) == d:
         return [], _pointed_cone_rays(clean, d)
+    lines = [scale_primitive(v) for v in nullspace(clean, d)]
     # quotient by the lineality space: work in its orthogonal complement
     comp = [scale_primitive(w) for w in nullspace(lines, d)]
     if not comp:
@@ -373,18 +351,9 @@ class Polyhedron:
         p = as_point(point)
         if self.is_empty:
             return False
-        eq_rows = set()
-        for h in self.equalities():
-            if dot(h.normal, p) != h.offset:
-                return False
-            eq_rows.add((h.normal, h.offset))
-            eq_rows.add((tuple(-x for x in h.normal), -h.offset))
-        for a, b in self.inequalities:
-            if (a, b) in eq_rows:
-                continue
-            if dot(a, p) >= b:
-                return False
-        return True
+        return all(dot(h.normal, p) == h.offset for h in self.equalities()) and all(
+            dot(a, p) < b for a, b in self.facet_inequalities()
+        )
 
     def interior_contains(self, point: Sequence) -> bool:
         return self.affine_dim() == self.dim and self.relint_contains(point)

@@ -44,8 +44,8 @@ def scale_primitive(vec: Sequence) -> IntVector:
     return tuple(v // g for v in ints)
 
 
-def _echelon(rows: Sequence[Sequence], ncols: int, reduce_up: bool = True):
-    """Row echelon form over the rationals; returns (rows, pivot column list)."""
+def _echelon(rows: Sequence[Sequence], ncols: int):
+    """Reduced row echelon form over the rationals; returns (rows, pivot column list)."""
     work = [[Fraction(x) for x in r] for r in rows]
     pivots: list[int] = []
     r = 0
@@ -60,8 +60,7 @@ def _echelon(rows: Sequence[Sequence], ncols: int, reduce_up: bool = True):
         work[r], work[pr] = work[pr], work[r]
         pv = work[r][c]
         work[r] = [x / pv for x in work[r]]
-        span = range(len(work)) if reduce_up else range(r + 1, len(work))
-        for i in span:
+        for i in range(len(work)):
             if i != r and work[i][c] != 0:
                 f = work[i][c]
                 work[i] = [x - f * y for x, y in zip(work[i], work[r])]

@@ -1,7 +1,7 @@
 """Exact polyhedra: double description, hulls, lattice points, lattice-freeness."""
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from math import ceil, floor
 
 import pytest
@@ -9,16 +9,18 @@ import pytest
 from splitlab.geometry import (
     GeometryError,
     Hyperplane,
+    LinealityError,
     NotLatticeFreeError,
     Polyhedron,
     affine_hull,
     apply_unimodular,
+    cone_rays,
     convex_hull,
     interior_integer_point,
     lattice_points,
     require_lattice_free,
 )
-from splitlab.linalg import dot
+from splitlab.linalg import dot, nullspace, rank, scale_primitive
 
 from conftest import make_rng
 
@@ -109,19 +111,95 @@ def test_lattice_points_vs_box_scan_randomized():
 
 def test_hull_round_trip_randomized():
     rng = make_rng()
-    for _ in range(110):
-        dim = rng.choice((2, 3))
-        pts = [
-            tuple(F(rng.randint(-6, 6), rng.choice((1, 2, 3))) for _ in range(dim))
-            for _ in range(dim + rng.randint(1, 4))
-        ]
-        p = convex_hull(pts)
+    checked = 0
+    for case in range(120):
+        dim = rng.randint(1, 4)
+        base = tuple(F(rng.randint(-6, 6), rng.choice((1, 2, 3))) for _ in range(dim))
+        rays = []
+        if case % 3 == 1:
+            # lower-dimensional: integer combinations along 1-2 directions
+            dirs = [
+                tuple(rng.randint(-3, 3) for _ in range(dim))
+                for _ in range(rng.randint(1, 2))
+            ]
+            pts = [
+                tuple(c + sum(rng.randint(-2, 2) * w[i] for w in dirs) for i, c in enumerate(base))
+                for _ in range(rng.randint(1, 5))
+            ]
+        else:
+            pts = [
+                tuple(F(rng.randint(-6, 6), rng.choice((1, 2, 3))) for _ in range(dim))
+                for _ in range(dim + rng.randint(1, 4))
+            ]
+        if case % 3 == 2:
+            # unbounded: 1-2 random rays
+            rays = [
+                tuple(rng.randint(-2, 2) for _ in range(dim))
+                for _ in range(rng.randint(1, 2))
+            ]
+            rays = [r for r in rays if any(r)]
+        if len(rays) == 2 and rank(rays, dim) == 1 and dot(*rays) < 0:
+            # opposite rays span a line, which the kernel refuses
+            with pytest.raises(LinealityError):
+                convex_hull(pts, rays)
+            continue
+        p = convex_hull(pts, rays)
+        checked += 1
         q = Polyhedron.from_inequalities(p.inequalities, dim)
         assert q == p
         r = Polyhedron.from_generators(p.vertices, p.rays)
         assert r == p
         for x in pts:
             assert p.contains(x)
+    assert checked >= 100
+
+
+def _brute_cone_rays(rows, d):
+    """Oracle: extreme rays of a pointed cone from every (d-1)-row subset."""
+    out = set()
+    for sub in combinations(rows, d - 1):
+        if rank(list(sub), d) != d - 1:
+            continue
+        (v,) = nullspace(list(sub), d)
+        for w in (v, tuple(-x for x in v)):
+            if all(dot(r, w) <= 0 for r in rows):
+                out.add(scale_primitive(w))
+    return out
+
+
+def test_cone_rays_randomized(rng):
+    assert cone_rays([], 3) == ([(1, 0, 0), (0, 1, 0), (0, 0, 1)], [])
+    assert cone_rays([(0, 0)], 2) == ([(1, 0), (0, 1)], [])
+    pointed = 0
+    for _ in range(240):
+        d = rng.randint(1, 4)
+        # rows from a random subspace of dimension < d, so dependent rows
+        # come early, then (unless the set stays rank-deficient) free rows
+        basis = [tuple(rng.randint(-2, 2) for _ in range(d)) for _ in range(rng.randint(0, d - 1))]
+        rows = [
+            tuple(sum(rng.randint(-2, 2) * b[i] for b in basis) for i in range(d))
+            for _ in range(rng.randint(0, 5))
+        ]
+        if rng.random() < 0.6:
+            rows += [tuple(rng.randint(-3, 3) for _ in range(d)) for _ in range(rng.randint(1, 5))]
+        if rows and rng.random() < 0.3:
+            rows.append(rng.choice(rows))
+        if rows and rng.random() < 0.3:
+            rows.append(tuple(-x for x in rng.choice(rows)))
+        lines, rays = cone_rays(rows, d)
+        assert len(set(rays)) == len(rays)
+        if rank(rows, d) == d:
+            pointed += 1
+            assert lines == []
+            assert set(rays) == _brute_cone_rays(rows, d)
+            continue
+        assert lines == [scale_primitive(v) for v in nullspace(rows, d)]
+        for ray in rays:
+            assert all(dot(r, ray) <= 0 for r in rows)
+            assert all(dot(l, ray) == 0 for l in lines)
+            tight = [r for r in rows if dot(r, ray) == 0]
+            assert rank(tight + lines, d) == d - 1
+    assert 60 <= pointed <= 180
 
 
 def test_lattice_free():
