@@ -2,9 +2,11 @@
 
 A :class:`Polyhedron` stores vertices, recession rays and facet
 inequalities at once, all canonicalized, so equality of polyhedra is a
-syntactic check.  Conversion between the two representations runs a
-double-description pass over the homogenization cone; all arithmetic is
-integer or :class:`fractions.Fraction`, never floating point.
+syntactic check.  Conversion between the two representations runs an
+integer double-description pass over the homogenization cone; all
+arithmetic is integer or :class:`fractions.Fraction`, never floating
+point.  Each polyhedron also caches its vertices in homogeneous integer
+form, so containment and split tests compare integers only.
 
 Ambient dimension is capped at 4: three geometric coordinates plus one
 lifted coordinate cover every object handled here.
@@ -14,10 +16,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import ceil, floor, gcd
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .linalg import (
+    _integer_rows,
+    _row_scale,
     det,
     dot,
     integer_solve_rows,
@@ -322,6 +327,14 @@ class Polyhedron:
             return False
         return all(dot(a, p) <= b for a, b in self.inequalities)
 
+    @cached_property
+    def homogeneous_vertices(self) -> tuple[tuple[IntVec, int], ...]:
+        """Each vertex v as (n, t) with integer n, t >= 1 and v = n / t."""
+        return tuple(
+            (tuple(n), _row_scale(v))
+            for v, n in zip(self.vertices, _integer_rows(self.vertices))
+        )
+
     def equalities(self) -> list[Hyperplane]:
         seen = set(self.inequalities)
         eqs = []
@@ -379,11 +392,16 @@ class Polyhedron:
         return Polyhedron.from_inequalities(rows, self.dim)
 
     def contains_polyhedron(self, other: "Polyhedron") -> bool:
+        if other.dim != self.dim:
+            raise GeometryError("dimension mismatch in containment")
         if other.is_empty:
             return True
-        return all(self.contains(v) for v in other.vertices) and all(
-            all(dot(a, r) <= 0 for a, b in self.inequalities) for r in other.rays
-        )
+        # a·(n/t) <= b in integers: a·n·den(b) <= num(b)·t
+        return all(
+            dot(a, n) * b.denominator <= b.numerator * t
+            for n, t in other.homogeneous_vertices
+            for a, b in self.inequalities
+        ) and all(dot(a, r) <= 0 for r in other.rays for a, _ in self.inequalities)
 
 
 # ---------------------------------------------------------------------------
@@ -399,19 +417,25 @@ def convex_hull(points: Sequence[Sequence], rays: Sequence[Sequence] = ()) -> Po
 
 def lattice_points(p: Polyhedron) -> list[Point]:
     """All integer points of a bounded polyhedron, sorted lexicographically."""
+    return list(_iter_lattice_points(p))
+
+
+def _iter_lattice_points(p: Polyhedron) -> Iterator[Point]:
+    """The integer points of a bounded p, lazily and in lexicographic order."""
     if p.is_empty:
-        return []
+        return
     if p.rays:
         raise GeometryError("refusing to enumerate integer points of an unbounded set")
     box = p.bounding_box()
     lo = [ceil(b[0]) for b in box]
     hi = [floor(b[1]) for b in box]
-    results: list[Point] = []
     ineqs = p.inequalities
 
-    def recurse(prefix: list[int], depth: int) -> None:
+    def recurse(prefix: list[int], depth: int) -> Iterator[Point]:
         if depth == p.dim:
-            results.append(tuple(Fraction(c) for c in prefix))
+            q = tuple(Fraction(c) for c in prefix)
+            if p.contains(q):
+                yield q
             return
         lo_k, hi_k = Fraction(lo[depth]), Fraction(hi[depth])
         for a, b in ineqs:
@@ -434,11 +458,10 @@ def lattice_points(p: Polyhedron) -> list[Point]:
         start, stop = ceil(lo_k), floor(hi_k)
         for v in range(start, stop + 1):
             prefix.append(v)
-            recurse(prefix, depth + 1)
+            yield from recurse(prefix, depth + 1)
             prefix.pop()
 
-    recurse([], 0)
-    return [q for q in results if p.contains(q)]
+    yield from recurse([], 0)
 
 
 def affine_hull(p: Polyhedron) -> tuple[int, list[Hyperplane]]:
@@ -470,11 +493,9 @@ def apply_unimodular(p: Polyhedron, u: Sequence[Sequence[int]], shift: Sequence[
 
 
 def interior_integer_point(p: Polyhedron) -> Optional[Point]:
-    """An integer point in the relative interior of a bounded p, if one exists."""
-    for q in lattice_points(p):
-        if p.relint_contains(q):
-            return q
-    return None
+    """The lexicographically first integer point in the relative interior
+    of a bounded p, if one exists; the scan stops there."""
+    return next((q for q in _iter_lattice_points(p) if p.relint_contains(q)), None)
 
 
 def require_lattice_free(p: Polyhedron) -> None:

@@ -1,15 +1,17 @@
 """Exact linear algebra over rationals and integers.
 
 Everything works on plain tuples of ``fractions.Fraction`` or ``int``.
-Rational routines use Gaussian elimination; integer routines use a
-column-style Hermite reduction driven by the extended Euclid step, so
-solvability of integer linear systems is decided exactly.
+Rational routines scale each row to integers and run one fraction-free
+(Bareiss) Gauss-Jordan elimination, so ``Fraction`` appears only in the
+results; integer routines use a column-style Hermite reduction driven by
+the extended Euclid step, so solvability of integer linear systems is
+decided exactly.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm, prod
 from typing import Iterable, Optional, Sequence
 
 Vector = tuple[Fraction, ...]
@@ -27,48 +29,66 @@ def vec_gcd(values: Iterable[int]) -> int:
     return g
 
 
+def _row_scale(row: Sequence) -> int:
+    return lcm(*(x.denominator for x in row))
+
+
+def _integer_rows(rows: Sequence[Sequence]) -> list[list[int]]:
+    """Each row times the lcm of its denominators.
+
+    The row space stays the same, and so does the solution set of
+    augmented rows.
+    """
+    out = []
+    for r in rows:
+        m = _row_scale(r)
+        out.append([x.numerator * (m // x.denominator) for x in r])
+    return out
+
+
 def scale_primitive(vec: Sequence) -> IntVector:
     """Scale a nonzero rational vector to a coprime integer vector.
 
     Direction (including sign) is preserved.
     """
-    fracs = [Fraction(x) for x in vec]
-    mult = 1
-    for f in fracs:
-        d = f.denominator
-        mult = mult * d // gcd(mult, d)
-    ints = [int(f * mult) for f in fracs]
-    g = vec_gcd(ints)
+    ints = _integer_rows([vec])[0]
+    g = gcd(*ints)
     if g == 0:
         raise ValueError("zero vector has no primitive form")
     return tuple(v // g for v in ints)
 
 
 def _echelon(rows: Sequence[Sequence], ncols: int):
-    """Reduced row echelon form over the rationals; returns (rows, pivot column list)."""
-    work = [[Fraction(x) for x in r] for r in rows]
+    """Fraction-free (Bareiss) Gauss-Jordan form of the integer-scaled rows.
+
+    Returns (rows, pivot column list, D, sign).  Every returned row holds
+    D at its own pivot and 0 at every other pivot column, so the reduced
+    row echelon form is rows / D; D is the determinant of the pivot block
+    of the scaled, row-swapped input and sign the parity of the swaps.
+    """
+    work = _integer_rows(rows)
     pivots: list[int] = []
-    r = 0
+    prev, sign, r = 1, 1, 0
     for c in range(ncols):
-        pr = None
-        for i in range(r, len(work)):
-            if work[i][c] != 0:
-                pr = i
-                break
+        pr = next((i for i in range(r, len(work)) if work[i][c] != 0), None)
         if pr is None:
             continue
-        work[r], work[pr] = work[pr], work[r]
-        pv = work[r][c]
-        work[r] = [x / pv for x in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][c] != 0:
-                f = work[i][c]
-                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
+        if pr != r:
+            work[r], work[pr] = work[pr], work[r]
+            sign = -sign
+        prow = work[r]
+        pv = prow[c]
+        for i, row in enumerate(work):
+            if i != r:
+                # Sylvester's identity makes this division exact
+                f = row[c]
+                work[i] = [(pv * x - f * y) // prev for x, y in zip(row, prow)]
+        prev = pv
         pivots.append(c)
         r += 1
         if r == len(work):
             break
-    return work[:r], pivots
+    return work[:r], pivots, prev, sign
 
 
 def rank(rows: Sequence[Sequence], ncols: Optional[int] = None) -> int:
@@ -83,7 +103,7 @@ def nullspace(rows: Sequence[Sequence], n: int) -> list[Vector]:
     """Basis of {x : row·x = 0 for every row}, as Fraction tuples."""
     if not rows:
         return [tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)]
-    ech, pivots = _echelon(rows, n)
+    ech, pivots, D, _ = _echelon(rows, n)
     pivot_set = set(pivots)
     basis = []
     for free in range(n):
@@ -92,7 +112,7 @@ def nullspace(rows: Sequence[Sequence], n: int) -> list[Vector]:
         vec = [Fraction(0)] * n
         vec[free] = Fraction(1)
         for prow, pcol in zip(ech, pivots):
-            vec[pcol] = -prow[free]
+            vec[pcol] = Fraction(-prow[free], D)
         basis.append(tuple(vec))
     return basis
 
@@ -106,39 +126,22 @@ def solve(rows: Sequence[Sequence], rhs: Sequence) -> Optional[Vector]:
         return None
     n = len(rows[0])
     aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    ech, pivots = _echelon(aug, n + 1)
+    ech, pivots, D, _ = _echelon(aug, n + 1)
     if n in pivots:
         return None
     x = [Fraction(0)] * n
     # rows are in reduced form, so each pivot variable reads off directly
     for prow, pcol in zip(ech, pivots):
-        x[pcol] = prow[n] - sum(prow[j] * x[j] for j in range(n) if j != pcol)
+        x[pcol] = Fraction(prow[n], D)
     return tuple(x)
 
 
 def det(rows: Sequence[Sequence]) -> Fraction:
     n = len(rows)
-    work = [[Fraction(x) for x in r] for r in rows]
-    sign = 1
-    result = Fraction(1)
-    for c in range(n):
-        pr = None
-        for i in range(c, n):
-            if work[i][c] != 0:
-                pr = i
-                break
-        if pr is None:
-            return Fraction(0)
-        if pr != c:
-            work[c], work[pr] = work[pr], work[c]
-            sign = -sign
-        pv = work[c][c]
-        result *= pv
-        for i in range(c + 1, n):
-            if work[i][c] != 0:
-                f = work[i][c] / pv
-                work[i] = [x - f * y for x, y in zip(work[i], work[c])]
-    return sign * result
+    _, pivots, D, sign = _echelon(rows, n)
+    if len(pivots) < n:
+        return Fraction(0)
+    return Fraction(sign * D, prod(map(_row_scale, rows)))
 
 
 def _column_echelon(matrix: list[list[int]], m: int):

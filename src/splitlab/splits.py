@@ -144,10 +144,14 @@ def embed_normal(pi: IntVec, dim: int, split_coords: Optional[Sequence[int]]) ->
 
 
 def _halfspace_generators(
-    q: Polyhedron, a: IntVec, b: Fraction
+    q: Polyhedron, a: IntVec, b: int
 ) -> tuple[list[Point], list[IntVec]]:
     """Generators of q intersected with {x : a.x <= b}."""
-    verts = [v for v in q.vertices if dot(a, v) <= b]
+    verts = [
+        v
+        for v, (n, t) in zip(q.vertices, q.homogeneous_vertices)
+        if dot(a, n) <= b * t
+    ]
     rays = [r for r in q.rays if dot(a, r) <= 0]
     if len(verts) == len(q.vertices) and len(rays) == len(q.rays):
         return verts, rays
@@ -163,15 +167,17 @@ def apply_split(
     if q.is_empty:
         return q
     a = embed_normal(s.pi, q.dim, split_coords)
-    lo = Fraction(s.pi0)
-    hi = Fraction(s.pi0 + 1)
-    vals = [dot(a, v) for v in q.vertices]
+    lo, hi = s.pi0, s.pi0 + 1
+    # signs of a.v - lo and a.v - hi, in integers over homogeneous vertices
+    vals = [(dot(a, n), t) for n, t in q.homogeneous_vertices]
+    below = [v <= lo * t for v, t in vals]
+    above = [v >= hi * t for v, t in vals]
     ray_vals = [dot(a, r) for r in q.rays]
-    if all(v <= lo or v >= hi for v in vals):
+    if all(b or u for b, u in zip(below, above)):
         # every generator already satisfies the disjunction
-        if all(v <= lo for v in vals) and all(rv <= 0 for rv in ray_vals):
+        if all(below) and all(rv <= 0 for rv in ray_vals):
             return q
-        if all(v >= hi for v in vals) and all(rv >= 0 for rv in ray_vals):
+        if all(above) and all(rv >= 0 for rv in ray_vals):
             return q
         if q.is_bounded:
             return q

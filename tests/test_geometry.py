@@ -2,7 +2,7 @@
 
 from fractions import Fraction
 from itertools import combinations, product
-from math import ceil, floor
+from math import ceil, floor, gcd
 
 import pytest
 
@@ -53,6 +53,12 @@ def test_unit_cube():
     cube = convex_hull(list(product((0, 1), repeat=3)))
     assert len(cube.vertices) == 8
     assert len(cube.facet_inequalities()) == 6
+    with pytest.raises(GeometryError):
+        cube.contains_polyhedron(TYPE1_T)
+    with pytest.raises(GeometryError):
+        TYPE1_T.contains_polyhedron(cube)
+    with pytest.raises(GeometryError):
+        TYPE1_T.contains_polyhedron(Polyhedron.empty(3))
 
 
 def test_h_to_v_round_trip():
@@ -151,6 +157,17 @@ def test_hull_round_trip_randomized():
         assert r == p
         for x in pts:
             assert p.contains(x)
+        for (n, t), v in zip(p.homogeneous_vertices, p.vertices):
+            assert t >= 1 and gcd(t, *n) == 1
+            assert tuple(F(c, t) for c in n) == v
+        # integer containment against the rational vertex and ray tests
+        shift = tuple((case + i) % 3 - 1 for i in range(dim))
+        moved = convex_hull([tuple(c + s for c, s in zip(v, shift)) for v in p.vertices], p.rays)
+        for outer, inner in ((p, moved), (moved, p), (p, p)):
+            expect = all(outer.contains(v) for v in inner.vertices) and all(
+                dot(a, r) <= 0 for r in inner.rays for a, _ in outer.inequalities
+            )
+            assert outer.contains_polyhedron(inner) == expect
     assert checked >= 100
 
 

@@ -37,3 +37,23 @@ def _unused_imports(tree: ast.Module) -> list[str]:
 def test_no_unused_imports(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     assert _unused_imports(tree) == []
+
+
+# the integer kernel: elimination, primitive scaling and the double description
+INTEGER_ONLY = {
+    "linalg.py": ("_integer_rows", "_echelon", "scale_primitive"),
+    "geometry.py": ("_pointed_cone_rays", "_combine"),
+}
+
+
+@pytest.mark.parametrize("module", sorted(INTEGER_ONLY))
+def test_integer_kernel_builds_no_fraction(module):
+    tree = ast.parse((SRC / module).read_text(), filename=module)
+    bodies = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    for name in INTEGER_ONLY[module]:
+        names = {
+            n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(bodies[name])
+            if isinstance(n, (ast.Name, ast.Attribute))
+        }
+        assert "Fraction" not in names, name

@@ -90,3 +90,97 @@ def test_integer_kernel():
         assert vec_gcd(v) >= 1
     # kernel vectors generate the full lattice slice: (1,-1,0) and e3 reachable
     assert rank(list(ker)) == 2
+
+
+def _reference_echelon(rows, ncols):
+    """Rational Gauss-Jordan reduced row echelon form: (rows, pivot columns)."""
+    work = [[Fraction(x) for x in r] for r in rows]
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, len(work)) if work[i][c] != 0), None)
+        if pr is None:
+            continue
+        work[r], work[pr] = work[pr], work[r]
+        work[r] = [x / work[r][c] for x in work[r]]
+        for i in range(len(work)):
+            if i != r and work[i][c] != 0:
+                f = work[i][c]
+                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
+        pivots.append(c)
+        r += 1
+    return work[:r], pivots
+
+
+def _reference_nullspace(rows, n):
+    ech, pivots = _reference_echelon(rows, n)
+    basis = []
+    for free in (j for j in range(n) if j not in pivots):
+        vec = [Fraction(int(j == free)) for j in range(n)]
+        for prow, pcol in zip(ech, pivots):
+            vec[pcol] = -prow[free]
+        basis.append(tuple(vec))
+    return basis
+
+
+def _reference_solve(rows, rhs):
+    n = len(rows[0])
+    ech, pivots = _reference_echelon([list(r) + [b] for r, b in zip(rows, rhs)], n + 1)
+    if n in pivots:
+        return None
+    x = [Fraction(0)] * n
+    for prow, pcol in zip(ech, pivots):
+        x[pcol] = prow[n]
+    return tuple(x)
+
+
+def _reference_det(rows):
+    """Product of the pivots of a rational elimination, with the swap sign."""
+    work = [[Fraction(x) for x in r] for r in rows]
+    result = Fraction(1)
+    for c in range(len(work)):
+        pr = next((i for i in range(c, len(work)) if work[i][c] != 0), None)
+        if pr is None:
+            return Fraction(0)
+        if pr != c:
+            work[c], work[pr] = work[pr], work[c]
+            result = -result
+        result *= work[c][c]
+        for i in range(c + 1, len(work)):
+            f = work[i][c] / work[c][c]
+            work[i] = [x - f * y for x, y in zip(work[i], work[c])]
+    return result
+
+
+def test_fraction_free_kernel_matches_rational_reference(rng):
+    # tall, wide and square shapes with Fraction entries, zero rows and
+    # dependent rows, against the rational Gauss-Jordan above
+    def entry():
+        u = rng.random()
+        if u < 0.3:
+            return 0
+        if u < 0.65:
+            return rng.randint(-6, 6)
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 8))
+
+    for case in range(600):
+        d = rng.randint(1, 6)
+        m = rng.randint(1, 2 * d)
+        rows = [[entry() for _ in range(d)] for _ in range(m)]
+        if case % 4 == 1:
+            rows.append([0] * d)
+        if case % 4 == 2:
+            rows.append([Fraction(rng.randint(-3, 3), 2) * x for x in rng.choice(rows)])
+        if case % 4 == 3:
+            rows = [[sum(x) for x in zip(r, rows[0])] for r in rows] + [rows[-1]]
+        assert rank(rows, d) == len(_reference_echelon(rows, d)[1])
+        assert nullspace(rows, d) == _reference_nullspace(rows, d)
+        rhs = [entry() for _ in rows]
+        sol = solve(rows, rhs)
+        assert sol == _reference_solve(rows, rhs)
+        assert sol is None or all(type(x) is Fraction for x in sol)
+        square = [[entry() for _ in range(d)] for _ in range(d)]
+        if case % 3 == 0:
+            square[-1] = [2 * x for x in square[0]]
+        value = det(square)
+        assert type(value) is Fraction and value == _reference_det(square)

@@ -82,6 +82,14 @@ def test_apply_split_empty_side():
     s = Split.make((1, 0), 5)
     out = apply_split(UNIT_SQ, s)
     assert out == UNIT_SQ  # all of the square is on the low side
+    # fractional vertices exactly on a boundary plane satisfy the disjunction
+    s = Split.make((1, 1), 1)
+    on_lo = convex_hull([(0, 0), (F(1, 3), 0), (F(1, 2), F(1, 2))])  # x+y = 0, 1/3, 1
+    on_hi = convex_hull([(F(3, 2), F(1, 2)), (3, 0), (2, 1)])  # x+y = 2, 3, 3
+    both = convex_hull([(0, 0), (3, 0), (F(3, 2), F(1, 2)), (F(1, 2), F(1, 2))])
+    for q in (on_lo, on_hi, both):
+        assert apply_split(q, s) is q
+        assert hull_of_union(q, s) == q
 
 
 def test_classify_flags():
