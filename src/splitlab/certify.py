@@ -11,8 +11,8 @@ maximal lattice-free sets.
 
 from __future__ import annotations
 
-from itertools import combinations
 from dataclasses import dataclass
+from itertools import product
 from typing import Optional, Sequence
 
 from .cuts import CornerModel, boundary_hull, rays_into_corners
@@ -27,10 +27,8 @@ from .geometry import (
     lattice_points,
     require_lattice_free,
 )
-from .linalg import dot, scale_primitive
+from .linalg import _echelon, dot, scale_primitive
 from .splits import Split
-
-PARTITION_CAP = 20
 
 
 @dataclass(frozen=True)
@@ -114,41 +112,50 @@ def face_in_facet(face: Polyhedron, l: Polyhedron) -> bool:
 def is_2partitionable(points: Sequence[Sequence]) -> PartitionCertificate:
     """Search for a split whose boundary planes carry a bipartition of S.
 
-    Bipartitions are scanned by size of the first class, then
-    lexicographically, and the first witness is returned.  The witness
-    split is automatically coprime: its values on the two classes are
-    consecutive integers.
+    A split's value pi·q - c is affine on S, so its {0,1} labels on an
+    affine basis B of S fix its values on all of S.  One integer
+    elimination of the differences q - q0 yields B (q0 and the pivot
+    points) and every point's affine coordinates over it.  Of the at most
+    2^(m+1) labelings of B, those that are {0,1}-valued and nonconstant
+    on S are the candidate bipartitions; they are tried by size of the
+    first class, then lexicographically (the order of a scan over all
+    subsets), and the first one an integer split realizes is returned.
+    The witness split is automatically coprime: its values on the two
+    classes are consecutive integers.
     """
     pts = sorted(as_point(q) for q in points)
     for q in pts:
         if any(c.denominator != 1 for c in q):
             raise GeometryError("2-partitionability is defined for integer points")
-    if len(pts) > PARTITION_CAP:
-        raise GeometryError(
-            f"point set exceeds the combinatorial cap of {PARTITION_CAP}"
-        )
     if len(pts) <= 1:
         return PartitionCertificate("trivially_partitionable", None, tuple(pts), ())
     n = len(pts)
     m = len(pts[0])
     ints = [tuple(int(c) for c in q) for q in pts]
-    for size in range(1, n):
-        for combo in combinations(range(n), size):
-            chosen = set(combo)
-            rows = []
-            for i, q in enumerate(ints):
-                # unknowns (pi, c): pi.q - c = 0 on S1 and = 1 on S2
-                rows.append((q + (-1,), 0 if i in chosen else 1))
-            sol = integer_solve(rows)
-            if sol is None:
-                continue
-            pi, c = sol[:m], sol[m]
-            s1 = tuple(pts[i] for i in combo)
-            s2 = tuple(pts[i] for i in range(n) if i not in chosen)
-            split = Split.make(pi, c)
-            assert all(dot(split.pi, q) == split.pi0 for q in s1)
-            assert all(dot(split.pi, q) == split.pi0 + 1 for q in s2)
-            return PartitionCertificate("partitionable", split, s1, s2)
+    diffs = [[q[k] - ints[0][k] for q in ints] for k in range(m)]
+    ech, pivots, D, _ = _echelon(diffs, n)
+    candidates = []
+    for l0, *labels in product((0, 1), repeat=len(pivots) + 1):
+        # D times each point's value: point i sits at ech[r][i] / D on pivot r
+        vals = [l0 * D + sum(row[i] * (l - l0) for row, l in zip(ech, labels)) for i in range(n)]
+        if set(vals) == {0, D}:
+            candidates.append(tuple(i for i, v in enumerate(vals) if v == 0))
+    for combo in sorted(candidates, key=lambda c: (len(c), c)):
+        chosen = set(combo)
+        rows = []
+        for i, q in enumerate(ints):
+            # unknowns (pi, c): pi.q - c = 0 on S1 and = 1 on S2
+            rows.append((q + (-1,), 0 if i in chosen else 1))
+        sol = integer_solve(rows)
+        if sol is None:
+            continue
+        pi, c = sol[:m], sol[m]
+        s1 = tuple(pts[i] for i in combo)
+        s2 = tuple(pts[i] for i in range(n) if i not in chosen)
+        split = Split.make(pi, c)
+        assert all(dot(split.pi, q) == split.pi0 for q in s1)
+        assert all(dot(split.pi, q) == split.pi0 + 1 for q in s2)
+        return PartitionCertificate("partitionable", split, s1, s2)
     return PartitionCertificate("not_partitionable", None, (), ())
 
 

@@ -1,11 +1,13 @@
 """Integer hulls, 2-partitionability, the 2-hyperplane property, 2D classes."""
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
+import splitlab.certify
 from splitlab.certify import (
+    PartitionCertificate,
     classify_2d,
     faces,
     face_in_facet,
@@ -15,8 +17,16 @@ from splitlab.certify import (
     is_2partitionable,
 )
 from splitlab.cuts import CornerModel
-from splitlab.geometry import GeometryError, convex_hull, lattice_points
+from splitlab.geometry import (
+    GeometryError,
+    Polyhedron,
+    as_point,
+    convex_hull,
+    integer_solve,
+    lattice_points,
+)
 from splitlab.linalg import dot
+from splitlab.splits import Split
 
 from conftest import make_rng
 
@@ -66,6 +76,125 @@ def partition_oracle(points, bound=3):
         if len(vals) == 2 and max(vals) - min(vals) == 1:
             return True
     return False
+
+
+def _scan_reference(points):
+    """The 2^n bipartition scan: by size of the first class, then lexicographic."""
+    pts = sorted(as_point(q) for q in points)
+    if len(pts) <= 1:
+        return PartitionCertificate("trivially_partitionable", None, tuple(pts), ())
+    n, m = len(pts), len(pts[0])
+    ints = [tuple(int(c) for c in q) for q in pts]
+    for size in range(1, n):
+        for combo in combinations(range(n), size):
+            rows = [(q + (-1,), 0 if i in combo else 1) for i, q in enumerate(ints)]
+            sol = integer_solve(rows)
+            if sol is not None:
+                s1 = tuple(pts[i] for i in combo)
+                s2 = tuple(pts[i] for i in range(n) if i not in combo)
+                return PartitionCertificate("partitionable", Split.make(sol[:m], sol[m]), s1, s2)
+    return PartitionCertificate("not_partitionable", None, (), ())
+
+
+def _unimodular(rng, m):
+    """A random unimodular integer matrix: shears, swaps and sign flips of I."""
+    u = [[int(i == j) for j in range(m)] for i in range(m)]
+    for _ in range(rng.randint(0, 3 * m)):
+        i, j = rng.randrange(m), rng.randrange(m)
+        op = rng.random()
+        if i != j and op < 0.6:
+            k = rng.choice((-2, -1, 1, 2))
+            u[i] = [a + k * b for a, b in zip(u[i], u[j])]
+        elif op < 0.8:
+            u[i], u[j] = u[j], u[i]
+        else:
+            u[i] = [-a for a in u[i]]
+    return u
+
+
+def _partition_case(rng):
+    """A small integer point set; planted, lower-dimensional or with repeats."""
+    m = rng.randint(1, 4)
+    n = rng.randint(2, 10)
+    kind = rng.choice(("random", "planted", "width2", "lowdim", "repeats"))
+    if kind == "lowdim" and m > 1:
+        gens = [tuple(rng.randint(-2, 2) for _ in range(m)) for _ in range(rng.randint(1, m - 1))]
+        pts = [
+            tuple(sum(rng.randint(-1, 1) * g[k] for g in gens) for k in range(m))
+            for _ in range(n)
+        ]
+    else:
+        top = {"planted": 1, "width2": 2}.get(kind, 2)
+        pts = [
+            (rng.randint(0, top),) + tuple(rng.randint(-2, 2) for _ in range(m - 1))
+            for _ in range(n)
+        ]
+    if kind == "repeats":
+        pts = [rng.choice(pts) for _ in range(n)]
+    u = _unimodular(rng, m)
+    shift = [rng.randint(-3, 3) for _ in range(m)]
+    return [tuple(dot(r, q) + t for r, t in zip(u, shift)) for q in pts], kind
+
+
+def test_labeling_matches_scan_reference(rng):
+    kinds = {}
+    for _ in range(520):
+        pts, kind = _partition_case(rng)
+        got = is_2partitionable(pts)
+        assert got == _scan_reference(pts), (kind, pts)
+        kinds.setdefault(kind, set()).add(got.outcome)
+    # every family shows up, and both verdicts occur
+    assert len(kinds) == 5
+    assert {"partitionable", "not_partitionable"} <= set().union(*kinds.values())
+
+
+def _check_certificate(cert, points):
+    s = cert.split
+    assert all(dot(s.pi, p) == s.pi0 for p in cert.s1)
+    assert all(dot(s.pi, p) == s.pi0 + 1 for p in cert.s2)
+    assert sorted(cert.s1 + cert.s2) == sorted(as_point(p) for p in points)
+
+
+def test_solve_budget_per_search(monkeypatch, rng):
+    calls = []
+
+    def counting(rows):
+        calls.append(rows)
+        return integer_solve(rows)
+
+    monkeypatch.setattr(splitlab.certify, "integer_solve", counting)
+    # the corners of [0,2]^3 force lattice width 2; 16 points in all
+    cube = sorted(product((0, 2), repeat=3)) + [
+        (1, 1, 0), (1, 0, 1), (0, 1, 1), (1, 1, 2), (1, 2, 1), (2, 1, 1), (1, 1, 1), (1, 0, 0)
+    ]
+    assert len(set(cube)) == 16
+    assert is_2partitionable(cube).outcome == "not_partitionable"
+    assert len(calls) <= 2 ** 4 - 2
+    # 54 points on two planes x1 = 0, 1, moved by a unimodular map
+    calls.clear()
+    u = _unimodular(rng, 4)
+    slab = [
+        tuple(dot(r, q) for r in u)
+        for q in product((0, 1), (-1, 0, 1), (0, 1, 2), (0, 1, 2))
+    ]
+    cert = is_2partitionable(slab)
+    assert cert.outcome == "partitionable"
+    assert len(calls) <= 2 ** 5 - 2
+    _check_certificate(cert, slab)
+
+
+def test_strip_beyond_twenty_points():
+    # 0 <= 7x + 11y <= 1, |x| <= 200: lattice-free, 73 integer points
+    strip = Polyhedron.from_inequalities(
+        [((7, 11), 1), ((-7, -11), 0), ((1, 0), 200), ((-1, 0), 200)], 2
+    )
+    report = has_2hyperplane_property(strip)
+    assert report.overall
+    assert any(e.certificate is not None for e in report.entries)
+    assert max(len(lattice_points(e.face)) for e in report.entries) > 20
+    for e in report.entries:
+        if e.certificate is not None and e.certificate.outcome == "partitionable":
+            _check_certificate(e.certificate, lattice_points(e.face))
 
 
 def test_integer_hull():

@@ -78,6 +78,21 @@ def test_check2hp(files, capsys):
     assert len(bad) == 1 and bad[0]["dim"] == 2
 
 
+def test_check2hp_strip_beyond_twenty_points(files, capsys):
+    strip = {
+        "dim": 2,
+        "inequalities": [
+            {"a": ["7", "11"], "b": "1"},
+            {"a": ["-7", "-11"], "b": "0"},
+            {"a": ["1", "0"], "b": "200"},
+            {"a": ["-1", "0"], "b": "200"},
+        ],
+    }
+    code, out, _ = run(capsys, "check2hp", files("strip.json", strip))
+    assert code == 0
+    assert json.loads(out)["overall"] is True
+
+
 def test_classify2d(files, capsys):
     code, out, _ = run(
         capsys, "classify2d", files("m.json", MODEL), files("l.json", BODY)

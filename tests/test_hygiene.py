@@ -39,10 +39,12 @@ def test_no_unused_imports(path):
     assert _unused_imports(tree) == []
 
 
-# the integer kernel: elimination, primitive scaling and the double description
+# the integer kernel: elimination, primitive scaling, the double description
+# and the affine-basis labeling of the 2-partitionability search
 INTEGER_ONLY = {
     "linalg.py": ("_integer_rows", "_echelon", "scale_primitive"),
     "geometry.py": ("_pointed_cone_rays", "_combine"),
+    "certify.py": ("is_2partitionable",),
 }
 
 
