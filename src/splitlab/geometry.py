@@ -249,9 +249,6 @@ class Hyperplane:
         # with a coprime integer normal, Bezout gives a point iff offset is integer
         return self.offset.denominator == 1
 
-    def evaluate(self, point: Sequence) -> Fraction:
-        return dot(self.normal, as_point(point)) - self.offset
-
 
 # ---------------------------------------------------------------------------
 # the polyhedron type
@@ -281,6 +278,9 @@ class Polyhedron:
     @staticmethod
     def from_generators(points: Sequence[Sequence], rays: Sequence[Sequence] = ()) -> "Polyhedron":
         pts = [as_point(p) for p in points]
+        rays = [as_point(r) for r in rays]
+        if not all(any(r) for r in rays):
+            raise GeometryError("ray must be nonzero")
         dims = {len(p) for p in pts} | {len(r) for r in rays}
         if len(dims) > 1:
             raise GeometryError("generators have mismatched dimensions")
@@ -290,7 +290,7 @@ class Polyhedron:
             return Polyhedron.empty(dims.pop())
         dim = dims.pop()
         _check_dim(dim)
-        ineqs = _v_to_h(pts, [as_point(r) for r in rays], dim)
+        ineqs = _v_to_h(pts, rays, dim)
         verts, recession = _h_to_v(ineqs, dim)
         return Polyhedron(
             dim, tuple(sorted(verts)), tuple(sorted(recession)), tuple(ineqs)
@@ -462,12 +462,6 @@ def _iter_lattice_points(p: Polyhedron) -> Iterator[Point]:
             prefix.pop()
 
     yield from recurse([], 0)
-
-
-def affine_hull(p: Polyhedron) -> tuple[int, list[Hyperplane]]:
-    if p.is_empty:
-        raise GeometryError("affine hull of the empty polyhedron is undefined")
-    return p.affine_dim(), p.equalities()
 
 
 def integer_solve(rows: Sequence[tuple[Sequence[int], int]]) -> Optional[IntVec]:

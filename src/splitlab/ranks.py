@@ -5,7 +5,7 @@ The corner relaxation is lifted to (x, z)-space as a cone with apex
 study has split rank at most t exactly when t rounds of splits push the
 lifted cone's height down to zero.  This module applies split programs
 to truncated lifts, records height profiles, certifies persistence
-witnesses, computes reduction coefficients and repairs facets whose
+witnesses, checks sloped-region containment and repairs facets whose
 hyperplanes miss the integer lattice.
 """
 
@@ -21,7 +21,6 @@ from .cuts import CornerModel, boundary_point
 from .geometry import (
     GeometryError,
     Hyperplane,
-    IntVec,
     Point,
     Polyhedron,
     as_point,
@@ -34,13 +33,11 @@ from .linalg import dot, integer_kernel, rank as mat_rank, solve
 from .splits import (
     Split,
     SplitSequence,
-    SqrtRational,
     apply_round,
     apply_split,
     classify_split,
     enumerate_splits,
     facet_splits,
-    round_width_sq,
     split_confines,
 )
 
@@ -79,19 +76,6 @@ class ProbeReport:
     sequence: Optional[SplitSequence] = None
 
 
-@dataclass(frozen=True)
-class ReductionReport:
-    width: SqrtRational
-    diam: SqrtRational
-    sines: tuple[SqrtRational, ...]
-    delta: SqrtRational
-    degenerate: bool
-
-    def __post_init__(self):
-        if not 0 < self.delta.square <= 1:
-            raise GeometryError("reduction coefficient escaped (0, 1]")
-
-
 def _nonempty(items: Sequence) -> Sequence:
     if not items:
         raise GeometryError("strategy produced an empty split set")
@@ -120,18 +104,7 @@ class ExplicitStrategy:
         return [seq[r - 1]] if r <= len(seq) else []
 
 
-@dataclass(frozen=True)
-class FacetRoundsStrategy:
-    """The facet splits of round r's reference polytope."""
-
-    references: tuple[Polyhedron, ...]  # one reference polytope per round
-
-    def splits_for_round(self, r: int, x_dim: int) -> list[Split]:
-        refs = _nonempty(self.references)
-        return facet_splits(refs[r - 1]) if r <= len(refs) else []
-
-
-Strategy = Union[EnumerateStrategy, ExplicitStrategy, FacetRoundsStrategy]
+Strategy = Union[EnumerateStrategy, ExplicitStrategy]
 
 
 def lift(
@@ -281,108 +254,6 @@ def necessity_witness(l: Polyhedron) -> Optional[tuple[Polyhedron, Point]]:
 
 
 # ---------------------------------------------------------------------------
-# reduction coefficients
-
-
-def _diameter_sq(qx: Polyhedron) -> Fraction:
-    best = Fraction(0)
-    vs = qx.vertices
-    for i in range(len(vs)):
-        for j in range(i + 1, len(vs)):
-            d = [vs[i][k] - vs[j][k] for k in range(qx.dim)]
-            best = max(best, Fraction(dot(d, d)))
-    return best
-
-
-def _rotation_sin_sq(
-    qx: Polyhedron, a: IntVec, b: Fraction, pi: IntVec, c: Fraction
-) -> Fraction:
-    """sin^2 of the largest angle between {pi.x = c} and a hyperplane
-    through {a.x = b} cut {pi.x = c} having qx on its nonpositive side.
-
-    The pencil n(mu) = a + mu*pi passes through the intersection; vertex
-    constraints bound mu to an interval and the angle is unimodal in mu,
-    so the optimum is the clamped perpendicular position.
-    """
-    mu_lo: Optional[Fraction] = None
-    mu_hi: Optional[Fraction] = None
-    for v in qx.vertices:
-        phi = dot(a, v) - b
-        psi = dot(pi, v) - c
-        if psi == 0:
-            if phi > 0:
-                raise GeometryError("no valid rotation: a vertex pins the pencil")
-        elif psi > 0:
-            bound = -phi / psi
-            mu_hi = bound if mu_hi is None else min(mu_hi, bound)
-        else:
-            bound = -phi / psi
-            mu_lo = bound if mu_lo is None else max(mu_lo, bound)
-    if mu_lo is not None and mu_hi is not None and mu_lo > mu_hi:
-        raise GeometryError("no valid rotation: empty pencil interval")
-    pi_sq = Fraction(dot(pi, pi))
-    alpha = Fraction(dot(a, pi)) / pi_sq
-    a_perp_sq = Fraction(dot(a, a)) - alpha**2 * pi_sq
-    if a_perp_sq == 0:
-        raise GeometryError("facet plane is parallel to the split planes")
-    mu = -alpha
-    if mu_lo is not None and mu < mu_lo:
-        mu = mu_lo
-    if mu_hi is not None and mu > mu_hi:
-        mu = mu_hi
-    along_sq = (alpha + mu) ** 2 * pi_sq
-    return a_perp_sq / (along_sq + a_perp_sq)
-
-
-def reduction_coefficient(qx: Polyhedron, s: Split) -> ReductionReport:
-    """The per-iteration height-decrease factor of a split against qx.
-
-    Degenerate branches (split leaves qx unchanged, kills its dimension,
-    or the round width reaches the diameter) report the value 1; else
-    the factor is (width/diam) times the least sine of the rotation
-    angles at the facets the split introduces.
-    """
-    if not qx.is_bounded:
-        raise GeometryError("reduction coefficients need a bounded polytope")
-    if qx.is_empty or qx.affine_dim() != qx.dim:
-        raise GeometryError("reduction coefficients need a full-dimensional polytope")
-    one = SqrtRational(Fraction(1))
-    diam_sq = _diameter_sq(qx)
-    width_sq = round_width_sq(qx)
-    qxs = apply_split(qx, s)
-    if qxs == qx or qxs.is_empty or qxs.affine_dim() < qx.dim:
-        return ReductionReport(
-            SqrtRational(width_sq), SqrtRational(diam_sq), (), one, True
-        )
-    if width_sq >= diam_sq:
-        return ReductionReport(
-            SqrtRational(width_sq), SqrtRational(diam_sq), (), one, True
-        )
-    old = set(qx.facet_inequalities())
-    pi = s.pi
-    if len(pi) != qx.dim:
-        raise GeometryError("split dimension mismatch")
-    sines: list[SqrtRational] = []
-    for a, b in qxs.facet_inequalities():
-        if (a, b) in old:
-            continue
-        for level in (Fraction(s.pi0), Fraction(s.pi0 + 1)):
-            sines.append(
-                SqrtRational(_rotation_sin_sq(qx, a, b, pi, level))
-            )
-    if not sines:
-        # the split only trimmed along existing facets
-        return ReductionReport(
-            SqrtRational(width_sq), SqrtRational(diam_sq), (), one, True
-        )
-    min_sin = min(sines)
-    delta = SqrtRational(width_sq / diam_sq) * min_sin
-    return ReductionReport(
-        SqrtRational(width_sq), SqrtRational(diam_sq), tuple(sines), delta, False
-    )
-
-
-# ---------------------------------------------------------------------------
 # the finite-rank executor
 
 
@@ -452,6 +323,16 @@ def execute_finite_rank(
 
 # ---------------------------------------------------------------------------
 # region containment
+
+
+def _diameter_sq(qx: Polyhedron) -> Fraction:
+    best = Fraction(0)
+    vs = qx.vertices
+    for i in range(len(vs)):
+        for j in range(i + 1, len(vs)):
+            d = [vs[i][k] - vs[j][k] for k in range(qx.dim)]
+            best = max(best, Fraction(dot(d, d)))
+    return best
 
 
 def _point_polytope_distance_sq(p: Point, qx: Polyhedron) -> Fraction:

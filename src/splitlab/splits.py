@@ -3,9 +3,7 @@
 A split (pi, pi0) is the disjunction pi.x <= pi0 or pi.x >= pi0 + 1 with
 integer data and coprime pi.  Applying it to a polyhedron takes the
 convex hull of the two clipped pieces, computed exactly from generator
-representations.  Widths of facet-split rounds are irrational in
-general and are carried as exact squared rationals with certified
-decimal bounds.
+representations.
 """
 
 from __future__ import annotations
@@ -13,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import ceil, floor, isqrt
+from math import ceil, floor
 from typing import Optional, Sequence
 
 from .geometry import (
@@ -25,57 +23,6 @@ from .geometry import (
     _h_to_v,
 )
 from .linalg import dot, integer_solve_rows, scale_primitive, vec_gcd
-
-
-@dataclass(frozen=True)
-class SqrtRational:
-    """The nonnegative square root of a nonnegative rational, kept exact.
-
-    Comparisons go through the squares; decimal bounds are produced by
-    integer square roots, so they are certified outward roundings.
-    """
-
-    square: Fraction
-
-    def __post_init__(self):
-        if self.square < 0:
-            raise ValueError("negative square")
-
-    def __lt__(self, other: "SqrtRational") -> bool:
-        return self.square < other.square
-
-    def __le__(self, other: "SqrtRational") -> bool:
-        return self.square <= other.square
-
-    def __mul__(self, other: "SqrtRational") -> "SqrtRational":
-        return SqrtRational(self.square * other.square)
-
-    def __truediv__(self, other: "SqrtRational") -> "SqrtRational":
-        return SqrtRational(self.square / other.square)
-
-    def _scaled_floor_root(self, digits: int) -> int:
-        p, q = self.square.numerator, self.square.denominator
-        return isqrt(p * 10 ** (2 * digits) // q)
-
-    def is_exact_at(self, digits: int) -> bool:
-        r = self._scaled_floor_root(digits)
-        return Fraction(r, 10**digits) ** 2 == self.square
-
-    def decimal_lower(self, digits: int = 12) -> str:
-        return _format_scaled(self._scaled_floor_root(digits), digits)
-
-    def decimal_upper(self, digits: int = 12) -> str:
-        r = self._scaled_floor_root(digits)
-        if not self.is_exact_at(digits):
-            r += 1
-        return _format_scaled(r, digits)
-
-
-def _format_scaled(scaled: int, digits: int) -> str:
-    sign = "-" if scaled < 0 else ""
-    scaled = abs(scaled)
-    whole, frac = divmod(scaled, 10**digits)
-    return f"{sign}{whole}.{frac:0{digits}d}"
 
 
 @dataclass(frozen=True)
@@ -102,9 +49,6 @@ class Split:
     def canonical(self) -> "Split":
         lead = next(x for x in self.pi if x != 0)
         return self if lead > 0 else self.partner()
-
-    def same_disjunction(self, other: "Split") -> bool:
-        return self.canonical() == other.canonical()
 
 
 @dataclass(frozen=True)
@@ -250,27 +194,6 @@ def facet_splits(qx: Polyhedron) -> list[Split]:
     return [Split(a, ceil(b) - 1) for a, b in qx.facet_inequalities()]
 
 
-def facet_split(qx: Polyhedron, facet_index: int) -> Split:
-    """The facet split of the given facet of qx."""
-    splits = facet_splits(qx)
-    if not 0 <= facet_index < len(splits):
-        raise GeometryError("facet index out of range")
-    return splits[facet_index]
-
-
-def facet_split_width_sq(qx: Polyhedron, facet_index: int) -> Fraction:
-    """Squared distance between the facet plane and the far split plane."""
-    a, b = qx.facet_inequalities()[facet_index]
-    return (b - facet_split(qx, facet_index).pi0) ** 2 / Fraction(dot(a, a))
-
-
-def round_width_sq(qx: Polyhedron) -> Fraction:
-    """Squared width of the facet-split round of qx: the least facet width."""
-    return min(
-        facet_split_width_sq(qx, i) for i in range(len(qx.facet_inequalities()))
-    )
-
-
 def apply_round(
     q: Polyhedron, splits: Sequence[Split], split_coords: Optional[Sequence[int]] = None
 ) -> Polyhedron:
@@ -287,20 +210,6 @@ def apply_round(
         if result.is_empty:
             break
     return result
-
-
-def round_of_splits(
-    q: Polyhedron, qx: Polyhedron, split_coords: Optional[Sequence[int]] = None
-) -> tuple[Polyhedron, SqrtRational]:
-    """Apply the facet splits of qx to q simultaneously.
-
-    Returns the intersection of q(pi(F), pi0(F)) over all facets F and
-    the round's width, the least facet-to-far-plane distance.
-    """
-    if not qx.is_bounded:
-        raise GeometryError("rounds need a bounded reference polytope")
-    result = apply_round(q, facet_splits(qx), split_coords)
-    return result, SqrtRational(round_width_sq(qx))
 
 
 def enumerate_splits(

@@ -200,6 +200,34 @@ def test_malformed_body_exits_2(files, capsys, body):
     assert err.startswith("error: ")
 
 
+ZERO_RAY = {
+    "dim": 2,
+    "vertices": [["0", "0"], ["1", "0"], ["0", "1"]],
+    "rays": [["0", "0"]],
+}
+
+
+@pytest.mark.parametrize(
+    "command", ["cut", "check2hp", "classify2d", "rotate-facet", "sweep2d"]
+)
+def test_zero_ray_exits_2(files, capsys, command):
+    body = files("zero_ray.json", ZERO_RAY)
+    argv = {
+        "cut": ["cut", files("m.json", MODEL), body],
+        "check2hp": ["check2hp", body],
+        "classify2d": ["classify2d", files("m.json", MODEL), body],
+        "rotate-facet": ["rotate-facet", body, "--facet", "0"],
+        "sweep2d": [
+            "sweep2d", body, files("s.json", {"pi": ["0", "1"], "pi0": "0"}),
+            "--apex", "1/2,1/2",
+        ],
+    }[command]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == "error: ray must be nonzero\n"
+
+
 def test_unwritable_out_exits_2(files, capsys, tmp_path):
     target = str(tmp_path / "missing" / "x.json")
     code, out, err = run(capsys, "check2hp", files("l.json", BODY), "--out", target)

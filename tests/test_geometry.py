@@ -12,7 +12,6 @@ from splitlab.geometry import (
     LinealityError,
     NotLatticeFreeError,
     Polyhedron,
-    affine_hull,
     apply_unimodular,
     cone_rays,
     convex_hull,
@@ -76,6 +75,8 @@ def test_cone_and_recession():
     assert c.contains((5, 3))
     assert not c.contains((-1, 0))
     assert len(c.rays) == 2
+    with pytest.raises(GeometryError, match="ray must be nonzero"):
+        convex_hull([(0, 0)], [(0, 0)])
 
 
 def test_empty():
@@ -86,8 +87,8 @@ def test_empty():
 
 def test_affine_hull_segment():
     seg = convex_hull([(0, 0, 1), (0, 1, 1)])
-    d, planes = affine_hull(seg)
-    assert d == 1
+    planes = seg.equalities()
+    assert seg.affine_dim() == 1
     normals = {h.normal for h in planes}
     assert len(planes) == 2
     # the two planes are x1 = 0 and x3 = 1 up to sign conventions

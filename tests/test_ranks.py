@@ -16,18 +16,16 @@ from splitlab.linalg import dot
 from splitlab.ranks import (
     EnumerateStrategy,
     ExplicitStrategy,
-    FacetRoundsStrategy,
     execute_finite_rank,
     height_at,
     lift,
     max_height,
     necessity_witness,
     probe_rounds,
-    reduction_coefficient,
     region_bound_check,
     rotate_facet,
 )
-from splitlab.splits import Split, SplitSequence, facet_splits
+from splitlab.splits import Split, SplitSequence, apply_round, facet_splits
 
 from conftest import make_rng
 
@@ -115,10 +113,11 @@ def test_probe_floor_insensitive():
 
 def test_probe_facet_rounds_strategy():
     cone = lift(TYPE1_MODEL, TYPE1_T, floor=4)
-    report = probe_rounds(
-        cone, FacetRoundsStrategy((TYPE1_T, TYPE1_T)), 2, [TYPE1_MODEL.f]
-    )
-    heights = [p.samples[0][1] for p in report.profiles]
+    q = cone.poly
+    heights = [height_at(q, TYPE1_MODEL.f)]
+    for _ in range(2):
+        q = apply_round(q, facet_splits(TYPE1_T), (0, 1))
+        heights.append(height_at(q, TYPE1_MODEL.f))
     assert heights[0] == 1
     assert all(h > 0 for h in heights)
     assert heights[1] < heights[0]
@@ -129,9 +128,8 @@ def test_probe_facet_rounds_strategy():
     [
         EnumerateStrategy(0, PROBE_BOX),
         ExplicitStrategy(SplitSequence.make([])),
-        FacetRoundsStrategy(()),
     ],
-    ids=["enumerate", "explicit", "facet_rounds"],
+    ids=["enumerate", "explicit"],
 )
 def test_strategy_empty_split_set(strategy):
     with pytest.raises(GeometryError, match="strategy produced an empty split set"):
@@ -145,10 +143,6 @@ def test_strategy_splits_for_round():
     s1, s2 = Split.make((1, 0), 0), Split.make((0, 1), 0)
     explicit = ExplicitStrategy(SplitSequence.make([s1, s2]))
     assert [explicit.splits_for_round(r, 2) for r in (1, 2, 3)] == [[s1], [s2], []]
-    facet = FacetRoundsStrategy((TYPE1_T, UNIT_SQ))
-    assert facet.splits_for_round(1, 2) == facet_splits(TYPE1_T)
-    assert facet.splits_for_round(2, 2) == facet_splits(UNIT_SQ)
-    assert facet.splits_for_round(3, 2) == []
     enum = EnumerateStrategy(1, PROBE_BOX)
     assert enum.splits_for_round(1, 2) == enum.splits_for_round(5, 2) != []
     with pytest.raises(GeometryError, match="one interval per coordinate"):
@@ -211,24 +205,6 @@ def test_necessity_witness():
         ]
     )
     assert necessity_witness(lp) is None
-
-
-def test_reduction_coefficient_type2():
-    report = reduction_coefficient(T2, Split.make((0, 1), 0))
-    assert not report.degenerate
-    assert report.width.square == F(1, 5)
-    assert report.diam.square == 5
-    assert [s.square for s in report.sines] == [F(1, 5), F(1, 5)]
-    assert report.delta.square == F(1, 125)
-
-
-def test_reduction_coefficient_degenerate():
-    # englobing split leaves the square unchanged: delta = 1
-    report = reduction_coefficient(UNIT_SQ, Split.make((1, 0), 0))
-    assert report.degenerate and report.delta.square == 1
-    # split kills the dimension: delta = 1
-    report = reduction_coefficient(TYPE1_T, Split.make((1, 1), 3))
-    assert report.degenerate and report.delta.square == 1
 
 
 def test_region_bound_check():

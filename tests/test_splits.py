@@ -11,15 +11,11 @@ from splitlab.linalg import dot, vec_gcd
 from splitlab.splits import (
     Split,
     SplitSequence,
-    SqrtRational,
     apply_round,
     apply_split,
     classify_split,
     enumerate_splits,
-    facet_split,
-    facet_split_width_sq,
     facet_splits,
-    round_of_splits,
     split_confines,
     sweep_sequence_2d,
 )
@@ -50,7 +46,6 @@ def test_split_validation():
         Split.make((2, 4), 1)
     s = Split.make((1, 1), 2)
     assert s.partner() == Split.make((-1, -1), -3)
-    assert s.same_disjunction(s.partner())
     assert s.partner().canonical() == s
 
 
@@ -160,27 +155,11 @@ def test_split_confines():
 
 
 def test_facet_split():
-    s = facet_split(TYPE1_T, 0)
+    s = facet_splits(TYPE1_T)[0]
     a, b = TYPE1_T.facet_inequalities()[0]
     assert s.pi == a
     # the facet plane holds integer points, so it is a boundary plane
     assert s.pi0 == b or s.pi0 + 1 == b
-    assert facet_split_width_sq(TYPE1_T, 0) <= 1
-
-
-def test_facet_split_width_fractional():
-    tri = convex_hull([(0, 0), (1, F(1, 2)), (0, 1)])
-    widths = [
-        facet_split_width_sq(tri, i) for i in range(len(tri.facet_inequalities()))
-    ]
-    assert any(w < 1 for w in widths)
-    assert all(0 < w <= 1 for w in widths)
-
-
-def test_round_of_splits_unit_square():
-    out, width = round_of_splits(UNIT_SQ, UNIT_SQ)
-    assert out == UNIT_SQ
-    assert width.square == 1
 
 
 def random_split(rng, q: Polyhedron) -> Split:
@@ -217,7 +196,6 @@ def test_facet_splits_match_facets():
     tri = convex_hull([(0, 0), (1, F(1, 2)), (0, 1)])
     splits = facet_splits(tri)
     assert [s.pi for s in splits] == [a for a, _ in tri.facet_inequalities()]
-    assert [facet_split(tri, i) for i in range(len(splits))] == splits
     with pytest.raises(GeometryError):
         facet_splits(convex_hull([(0, 0), (1, 1)]))
 
@@ -234,16 +212,6 @@ def test_enumerate_splits_counts():
         key = (s.pi, s.pi0)
         assert key not in seen
         seen.add(key)
-
-
-def test_sqrt_rational():
-    r = SqrtRational(F(2))
-    lo, hi = r.decimal_lower(12), r.decimal_upper(12)
-    assert lo == "1.414213562373"
-    assert hi == "1.414213562374"
-    assert SqrtRational(F(1, 4)).decimal_lower(3) == "0.500"
-    assert SqrtRational(F(1, 4)).decimal_upper(3) == "0.500"
-    assert SqrtRational(F(1, 5)) < SqrtRational(F(1, 4))
 
 
 def test_sweep_sequence():
