@@ -1,0 +1,72 @@
+"""Byte-for-byte CLI reports: every subcommand in every --format.
+
+The inputs are the README examples (body, corner model and split) plus
+the rotate-facet and sweep2d bodies of ``test_cli.py``; the expected
+stdout of each case lives in ``tests/golden/<case>.<format>``.  After a
+deliberate change of a report, rewrite the files with
+
+    PYTHONPATH=src python tests/test_golden.py
+
+and record the change.
+"""
+
+import contextlib
+import io
+import sys
+from pathlib import Path
+
+import pytest
+
+from splitlab.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+FORMATS = ("json", "csv", "text")
+
+
+def _input(name: str) -> str:
+    return str(GOLDEN / "inputs" / name)
+
+
+CASES = {
+    "cut": ["cut", _input("model.json"), _input("body.json")],
+    "check2hp": ["check2hp", _input("body.json")],
+    "probe": [
+        "probe", _input("model.json"), _input("body.json"),
+        "--floor", "8", "--bound", "2", "--rounds", "3",
+    ],
+    "probe_bound3_rounds5": [
+        "probe", _input("model.json"), _input("body.json"), "--bound", "3", "--rounds", "5",
+    ],
+    "probe_program": [
+        "probe", _input("model.json"), _input("body.json"), "--program", _input("program.json"),
+    ],
+    "classify2d": ["classify2d", _input("model.json"), _input("body.json")],
+    "rotate_facet": ["rotate-facet", _input("rotate_body.json"), "--facet", "2"],
+    "sweep2d": [
+        "sweep2d", _input("sweep_body.json"), _input("split.json"), "--apex", "3/2,7/8",
+    ],
+}
+
+
+def _run(argv: list[str]) -> tuple[int, str]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_golden_stdout(case, fmt):
+    code, out = _run(CASES[case] + ["--format", fmt])
+    assert code == 0
+    assert out.encode() == (GOLDEN / f"{case}.{fmt}").read_bytes()
+
+
+if __name__ == "__main__":
+    for case, argv in sorted(CASES.items()):
+        for fmt in FORMATS:
+            code, out = _run(argv + ["--format", fmt])
+            if code != 0:
+                sys.exit(f"{case} --format {fmt} exited {code}")
+            (GOLDEN / f"{case}.{fmt}").write_bytes(out.encode())
