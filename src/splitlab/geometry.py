@@ -2,11 +2,16 @@
 
 A :class:`Polyhedron` stores vertices, recession rays and facet
 inequalities at once, all canonicalized, so equality of polyhedra is a
-syntactic check.  Conversion between the two representations runs an
-integer double-description pass over the homogenization cone; all
+syntactic check.  Each conversion runs one integer double-description
+(DD) pass over the homogenization cone and reads the other
+representation off the generator-by-row incidence that pass leaves: the
+extreme generators and the facet rows are the ones whose tight sets no
+other generator or row contains.  Every polyhedron keeps that DD state
+(homogeneous integer generators, homogenized rows and the incidence
+bitmasks), so intersecting with further rows, and slicing for a split,
+are DD steps from the kept state rather than fresh passes.  All
 arithmetic is integer or :class:`fractions.Fraction`, never floating
-point.  Each polyhedron also caches its vertices in homogeneous integer
-form, so containment and split tests compare integers only.
+point; containment and split tests compare integers only.
 
 Ambient dimension is capped at 4: three geometric coordinates plus one
 lifted coordinate cover every object handled here.
@@ -74,22 +79,29 @@ def _combine(s: int, u: IntVec, t: int, v: IntVec) -> IntVec:
     return tuple(c // g for c in w)
 
 
-def _pointed_cone_rays(rows: list[IntVec], d: int) -> list[IntVec]:
-    """Extreme rays of the pointed cone {x : r·x <= 0 for r in rows}.
+def _pointed_cone_rays(
+    rows: list[IntVec], d: int, seed: Optional[tuple[int, list[IntVec], list[int]]] = None
+) -> tuple[list[IntVec], list[int]]:
+    """Extreme rays of the pointed cone {x : r·x <= 0 for r in rows}, each
+    with its tight set as a bitmask (bit k is rows[k]).
 
-    Requires rank(rows) == d.  Integer incremental double description
-    seeded with all of R^d as lineality space (the d unit lines) and no
-    rays.  A row that cuts a remaining line l turns l into the ray on its
-    feasible side and projects the other lines and every ray along l onto
-    the row's hyperplane; any other row is a double-description step over
-    the pointed part, with bitmask tight sets (bit k is row k) and the
-    combinatorial adjacency test.
+    Integer incremental double description.  Without ``seed`` it requires
+    rank(rows) == d and starts from all of R^d as lineality space (the d
+    unit lines) and no rays: a row that cuts a remaining line l turns l
+    into the ray on its feasible side and projects the other lines and
+    every ray along l onto the row's hyperplane.  ``seed = (k, rays,
+    masks)`` is the double description of the pointed cone cut out by
+    rows[:k]; only rows[k:] are then processed.  Every other row is a
+    double-description step over the pointed part, with the combinatorial
+    adjacency test.
     """
-    lines = [tuple(int(i == j) for j in range(d)) for i in range(d)]
-    rays: list[IntVec] = []
-    masks: list[int] = []
-    for idx, a in enumerate(rows):
-        bit = 1 << idx
+    if seed is None:
+        start, rays, masks = 0, [], []
+        lines = [tuple(int(i == j) for j in range(d)) for i in range(d)]
+    else:
+        (start, rays, masks), lines = seed, []
+    for idx in range(start, len(rows)):
+        a, bit = rows[idx], 1 << idx
         lvals = [dot(a, l) for l in lines]
         cut = next((i for i, v in enumerate(lvals) if v != 0), None)
         if cut is not None:
@@ -126,26 +138,74 @@ def _pointed_cone_rays(rows: list[IntVec], d: int) -> list[IntVec]:
             masks = [m | (bit if v == 0 else 0) for m, v in zip(masks, vals)]
     if lines:
         raise GeometryError("cone is not pointed")
-    return rays
+    return rays, masks
 
 
-def cone_rays(rows: Sequence[Sequence[int]], d: int) -> tuple[list[IntVec], list[IntVec]]:
-    """(lineality basis, extreme rays) of {x in R^d : r·x <= 0 for r in rows}."""
+def cone_rays(
+    rows: Sequence[Sequence[int]], d: int, masks: Optional[list[int]] = None
+) -> tuple[list[IntVec], list[IntVec]]:
+    """(lineality basis, extreme rays) of {x in R^d : r·x <= 0 for r in rows}.
+
+    A given ``masks`` list receives each extreme ray's tight set, as a
+    bitmask over the nonzero rows (bit k is the k-th of them).
+    """
     clean = [tuple(r) for r in rows if any(r)]
     if rank(clean, d) == d:
-        return [], _pointed_cone_rays(clean, d)
+        rays, tight = _pointed_cone_rays(clean, d)
+        if masks is not None:
+            masks.extend(tight)
+        return [], rays
     lines = [scale_primitive(v) for v in nullspace(clean, d)]
-    # quotient by the lineality space: work in its orthogonal complement
+    # quotient by the lineality space: work in its orthogonal complement,
+    # which is the row space, so no nonzero row projects to zero
     comp = [scale_primitive(w) for w in nullspace(lines, d)]
     if not comp:
         return lines, []
     sub_rows = [tuple(dot(r, w) for w in comp) for r in clean]
-    sub_rays = _pointed_cone_rays([r for r in sub_rows if any(r)], len(comp))
+    sub_rays, tight = _pointed_cone_rays(sub_rows, len(comp))
+    if masks is not None:
+        masks.extend(tight)
     rays = []
     for t in sub_rays:
         vec = [sum(t[j] * comp[j][c] for j in range(len(comp))) for c in range(d)]
         rays.append(scale_primitive(vec))
     return lines, rays
+
+
+def _transpose(masks: Sequence[int], n: int) -> list[int]:
+    """The n column masks of a bit matrix: bit i of column k is bit k of masks[i]."""
+    cols = [0] * n
+    for i, m in enumerate(masks):
+        bit = 1 << i
+        while m:
+            low = m & -m
+            cols[low.bit_length() - 1] |= bit
+            m ^= low
+    return cols
+
+
+def _unrivalled(masks: Sequence[int]) -> list[int]:
+    """Indices k such that no other entry has every bit of masks[k]."""
+    return [
+        k
+        for k, m in enumerate(masks)
+        if not any(h != k and o & m == m for h, o in enumerate(masks))
+    ]
+
+
+def _homog_rows(ineqs: Sequence[tuple[Sequence, Fraction]], dim: int) -> Optional[list[IntVec]]:
+    """Distinct primitive integer rows a·x − b·t <= 0 of the inequalities
+    a·x <= b, then the homogenizing row −t <= 0; None if some 0·x <= b
+    has b < 0."""
+    rows = []
+    for a, b in ineqs:
+        if not any(a):
+            if b < 0:
+                return None
+            continue
+        rows.append(scale_primitive(tuple(a) + (-b,)))
+    rows.append((0,) * dim + (-1,))
+    return list(dict.fromkeys(rows))
 
 
 def _canon_ineq(a: Sequence, b) -> Inequality:
@@ -158,66 +218,104 @@ def _canon_ineq(a: Sequence, b) -> Inequality:
     return prim, Fraction(b) * factor
 
 
-def _h_to_v(
-    ineqs: Sequence[tuple[Sequence, object]], dim: int
-) -> tuple[list[Point], list[IntVec]]:
-    """Generators of {x : a·x <= b}.  Raises on lineality, ([], []) if empty."""
-    rows: list[IntVec] = []
-    for a, b in ineqs:
-        row = tuple(a) + (-Fraction(b),)
-        if any(row):
-            rows.append(scale_primitive(row))
-        elif Fraction(b) < 0:
-            return [], []  # 0 <= b with negative b: infeasible
-    rows.append((0,) * dim + (-1,))
-    lines, crays = cone_rays(rows, dim + 1)
+def _h_to_v(rows: list[IntVec], dim: int) -> tuple[list[IntVec], list[int]]:
+    """Extreme rays (x, t) of the cone {r·(x, t) <= 0 for r in rows}, the
+    rows being those of ``_homog_rows``, with their tight masks over rows.
+
+    Raises if the set {x : (x, 1) in the cone} contains a line, ([], [])
+    if it is empty.
+    """
+    masks: list[int] = []
+    lines, gens = cone_rays(rows, dim + 1, masks)
     if lines:
         # every lineality direction has homogenizing coordinate 0, so it is
         # either a line of the polyhedron or spurious if the set is empty
-        xlines = [l[:-1] for l in lines]
-        comp = [scale_primitive(w) for w in nullspace(xlines, dim)]
+        comp = [scale_primitive(w) for w in nullspace([l[:-1] for l in lines], dim)]
         if comp:
-            sub = [(tuple(dot(a, w) for w in comp), b) for a, b in ineqs]
-            vs, _ = _h_to_v(sub, len(comp))
-            if not vs:
+            sub = [tuple(dot(r[:-1], w) for w in comp) + (r[-1],) for r in rows]
+            if not _h_to_v(sub, len(comp))[0]:
                 return [], []
         raise LinealityError("polyhedron contains a line")
-    vertices = []
-    recession = []
-    for ray in crays:
-        t = ray[-1]
-        if t > 0:
-            vertices.append(tuple(Fraction(c, t) for c in ray[:-1]))
-        else:
-            recession.append(scale_primitive(ray[:-1]))
-    if not vertices:
+    if not any(g[-1] for g in gens):
         return [], []
-    return vertices, recession
+    return gens, masks
 
 
-def _v_to_h(
-    points: Sequence[Point], rays: Sequence[Sequence], dim: int
-) -> list[Inequality]:
-    """Irredundant inequality description of conv(points) + cone(rays).
+def _v_to_h(gens: list[IntVec], dim: int) -> tuple[list[Inequality], list[int]]:
+    """Irredundant inequality description of the cone over the distinct
+    homogeneous generators ``gens``, and each generator's tight mask over
+    those rows followed by the homogenizing row −t <= 0.
 
     Equality constraints appear as paired opposite inequalities.
     """
-    rows = [scale_primitive(tuple(p) + (Fraction(1),)) for p in points]
-    rows += [tuple(scale_primitive(r)) + (0,) for r in rays]
-    lines, crays = cone_rays(rows, dim + 1)
-    out: dict[Inequality, None] = {}
+    fmasks: list[int] = []
+    lines, crays = cone_rays(gens, dim + 1, fmasks)
+    every = (1 << len(gens)) - 1
+    out: dict[Inequality, int] = {}
     for l in lines:
         a, c = l[:-1], l[-1]
-        if not any(a):
-            continue
-        out[_canon_ineq(a, -c)] = None
-        out[_canon_ineq([-x for x in a], c)] = None
-    for r in crays:
-        a, c = r[:-1], r[-1]
-        if not any(a):
-            continue
-        out[_canon_ineq(a, -c)] = None
-    return sorted(out)
+        if any(a):
+            out[_canon_ineq(a, -c)] = every
+            out[_canon_ineq([-x for x in a], c)] = every
+    for r, m in zip(crays, fmasks):
+        if any(r[:-1]):
+            out[_canon_ineq(r[:-1], -r[-1])] = m
+    ineqs = sorted(out)
+    return ineqs, _incidence([out[h] for h in ineqs], gens)
+
+
+def _incidence(row_masks: list[int], gens: list[IntVec]) -> list[int]:
+    """Each generator's tight mask over the rows whose generator masks are
+    ``row_masks``, followed by the homogenizing row −t <= 0 (tight on rays)."""
+    homog = 1 << len(row_masks)
+    return [
+        m | (0 if g[-1] else homog) for m, g in zip(_transpose(row_masks, len(gens)), gens)
+    ]
+
+
+def _polyhedron(dim: int, ineqs: list[Inequality], gens: list[IntVec], masks: list[int]) -> "Polyhedron":
+    """The polyhedron with canonical rows ``ineqs`` and extreme homogeneous
+    generators ``gens``, keeping ``masks`` (over ineqs and −t <= 0) as its
+    double-description state."""
+    verts = sorted(
+        (tuple(Fraction(c, g[-1]) for c in g[:-1]), g, m)
+        for g, m in zip(gens, masks)
+        if g[-1]
+    )
+    rays = sorted((g[:-1], g, m) for g, m in zip(gens, masks) if not g[-1])
+    p = Polyhedron(dim, tuple(v[0] for v in verts), tuple(r[0] for r in rays), tuple(ineqs))
+    rows = [_homog_row(a, b) for a, b in ineqs] + [(0,) * dim + (-1,)]
+    state = verts + rays
+    p.__dict__["_dd"] = ([s[1] for s in state], rows, [s[2] for s in state])
+    return p
+
+
+def _canonical(dim: int, rows: list[IntVec], gens: list[IntVec], masks: list[int]) -> "Polyhedron":
+    """The polyhedron of a pointed double description over ``rows``.
+
+    The rows are distinct, so a row is a facet iff no other row is tight on
+    all of its tight generators (which also rules out an empty tight set);
+    the homogenizing row takes part but is not output.  A row tight on
+    every generator means a lower-dimensional set, whose equalities come
+    from one ``_v_to_h`` pass.
+    """
+    tight = _transpose(masks, len(rows))
+    if (1 << len(gens)) - 1 in tight:
+        ineqs, gmasks = _v_to_h(gens, dim)
+        return _polyhedron(dim, ineqs, gens, gmasks)
+    facets = sorted(
+        (_canon_ineq(rows[k][:-1], -rows[k][-1]), tight[k])
+        for k in _unrivalled(tight)
+        if any(rows[k][:-1])
+    )
+    return _polyhedron(
+        dim, [h for h, _ in facets], gens, _incidence([m for _, m in facets], gens)
+    )
+
+
+def _homog_row(a: IntVec, b) -> IntVec:
+    """The primitive integer row a·x − b·t <= 0 of a canonical a·x <= b."""
+    return tuple(x * b.denominator for x in a) + (-b.numerator,)
 
 
 # ---------------------------------------------------------------------------
@@ -290,24 +388,24 @@ class Polyhedron:
             return Polyhedron.empty(dims.pop())
         dim = dims.pop()
         _check_dim(dim)
-        ineqs = _v_to_h(pts, rays, dim)
-        verts, recession = _h_to_v(ineqs, dim)
-        return Polyhedron(
-            dim, tuple(sorted(verts)), tuple(sorted(recession)), tuple(ineqs)
-        )
+        gens = [scale_primitive(p + (1,)) for p in pts]
+        gens = list(dict.fromkeys(gens + [scale_primitive(r) + (0,) for r in rays]))
+        ineqs, masks = _v_to_h(gens, dim)
+        if rays and rank([a for a, _ in ineqs], dim) < dim:
+            raise LinealityError("polyhedron contains a line")
+        # in a pointed cone, a generator is extreme iff no other generator
+        # is tight on every row it is tight on
+        keep = _unrivalled(masks)
+        return _polyhedron(dim, ineqs, [gens[k] for k in keep], [masks[k] for k in keep])
 
     @staticmethod
     def from_inequalities(ineqs: Sequence[tuple[Sequence, object]], dim: int) -> "Polyhedron":
         _check_dim(dim)
-        verts, recession = _h_to_v(
-            [(as_point(a), Fraction(b)) for a, b in ineqs], dim
-        )
-        if not verts:
+        rows = _homog_rows([(as_point(a), Fraction(b)) for a, b in ineqs], dim)
+        gens, masks = _h_to_v(rows, dim) if rows is not None else ([], [])
+        if not gens:
             return Polyhedron.empty(dim)
-        canon = _v_to_h(verts, recession, dim)
-        return Polyhedron(
-            dim, tuple(sorted(verts)), tuple(sorted(recession)), tuple(canon)
-        )
+        return _canonical(dim, rows, gens, masks)
 
     # -- basic predicates --------------------------------------------------
 
@@ -328,12 +426,25 @@ class Polyhedron:
         return all(dot(a, p) <= b for a, b in self.inequalities)
 
     @cached_property
+    def _dd(self) -> tuple[list[IntVec], list[IntVec], list[int]]:
+        """The double description of the homogenization cone: generators
+        (vertices as primitive (n, t) with t >= 1, then rays as (r, 0)),
+        rows (a·x − b·t <= 0 per inequality, then −t <= 0) and each
+        generator's tight rows as a bitmask.  Constructors keep the masks of
+        the pass that built the polyhedron; only a directly constructed
+        instance evaluates them here."""
+        gens = [
+            tuple(n) + (_row_scale(v),)
+            for v, n in zip(self.vertices, _integer_rows(self.vertices))
+        ] + [r + (0,) for r in self.rays]
+        rows = [_homog_row(a, b) for a, b in self.inequalities] + [(0,) * self.dim + (-1,)]
+        masks = [sum(1 << k for k, r in enumerate(rows) if dot(r, g) == 0) for g in gens]
+        return gens, rows, masks
+
+    @cached_property
     def homogeneous_vertices(self) -> tuple[tuple[IntVec, int], ...]:
         """Each vertex v as (n, t) with integer n, t >= 1 and v = n / t."""
-        return tuple(
-            (tuple(n), _row_scale(v))
-            for v, n in zip(self.vertices, _integer_rows(self.vertices))
-        )
+        return tuple((g[:-1], g[-1]) for g in self._dd[0] if g[-1])
 
     def equalities(self) -> list[Hyperplane]:
         seen = set(self.inequalities)
@@ -362,6 +473,8 @@ class Polyhedron:
     def relint_contains(self, point: Sequence) -> bool:
         """Membership in the relative interior."""
         p = as_point(point)
+        if len(p) != self.dim:
+            raise GeometryError("point dimension mismatch")
         if self.is_empty:
             return False
         return all(dot(h.normal, p) == h.offset for h in self.equalities()) and all(
@@ -382,14 +495,33 @@ class Polyhedron:
         ]
 
     def intersect_halfspace(self, a: Sequence, b) -> "Polyhedron":
-        rows = list(self.inequalities) + [(as_point(a), Fraction(b))]
-        return Polyhedron.from_inequalities(rows, self.dim)
+        return self._cut(_homog_rows([(as_point(a), Fraction(b))], self.dim))
 
     def intersect(self, other: "Polyhedron") -> "Polyhedron":
         if self.dim != other.dim:
             raise GeometryError("dimension mismatch in intersection")
-        rows = list(self.inequalities) + list(other.inequalities)
-        return Polyhedron.from_inequalities(rows, self.dim)
+        return self._cut(None if other.is_empty else other._dd[1])
+
+    def _cut(self, rows: Optional[list[IntVec]]) -> "Polyhedron":
+        """self intersected with the homogeneous rows (None: infeasible),
+        by double-description steps from self's state for the rows it
+        does not have yet; self itself if none of them cuts it."""
+        if self.is_empty:
+            return self
+        if rows is None:
+            return Polyhedron.empty(self.dim)
+        gens, known, masks = self._dd
+        have = set(known)
+        rows = known + [r for r in rows if r not in have]
+        if len(rows) == len(known):
+            return self
+        out, out_masks = _pointed_cone_rays(rows, self.dim + 1, (len(known), gens, masks))
+        # a cut drops a generator, so the extreme rays change
+        if out == gens:
+            return self
+        if not any(g[-1] for g in out):
+            return Polyhedron.empty(self.dim)
+        return _canonical(self.dim, rows, out, out_masks)
 
     def contains_polyhedron(self, other: "Polyhedron") -> bool:
         if other.dim != self.dim:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm, prod
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 Vector = tuple[Fraction, ...]
@@ -19,7 +20,7 @@ IntVector = tuple[int, ...]
 
 
 def dot(a: Sequence, b: Sequence):
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
 
 
 def vec_gcd(values: Iterable[int]) -> int:

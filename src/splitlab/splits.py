@@ -20,7 +20,7 @@ from .geometry import (
     Point,
     Polyhedron,
     as_point,
-    _h_to_v,
+    _pointed_cone_rays,
 )
 from .linalg import dot, integer_solve_rows, scale_primitive, vec_gcd
 
@@ -90,18 +90,15 @@ def embed_normal(pi: IntVec, dim: int, split_coords: Optional[Sequence[int]]) ->
 def _halfspace_generators(
     q: Polyhedron, a: IntVec, b: int
 ) -> tuple[list[Point], list[IntVec]]:
-    """Generators of q intersected with {x : a.x <= b}."""
-    verts = [
-        v
-        for v, (n, t) in zip(q.vertices, q.homogeneous_vertices)
-        if dot(a, n) <= b * t
-    ]
-    rays = [r for r in q.rays if dot(a, r) <= 0]
-    if len(verts) == len(q.vertices) and len(rays) == len(q.rays):
-        return verts, rays
-    rows = list(q.inequalities) + [(a, b), (tuple(-x for x in a), -b)]
-    slice_verts, slice_rays = _h_to_v(rows, q.dim)
-    return verts + slice_verts, rays + slice_rays
+    """Generators of q intersected with {x : a.x <= b}.
+
+    One double-description step from q's state: the generators it keeps
+    satisfy the row, and the ones it creates span the slice a.x = b.
+    """
+    gens, rows, masks = q._dd
+    out, _ = _pointed_cone_rays(rows + [a + (-b,)], q.dim + 1, (len(rows), gens, masks))
+    verts = [tuple(Fraction(c, g[-1]) for c in g[:-1]) for g in out if g[-1]]
+    return verts, [g[:-1] for g in out if not g[-1]]
 
 
 def apply_split(
@@ -199,13 +196,14 @@ def apply_round(
 ) -> Polyhedron:
     """Apply every split to q and intersect the results.
 
-    A piece that already contains the running intersection is skipped;
-    so is q itself, which apply_split returns when the split englobes q.
+    q itself, which apply_split returns when the split englobes q, is
+    skipped; intersecting with a piece that already contains the running
+    intersection returns that intersection unchanged.
     """
     result = q
     for s in splits:
         piece = apply_split(q, s, split_coords)
-        if piece is not q and not piece.contains_polyhedron(result):
+        if piece is not q:
             result = result.intersect(piece)
         if result.is_empty:
             break

@@ -234,3 +234,25 @@ def test_unwritable_out_exits_2(files, capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert "cannot write" in err
+
+
+MODEL_3D = {"f": ["1/2", "1/2", "1/2"], "rays": [["1", "0", "0"]]}
+
+
+@pytest.mark.parametrize("command", ["cut", "probe", "classify2d"])
+def test_model_and_body_dimensions_must_agree(files, capsys, command):
+    code, out, err = run(
+        capsys, command, files("m3.json", MODEL_3D), files("l.json", BODY)
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+def test_check2hp_empty_document(files, capsys):
+    doc = {"dim": 2, "inequalities": [{"a": ["0", "0"], "b": "-1"}]}
+    code, out, _ = run(capsys, "check2hp", files("e.json", doc))
+    assert code == 0
+    data = json.loads(out)
+    assert data["overall"] is True
+    assert data["faces"] == []

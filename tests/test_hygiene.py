@@ -74,10 +74,13 @@ def test_no_unused_imports(path):
 
 
 # the integer kernel: elimination, primitive scaling, the double description
-# and the affine-basis labeling of the 2-partitionability search
+# with its incidence bitmasks, and the affine-basis labeling of the
+# 2-partitionability search
 INTEGER_ONLY = {
     "linalg.py": ("_integer_rows", "_echelon", "scale_primitive"),
-    "geometry.py": ("_pointed_cone_rays", "_combine"),
+    "geometry.py": (
+        "_pointed_cone_rays", "_combine", "_transpose", "_unrivalled", "_incidence", "_homog_row",
+    ),
     "certify.py": ("is_2partitionable",),
 }
 

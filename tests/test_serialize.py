@@ -6,7 +6,7 @@ import pytest
 
 from splitlab import serialize
 from splitlab.cuts import CornerModel, CutCoefficients
-from splitlab.geometry import GeometryError, convex_hull
+from splitlab.geometry import GeometryError, Polyhedron, convex_hull
 from splitlab.ranks import EnumerateStrategy, lift, probe_rounds
 from splitlab.splits import Split, SplitSequence
 
@@ -42,6 +42,13 @@ def test_polyhedron_round_trip():
     assert serialize.polyhedron_from_dict(ineq_only) == p
     vert_only = {"dim": 2, "vertices": data["vertices"]}
     assert serialize.polyhedron_from_dict(vert_only) == p
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_empty_polyhedron_round_trip(dim):
+    e = Polyhedron.empty(dim)
+    assert Polyhedron.from_inequalities(e.inequalities, dim) == e
+    assert serialize.polyhedron_from_dict(serialize.polyhedron_to_dict(e)) == e
 
 
 def test_polyhedron_representation_mismatch():
