@@ -495,6 +495,8 @@ class Polyhedron:
         ]
 
     def intersect_halfspace(self, a: Sequence, b) -> "Polyhedron":
+        if len(a) != self.dim:
+            raise GeometryError("dimension mismatch in intersection")
         return self._cut(_homog_rows([(as_point(a), Fraction(b))], self.dim))
 
     def intersect(self, other: "Polyhedron") -> "Polyhedron":

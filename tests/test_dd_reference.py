@@ -266,12 +266,16 @@ def test_one_conversion_per_polyhedron(monkeypatch, dim):
     simplex = [(0,) * dim] + [tuple(F(3, 2) * (i == j) for j in range(dim)) for i in range(dim)]
     p = Polyhedron.from_generators(simplex)
     assert calls == [dim + 1]
+    cone = Polyhedron.from_generators(simplex, [(-1,) * dim])
     # cuts that leave the set full-dimensional are steps on the kept state
-    q = p.intersect_halfspace((1,) + (0,) * (dim - 1), F(1, 2))
-    r = q.intersect(Polyhedron.from_generators(simplex, [(-1,) * dim]))
+    half = (1,) + (0,) * (dim - 1)
+    q = p.intersect_halfspace(half, F(1, 2))
+    assert q == ref_intersect_halfspace(p, half, F(1, 2))
+    assert cone.intersect(q) == q
     assert calls == [dim + 1] * 2
-    assert r == ref_intersect(q, p) and q == ref_intersect_halfspace(p, (1,) + (0,) * (dim - 1), F(1, 2))
+    # a piece that contains the set leaves it as it is
+    assert p.intersect(cone) is p
     # apply_split slices without a conversion and builds the hull with one
-    s = apply_split(p, Split((1,) + (0,) * (dim - 1), 1))
+    s = apply_split(p, Split(half, 1))
     assert calls == [dim + 1] * 3
-    assert s == ref_apply_split(p, Split((1,) + (0,) * (dim - 1), 1))
+    assert s == ref_apply_split(p, Split(half, 1))

@@ -85,6 +85,15 @@ def test_empty():
     assert e == Polyhedron.empty(1)
 
 
+def test_intersection_dimensions_must_agree():
+    tri = convex_hull([(0, 0), (2, 0), (0, 2)])
+    for a in ((1,), (1, 0, 0)):
+        with pytest.raises(GeometryError, match="dimension mismatch"):
+            tri.intersect_halfspace(a, F(0))
+    with pytest.raises(GeometryError, match="dimension mismatch"):
+        tri.intersect(Polyhedron.empty(3))
+
+
 def test_affine_hull_segment():
     seg = convex_hull([(0, 0, 1), (0, 1, 1)])
     planes = seg.equalities()
