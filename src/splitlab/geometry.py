@@ -273,7 +273,9 @@ def _incidence(row_masks: list[int], gens: list[IntVec]) -> list[int]:
     ]
 
 
-def _polyhedron(dim: int, ineqs: list[Inequality], gens: list[IntVec], masks: list[int]) -> "Polyhedron":
+def _polyhedron(
+    dim: int, ineqs: list[Inequality], gens: list[IntVec], masks: list[int]
+) -> "Polyhedron":
     """The polyhedron with canonical rows ``ineqs`` and extreme homogeneous
     generators ``gens``, keeping ``masks`` (over ineqs and −t <= 0) as its
     double-description state."""

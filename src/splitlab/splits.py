@@ -92,8 +92,8 @@ def _halfspace_generators(
 ) -> tuple[list[Point], list[IntVec]]:
     """Generators of q intersected with {x : a.x <= b}.
 
-    One double-description step from q's state: the generators it keeps
-    satisfy the row, and the ones it creates span the slice a.x = b.
+    One double-description step from q's state: it keeps the generators
+    that satisfy the row and creates the ones on the plane a.x = b.
     """
     gens, rows, masks = q._dd
     out, _ = _pointed_cone_rays(rows + [a + (-b,)], q.dim + 1, (len(rows), gens, masks))
