@@ -9,7 +9,10 @@ extreme generators and the facet rows are the ones whose tight sets no
 other generator or row contains.  Every polyhedron keeps that DD state
 (homogeneous integer generators, homogenized rows and the incidence
 bitmasks), so intersecting with further rows, and slicing for a split,
-are DD steps from the kept state rather than fresh passes.  All
+are DD steps from the kept state rather than fresh passes.  The hull of
+a full-dimensional polyhedron and further generators (``_join``) is the
+same step in the polar: the polyhedron's facet rows are the seed rays,
+its generators the rows, and each new generator one more row.  All
 arithmetic is integer or :class:`fractions.Fraction`, never floating
 point; containment and split tests compare integers only.
 
@@ -186,11 +189,7 @@ def _transpose(masks: Sequence[int], n: int) -> list[int]:
 
 def _unrivalled(masks: Sequence[int]) -> list[int]:
     """Indices k such that no other entry has every bit of masks[k]."""
-    return [
-        k
-        for k, m in enumerate(masks)
-        if not any(h != k and o & m == m for h, o in enumerate(masks))
-    ]
+    return [k for k, m in enumerate(masks) if [o & m for o in masks].count(m) == 1]
 
 
 def _homog_rows(ineqs: Sequence[tuple[Sequence, Fraction]], dim: int) -> Optional[list[IntVec]]:
@@ -216,6 +215,12 @@ def _canon_ineq(a: Sequence, b) -> Inequality:
             factor = Fraction(scaled, 1) / Fraction(orig)
             break
     return prim, Fraction(b) * factor
+
+
+def _row_ineq(row: IntVec) -> Inequality:
+    """The canonical a·x <= b of an integer row a·x + c·t <= 0 with a != 0."""
+    g = gcd(*row[:-1])
+    return tuple(x // g for x in row[:-1]), Fraction(-row[-1], g)
 
 
 def _h_to_v(rows: list[IntVec], dim: int) -> tuple[list[IntVec], list[int]]:
@@ -251,15 +256,19 @@ def _v_to_h(gens: list[IntVec], dim: int) -> tuple[list[Inequality], list[int]]:
     fmasks: list[int] = []
     lines, crays = cone_rays(gens, dim + 1, fmasks)
     every = (1 << len(gens)) - 1
-    out: dict[Inequality, int] = {}
     for l in lines:
-        a, c = l[:-1], l[-1]
-        if any(a):
-            out[_canon_ineq(a, -c)] = every
-            out[_canon_ineq([-x for x in a], c)] = every
-    for r, m in zip(crays, fmasks):
-        if any(r[:-1]):
-            out[_canon_ineq(r[:-1], -r[-1])] = m
+        crays += [l, tuple(-x for x in l)]
+        fmasks += [every, every]
+    return _facets(gens, crays, fmasks)
+
+
+def _facets(
+    gens: list[IntVec], rows: list[IntVec], row_masks: list[int]
+) -> tuple[list[Inequality], list[int]]:
+    """The sorted canonical inequalities of the rows with a nonzero normal,
+    whose generator masks are ``row_masks``, and each generator's tight
+    mask over them followed by the homogenizing row −t <= 0."""
+    out = {_row_ineq(r): m for r, m in zip(rows, row_masks) if any(r[:-1])}
     ineqs = sorted(out)
     return ineqs, _incidence([out[h] for h in ineqs], gens)
 
@@ -305,14 +314,54 @@ def _canonical(dim: int, rows: list[IntVec], gens: list[IntVec], masks: list[int
     if (1 << len(gens)) - 1 in tight:
         ineqs, gmasks = _v_to_h(gens, dim)
         return _polyhedron(dim, ineqs, gens, gmasks)
-    facets = sorted(
-        (_canon_ineq(rows[k][:-1], -rows[k][-1]), tight[k])
-        for k in _unrivalled(tight)
-        if any(rows[k][:-1])
+    keep = _unrivalled(tight)
+    ineqs, masks = _facets(gens, [rows[k] for k in keep], [tight[k] for k in keep])
+    return _polyhedron(dim, ineqs, gens, masks)
+
+
+def _extreme(
+    dim: int, ineqs: list[Inequality], gens: list[IntVec], masks: list[int]
+) -> "Polyhedron":
+    """The polyhedron with canonical rows ``ineqs`` of the cone over the
+    distinct generators ``gens``, whose tight masks are ``masks``: in a
+    pointed cone, a generator is extreme iff no other generator is tight
+    on every row it is tight on."""
+    keep = _unrivalled(masks)
+    return _polyhedron(dim, ineqs, [gens[k] for k in keep], [masks[k] for k in keep])
+
+
+def _from_homogeneous(dim: int, gens: list[IntVec]) -> "Polyhedron":
+    """The polyhedron generated by the distinct primitive homogeneous
+    generators ``gens`` (at least one with t > 0), by one V->H pass."""
+    ineqs, masks = _v_to_h(gens, dim)
+    if not all(g[-1] for g in gens) and rank([a for a, _ in ineqs], dim) < dim:
+        raise LinealityError("polyhedron contains a line")
+    return _extreme(dim, ineqs, gens, masks)
+
+
+def _join(
+    dim: int, seed: tuple[list[IntVec], list[IntVec], list[int]], other_gens: list[IntVec]
+) -> "Polyhedron":
+    """The convex hull of a full-dimensional polyhedron, given by its
+    pointed double description ``seed`` = (generators, distinct rows,
+    masks), and the homogeneous generators ``other_gens``.
+
+    The polar of a hull is the intersection of the polars, so this is a
+    double-description step in the polar from the seed's state: its rays
+    are the seed's facet rows, tight on their generators, and its rows are
+    the seed's generators, to which the new ones of ``other_gens`` are
+    added as further rows.  The rays that come out are the hull's facets.
+    """
+    gens, rows, masks = seed
+    tight = _transpose(masks, len(rows))
+    facets = _unrivalled(tight)
+    have = set(gens)
+    polar_rows = gens + [g for g in other_gens if g not in have]
+    polar, polar_masks = _pointed_cone_rays(
+        polar_rows, dim + 1, (len(gens), [rows[k] for k in facets], [tight[k] for k in facets])
     )
-    return _polyhedron(
-        dim, [h for h, _ in facets], gens, _incidence([m for _, m in facets], gens)
-    )
+    ineqs, gen_masks = _facets(polar_rows, polar, polar_masks)
+    return _extreme(dim, ineqs, polar_rows, gen_masks)
 
 
 def _homog_row(a: IntVec, b) -> IntVec:
@@ -391,14 +440,9 @@ class Polyhedron:
         dim = dims.pop()
         _check_dim(dim)
         gens = [scale_primitive(p + (1,)) for p in pts]
-        gens = list(dict.fromkeys(gens + [scale_primitive(r) + (0,) for r in rays]))
-        ineqs, masks = _v_to_h(gens, dim)
-        if rays and rank([a for a, _ in ineqs], dim) < dim:
-            raise LinealityError("polyhedron contains a line")
-        # in a pointed cone, a generator is extreme iff no other generator
-        # is tight on every row it is tight on
-        keep = _unrivalled(masks)
-        return _polyhedron(dim, ineqs, [gens[k] for k in keep], [masks[k] for k in keep])
+        return _from_homogeneous(
+            dim, list(dict.fromkeys(gens + [scale_primitive(r) + (0,) for r in rays]))
+        )
 
     @staticmethod
     def from_inequalities(ineqs: Sequence[tuple[Sequence, object]], dim: int) -> "Polyhedron":

@@ -2,16 +2,22 @@
 
 A split (pi, pi0) is the disjunction pi.x <= pi0 or pi.x >= pi0 + 1 with
 integer data and coprime pi.  Applying it to a polyhedron takes the
-convex hull of the two clipped pieces, computed exactly from generator
-representations.
+convex hull of the two clipped pieces, in integers: each piece is one
+double-description (DD) step from the polyhedron's kept state, and the
+hull is a seeded DD step in the polar, since the polar of a hull is the
+intersection of the polars.  It starts from a full-dimensional piece,
+whose facet rows are the rays, and adds the other piece's generators as
+rows; only two lower-dimensional pieces take a fresh conversion.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import product
 from math import ceil, floor
+from operator import and_
 from typing import Optional, Sequence
 
 from .geometry import (
@@ -20,6 +26,9 @@ from .geometry import (
     Point,
     Polyhedron,
     as_point,
+    _canonical,
+    _from_homogeneous,
+    _join,
     _pointed_cone_rays,
 )
 from .linalg import dot, integer_solve_rows, scale_primitive, vec_gcd
@@ -89,22 +98,31 @@ def embed_normal(pi: IntVec, dim: int, split_coords: Optional[Sequence[int]]) ->
 
 def _halfspace_generators(
     q: Polyhedron, a: IntVec, b: int
-) -> tuple[list[Point], list[IntVec]]:
-    """Generators of q intersected with {x : a.x <= b}.
+) -> tuple[list[IntVec], list[IntVec], list[int]]:
+    """The double description (generators, rows, masks) of q intersected
+    with {x : a.x <= b}, in the form of ``Polyhedron._dd``.
 
     One double-description step from q's state: it keeps the generators
-    that satisfy the row and creates the ones on the plane a.x = b.
+    that satisfy the row and creates the ones on the plane a.x = b.  A row
+    that q already has is not appended again, so the rows stay distinct.
     """
     gens, rows, masks = q._dd
-    out, _ = _pointed_cone_rays(rows + [a + (-b,)], q.dim + 1, (len(rows), gens, masks))
-    verts = [tuple(Fraction(c, g[-1]) for c in g[:-1]) for g in out if g[-1]]
-    return verts, [g[:-1] for g in out if not g[-1]]
+    row = a + (-b,)
+    if row in rows:
+        return gens, rows, masks
+    out, out_masks = _pointed_cone_rays(rows + [row], q.dim + 1, (len(rows), gens, masks))
+    return out, rows + [row], out_masks
 
 
 def apply_split(
     q: Polyhedron, s: Split, split_coords: Optional[Sequence[int]] = None
 ) -> Polyhedron:
-    """Convex hull of the two pieces of q cut out by the disjunction."""
+    """Convex hull of the two pieces of q cut out by the disjunction.
+
+    The hull is one double-description step in the polar, seeded from a
+    full-dimensional piece (``_join``); an empty piece leaves the other
+    one, and two lower-dimensional pieces take a fresh V->H pass.
+    """
     if q.is_empty:
         return q
     a = embed_normal(s.pi, q.dim, split_coords)
@@ -123,13 +141,25 @@ def apply_split(
         if q.is_bounded:
             return q
     neg_a = tuple(-x for x in a)
-    verts_lo, rays_lo = _halfspace_generators(q, a, lo)
-    verts_hi, rays_hi = _halfspace_generators(q, neg_a, -hi)
-    verts = list(dict.fromkeys(verts_lo + verts_hi))
-    rays = list(dict.fromkeys(rays_lo + rays_hi))
-    if not verts:
+    pieces = [
+        piece
+        for piece in (_halfspace_generators(q, a, lo), _halfspace_generators(q, neg_a, -hi))
+        if any(g[-1] for g in piece[0])
+    ]
+    if not pieces:
         return Polyhedron.empty(q.dim)
-    return Polyhedron.from_generators(verts, rays)
+    if len(pieces) == 1:
+        # the other piece is empty
+        gens, rows, masks = pieces[0]
+        return _canonical(q.dim, rows, gens, masks)
+    # seed from a full-dimensional piece (no row is tight on all of its
+    # generators), the one with more generators when both are, so that the
+    # fewest generators enter as new polar rows
+    pieces.sort(key=lambda piece: -len(piece[0]))
+    for k, seed in enumerate(pieces):
+        if not reduce(and_, seed[2]):
+            return _join(q.dim, seed, pieces[1 - k][0])
+    return _from_homogeneous(q.dim, list(dict.fromkeys(pieces[0][0] + pieces[1][0])))
 
 
 def classify_split(

@@ -4,7 +4,8 @@ The reference below is the conversion the kept state replaced: each
 constructor runs a full V->H pass and then a full H->V pass (or the
 reverse), an intersection redoes the double description over the rows
 of both operands, and ``apply_split`` slices each side with a fresh
-H->V pass.  It differs from the old code in one place only: a row
+H->V pass and takes the hull of the pieces with a fresh conversion of
+their generators.  It differs from the old code in one place only: a row
 0·x <= b with b < 0 gives the empty set, where the old pass raised
 ``LinealityError`` when no other row bounded anything.
 """
@@ -22,8 +23,10 @@ from splitlab.geometry import (
     as_point,
     cone_rays,
 )
+from splitlab.cuts import CornerModel
 from splitlab.linalg import dot, nullspace, scale_primitive
-from splitlab.splits import Split, apply_split, embed_normal
+from splitlab.ranks import EnumerateStrategy, height_at, lift, max_height
+from splitlab.splits import Split, apply_round, apply_split, embed_normal
 
 from conftest import make_rng
 
@@ -275,7 +278,172 @@ def test_one_conversion_per_polyhedron(monkeypatch, dim):
     assert calls == [dim + 1] * 2
     # a piece that contains the set leaves it as it is
     assert p.intersect(cone) is p
-    # apply_split slices without a conversion and builds the hull with one
+    # apply_split slices and joins the pieces without a conversion: one
+    # piece empty (the far piece of x1 <= 1 or x1 >= 2 misses p) ...
     s = apply_split(p, Split(half, 1))
-    assert calls == [dim + 1] * 3
     assert s == ref_apply_split(p, Split(half, 1))
+    assert calls == [dim + 1] * 2
+    if dim == 1:
+        return
+    # ... or both full-dimensional, with the vertex e1/2 + e2 between the planes
+    e = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
+    kite = Polyhedron.from_generators(
+        [(-1,) + (0,) * (dim - 1), (2,) + (0,) * (dim - 1)]
+        + [tuple(F(1, 2) * x + y for x, y in zip(e[0], e[i])) for i in range(1, dim)]
+    )
+    assert calls == [dim + 1] * 3
+    s = apply_split(kite, Split(half, 0))
+    assert s == ref_apply_split(kite, Split(half, 0))
+    assert calls == [dim + 1] * 3
+    # two lower-dimensional pieces, the facets x1 = 0 and x1 = 1 of a prism
+    # with a bump at x1 = 1/2, take exactly one fresh conversion
+    ends = [(0,) * dim] + e[1:]
+    bump = Polyhedron.from_generators(
+        ends + [tuple(x + y for x, y in zip(e[0], v)) for v in ends]
+        + [tuple(F(1, 2) * x - y for x, y in zip(e[0], e[1]))]
+    )
+    calls.clear()
+    s = apply_split(bump, Split(half, 0))
+    assert calls == [dim + 1]
+    assert s == ref_apply_split(bump, Split(half, 0))
+    assert s.affine_dim() == dim and s.contains((0,) * dim)
+
+
+def _slab_body(rng, d, kind):
+    """A split (pi, lo) and generators placed by their level s = pi·x
+    against its planes s = lo and s = lo + 1:
+
+    - ``cross``: levels on both sides of both planes
+    - ``touch_lo`` / ``touch_hi``: one vertex on that plane, the rest
+      beyond the other plane or between the two
+    - ``slab``: points on both planes and one between, so both pieces are
+      lower-dimensional (a bump on a prism whose ends are the pieces)
+    - ``miss``: nothing at or below the lo plane, so the lo piece is empty
+
+    Every body has a point strictly between the planes, so the split is
+    not skipped as englobing.  Rays run parallel to the planes or, where
+    the kind allows, away from the lo plane."""
+    s = _split(rng, d)
+    lo, pi = s.pi0, s.pi
+    x0 = tuple(F(c, dot(pi, pi)) for c in pi)
+    frame = [scale_primitive(v) for v in nullspace([pi], d)]
+
+    def at(level):
+        ys = [F(rng.randint(-3, 3), rng.choice((1, 2))) for _ in frame]
+        return tuple(level * x0[i] + sum(y * b[i] for y, b in zip(ys, frame)) for i in range(d))
+
+    def levels(a, b, n):
+        return [F(rng.randint(4 * a, 4 * b), 4) for _ in range(n)]
+
+    between = lo + F(rng.randint(1, 3), 4)
+    if kind == "cross":
+        lv = levels(lo - 2, lo + 3, rng.randint(d, d + 4))
+    elif kind == "touch_lo":
+        lv = [F(lo)] + levels(lo + 1, lo + 3, rng.randint(d, d + 3))
+    elif kind == "touch_hi":
+        lv = [F(lo + 1)] + levels(lo - 2, lo, rng.randint(d, d + 3))
+    elif kind == "slab":
+        lv = [F(lo)] * rng.randint(1, d + 1) + [F(lo + 1)] * rng.randint(1, d + 1)
+    else:
+        lv = levels(lo + 1, lo + 3, rng.randint(d, d + 3))
+    pts = [at(level) for level in lv + [between]]
+    rays = []
+    if frame and rng.random() < 0.35:
+        # parallel to the planes, so shared by both pieces
+        rays.append(tuple(sum(rng.randint(-2, 2) * b[i] for b in frame) for i in range(d)))
+    if kind in ("cross", "touch_lo", "miss") and rng.random() < 0.25:
+        rays.append(tuple(pi[i] + sum(rng.randint(-1, 1) * b[i] for b in frame) for i in range(d)))
+    return pts, [r for r in rays if any(r)], s
+
+
+HULL_CASES = 400
+
+
+def test_hull_paths_match_reference(monkeypatch):
+    """Every path of apply_split's hull against the from-scratch reference:
+    the join seeded from the lo piece or the hi piece, the fresh pass for
+    two lower-dimensional pieces, and one piece empty."""
+    import splitlab.splits as splits
+    from splitlab.geometry import _canonical, _homog_row
+
+    seen = dict.fromkeys(("seed_lo", "seed_hi", "fallback", "empty", "dup_row", "rays"), 0)
+    current = {}
+
+    def watch(path, fn):
+        def run(dim, *args):
+            if path == "join":
+                a, lo = current["split"]
+                seed = args[0][0]
+                side = all(dot(a, g[:-1]) <= lo * g[-1] for g in seed)
+                seen["seed_lo" if side else "seed_hi"] += 1
+            else:
+                seen[path] += 1
+            return fn(dim, *args)
+
+        return run
+
+    monkeypatch.setattr(splits, "_join", watch("join", splits._join))
+    monkeypatch.setattr(splits, "_from_homogeneous", watch("fallback", splits._from_homogeneous))
+    monkeypatch.setattr(splits, "_canonical", watch("empty", splits._canonical))
+    # a tetrahedron with one edge on each plane is the hull of two
+    # lower-dimensional pieces
+    edges = [(0, 0, 0), (0, 1, 0), (1, 0, 0), (1, 0, 1)]
+    body = Polyhedron.from_generators(edges + [(F(1, 2), -1, 0)])
+    current["split"] = ((1, 0, 0), 0)
+    s = Split((1, 0, 0), 0)
+    assert apply_split(body, s) == Polyhedron.from_generators(edges) == ref_apply_split(body, s)
+    assert seen["fallback"] == 1
+    rng = make_rng()
+    kinds = ("cross", "touch_lo", "touch_hi", "slab", "miss")
+    for case in range(HULL_CASES):
+        d = 1 + case % 4
+        pts, rays, s = _slab_body(rng, d, kinds[case // 4 % len(kinds)])
+        try:
+            p = Polyhedron.from_generators(pts, rays)
+        except LinealityError:
+            continue
+        current["split"] = (s.pi, s.pi0)
+        seen["rays"] += bool(p.rays)
+        got = _outcome(apply_split, p, s)
+        assert got == _outcome(ref_apply_split, p, s), (pts, rays, s)
+        if p.affine_dim() < d:
+            continue
+        # a cut row that p already has: the slice keeps p's own rows, and
+        # a split whose plane carries a facet englobes p
+        a, b = rng.choice(p.facet_inequalities())
+        if b.denominator == 1:
+            assert apply_split(p, Split(a, int(b))) is p
+            assert apply_split(p, Split(a, int(b)).partner()) is p
+        row = _homog_row(a, b)
+        gens, rows, masks = splits._halfspace_generators(p, row[:-1], -row[-1])
+        assert rows == p._dd[1]
+        assert _canonical(d, rows, gens, masks) == p
+        seen["dup_row"] += 1
+    assert min(seen.values()) >= 20, seen
+
+
+def test_t3_rounds_match_reference():
+    """The 3D growth body T3 of the ROADMAP (lift P^L over its vertex
+    centroid, floor 2, every split of max-norm 1 touching its box ± 1):
+    round 1 equals a from-scratch round, and round 2 keeps the recorded
+    size and heights."""
+    verts = [(0, F(3, 2), F(1, 2)), (1, 2, 0), (F(3, 2), F(5, 2), -1), (3, 0, F(-3, 2))]
+    body = Polyhedron.from_generators(verts)
+    f = tuple(sum(F(v[i]) for v in verts) / 4 for i in range(3))
+    model = CornerModel.make(f, [tuple(F(c) - x for c, x in zip(v, f)) for v in verts])
+    cone = lift(model, body, "P^L", 2)
+    box = tuple((lo - 1, hi + 1) for lo, hi in body.bounding_box())
+    splits = EnumerateStrategy(1, box).splits_for_round(1, 3)
+    assert len(splits) == 140
+    q = cone.poly
+    ref = q
+    for s in splits:
+        piece = ref_apply_split(q, s)
+        if piece is not q:
+            ref = ref_intersect(ref, piece)
+    q = apply_round(q, splits, (0, 1, 2))
+    assert q == ref
+    q = apply_round(q, splits, (0, 1, 2))
+    assert (len(q.vertices), len(q.facet_inequalities()), len(q.inequalities)) == (135, 55, 55)
+    assert max_height(q) == F(36032, 97703)
+    assert height_at(q, f) == F(1, 8)
