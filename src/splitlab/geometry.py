@@ -6,7 +6,10 @@ syntactic check.  Each conversion runs one integer double-description
 (DD) pass over the homogenization cone and reads the other
 representation off the generator-by-row incidence that pass leaves: the
 extreme generators and the facet rows are the ones whose tight sets no
-other generator or row contains.  Every polyhedron keeps that DD state
+other generator or row contains.  Rank-deficient input, such as the
+generators of a lower-dimensional face, takes the same pass: the lines
+no row cuts span the lineality space, and integer elimination puts them
+and the rays in canonical form.  Every polyhedron keeps that DD state
 (homogeneous integer generators, homogenized rows and the incidence
 bitmasks), so intersecting with further rows, and slicing for a split,
 are DD steps from the kept state rather than fresh passes.  The hull of
@@ -29,12 +32,12 @@ from math import ceil, floor, gcd
 from typing import Iterator, Optional, Sequence
 
 from .linalg import (
+    _echelon,
     _integer_rows,
     _row_scale,
     det,
     dot,
     integer_solve_rows,
-    nullspace,
     rank,
     scale_primitive,
 )
@@ -84,19 +87,20 @@ def _combine(s: int, u: IntVec, t: int, v: IntVec) -> IntVec:
 
 def _pointed_cone_rays(
     rows: list[IntVec], d: int, seed: Optional[tuple[int, list[IntVec], list[int]]] = None
-) -> tuple[list[IntVec], list[int]]:
-    """Extreme rays of the pointed cone {x : r·x <= 0 for r in rows}, each
-    with its tight set as a bitmask (bit k is rows[k]).
+) -> tuple[list[IntVec], list[IntVec], list[int]]:
+    """(lines, rays, masks) of the cone {x : r·x <= 0 for r in rows}: a
+    basis of its lineality space, its extreme rays modulo that space, and
+    each ray's tight set as a bitmask (bit k is rows[k]).
 
-    Integer incremental double description.  Without ``seed`` it requires
-    rank(rows) == d and starts from all of R^d as lineality space (the d
-    unit lines) and no rays: a row that cuts a remaining line l turns l
-    into the ray on its feasible side and projects the other lines and
-    every ray along l onto the row's hyperplane.  ``seed = (k, rays,
-    masks)`` is the double description of the pointed cone cut out by
-    rows[:k]; only rows[k:] are then processed.  Every other row is a
-    double-description step over the pointed part, with the combinatorial
-    adjacency test.
+    Integer incremental double description.  Without ``seed`` it starts
+    from all of R^d as lineality space (the d unit lines) and no rays: a
+    row that cuts a remaining line l turns l into the ray on its feasible
+    side and projects the other lines and every ray along l onto the row's
+    hyperplane; the lines that no row cuts are returned.  ``seed = (k,
+    rays, masks)`` is the double description of the pointed cone cut out
+    by rows[:k]; only rows[k:] are then processed, and no line comes out.
+    Every other row is a double-description step over the pointed part,
+    with the combinatorial adjacency test.
     """
     if seed is None:
         start, rays, masks = 0, [], []
@@ -139,9 +143,13 @@ def _pointed_cone_rays(
             ] + list(created.values())
         else:
             masks = [m | (bit if v == 0 else 0) for m, v in zip(masks, vals)]
-    if lines:
-        raise GeometryError("cone is not pointed")
-    return rays, masks
+    return lines, rays, masks
+
+
+def _primitive(row: Sequence[int], sign: int) -> IntVec:
+    """The primitive form of the nonzero integer vector sign·row."""
+    g = gcd(*row) * sign
+    return tuple(x // g for x in row)
 
 
 def cone_rays(
@@ -149,30 +157,35 @@ def cone_rays(
 ) -> tuple[list[IntVec], list[IntVec]]:
     """(lineality basis, extreme rays) of {x in R^d : r·x <= 0 for r in rows}.
 
-    A given ``masks`` list receives each extreme ray's tight set, as a
-    bitmask over the nonzero rows (bit k is the k-th of them).
+    The lineality basis is canonical: one line per column that is not a
+    pivot of the rows' echelon form, in column order, the primitive line
+    that is positive on that column and zero on the other such columns.
+    Each extreme ray is the primitive representative orthogonal to every
+    line.  A given ``masks`` list receives each extreme ray's tight set,
+    as a bitmask over the rows (bit k is rows[k]).
     """
-    clean = [tuple(r) for r in rows if any(r)]
-    if rank(clean, d) == d:
-        rays, tight = _pointed_cone_rays(clean, d)
-        if masks is not None:
-            masks.extend(tight)
-        return [], rays
-    lines = [scale_primitive(v) for v in nullspace(clean, d)]
-    # quotient by the lineality space: work in its orthogonal complement,
-    # which is the row space, so no nonzero row projects to zero
-    comp = [scale_primitive(w) for w in nullspace(lines, d)]
-    if not comp:
-        return lines, []
-    sub_rows = [tuple(dot(r, w) for w in comp) for r in clean]
-    sub_rays, tight = _pointed_cone_rays(sub_rows, len(comp))
+    lines, rays, tight = _pointed_cone_rays([tuple(r) for r in rows], d)
     if masks is not None:
         masks.extend(tight)
-    rays = []
-    for t in sub_rays:
-        vec = [sum(t[j] * comp[j][c] for j in range(len(comp))) for c in range(d)]
-        rays.append(scale_primitive(vec))
-    return lines, rays
+    if not lines:
+        return [], rays
+    # reduced echelon form of the lines with pivots taken from the right:
+    # its pivots are the free columns, each row is D there and 0 on the rest
+    ech, _, D, _ = _echelon([l[::-1] for l in lines], d)
+    lines = [_primitive(r[::-1], 1 if D > 0 else -1) for r in reversed(ech)]
+    k = len(lines)
+    # row i, column k + j is D times the coefficient of line i in the
+    # orthogonal projection of ray j onto the lineality space; the Gram
+    # matrix is positive definite, so D, its determinant, is positive
+    ech, _, D, _ = _echelon(
+        [[dot(l, m) for m in lines] + [dot(l, r) for r in rays] for l in lines], k
+    )
+    return lines, [
+        _primitive(
+            [D * x - sum(e[k + j] * l[c] for e, l in zip(ech, lines)) for c, x in enumerate(r)], 1
+        )
+        for j, r in enumerate(rays)
+    ]
 
 
 def _transpose(masks: Sequence[int], n: int) -> list[int]:
@@ -207,16 +220,6 @@ def _homog_rows(ineqs: Sequence[tuple[Sequence, Fraction]], dim: int) -> Optiona
     return list(dict.fromkeys(rows))
 
 
-def _canon_ineq(a: Sequence, b) -> Inequality:
-    prim = scale_primitive(a)
-    # recover the scale factor applied to a so b transforms identically
-    for orig, scaled in zip(a, prim):
-        if scaled != 0:
-            factor = Fraction(scaled, 1) / Fraction(orig)
-            break
-    return prim, Fraction(b) * factor
-
-
 def _row_ineq(row: IntVec) -> Inequality:
     """The canonical a·x <= b of an integer row a·x + c·t <= 0 with a != 0."""
     g = gcd(*row[:-1])
@@ -227,22 +230,16 @@ def _h_to_v(rows: list[IntVec], dim: int) -> tuple[list[IntVec], list[int]]:
     """Extreme rays (x, t) of the cone {r·(x, t) <= 0 for r in rows}, the
     rows being those of ``_homog_rows``, with their tight masks over rows.
 
-    Raises if the set {x : (x, 1) in the cone} contains a line, ([], [])
-    if it is empty.
+    Returns ([], []) if the set {x : (x, 1) in the cone} is empty and
+    raises if it contains a line.  Every line of the cone has t = 0, so the
+    set is empty iff no extreme ray has t > 0.
     """
     masks: list[int] = []
     lines, gens = cone_rays(rows, dim + 1, masks)
-    if lines:
-        # every lineality direction has homogenizing coordinate 0, so it is
-        # either a line of the polyhedron or spurious if the set is empty
-        comp = [scale_primitive(w) for w in nullspace([l[:-1] for l in lines], dim)]
-        if comp:
-            sub = [tuple(dot(r[:-1], w) for w in comp) + (r[-1],) for r in rows]
-            if not _h_to_v(sub, len(comp))[0]:
-                return [], []
-        raise LinealityError("polyhedron contains a line")
     if not any(g[-1] for g in gens):
         return [], []
+    if lines:
+        raise LinealityError("polyhedron contains a line")
     return gens, masks
 
 
@@ -357,7 +354,7 @@ def _join(
     facets = _unrivalled(tight)
     have = set(gens)
     polar_rows = gens + [g for g in other_gens if g not in have]
-    polar, polar_masks = _pointed_cone_rays(
+    _, polar, polar_masks = _pointed_cone_rays(
         polar_rows, dim + 1, (len(gens), [rows[k] for k in facets], [tight[k] for k in facets])
     )
     ineqs, gen_masks = _facets(polar_rows, polar, polar_masks)
@@ -388,7 +385,7 @@ class Hyperplane:
     def make(normal: Sequence, offset) -> "Hyperplane":
         if not any(Fraction(x) for x in normal):
             raise GeometryError("hyperplane normal must be nonzero")
-        a, b = _canon_ineq(normal, offset)
+        a, b = _row_ineq(scale_primitive(tuple(normal) + (-offset,)))
         lead = next(x for x in a if x != 0)
         if lead < 0:
             a, b = tuple(-x for x in a), -b
@@ -447,7 +444,10 @@ class Polyhedron:
     @staticmethod
     def from_inequalities(ineqs: Sequence[tuple[Sequence, object]], dim: int) -> "Polyhedron":
         _check_dim(dim)
-        rows = _homog_rows([(as_point(a), Fraction(b)) for a, b in ineqs], dim)
+        pairs = [(as_point(a), Fraction(b)) for a, b in ineqs]
+        if any(len(a) != dim for a, _ in pairs):
+            raise GeometryError("inequality dimension mismatch")
+        rows = _homog_rows(pairs, dim)
         gens, masks = _h_to_v(rows, dim) if rows is not None else ([], [])
         if not gens:
             return Polyhedron.empty(dim)
@@ -563,7 +563,7 @@ class Polyhedron:
         rows = known + [r for r in rows if r not in have]
         if len(rows) == len(known):
             return self
-        out, out_masks = _pointed_cone_rays(rows, self.dim + 1, (len(known), gens, masks))
+        _, out, out_masks = _pointed_cone_rays(rows, self.dim + 1, (len(known), gens, masks))
         # a cut drops a generator, so the extreme rays change
         if out == gens:
             return self

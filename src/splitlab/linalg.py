@@ -100,24 +100,6 @@ def rank(rows: Sequence[Sequence], ncols: Optional[int] = None) -> int:
     return len(_echelon(rows, ncols)[1])
 
 
-def nullspace(rows: Sequence[Sequence], n: int) -> list[Vector]:
-    """Basis of {x : row·x = 0 for every row}, as Fraction tuples."""
-    if not rows:
-        return [tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)]
-    ech, pivots, D, _ = _echelon(rows, n)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(n):
-        if free in pivot_set:
-            continue
-        vec = [Fraction(0)] * n
-        vec[free] = Fraction(1)
-        for prow, pcol in zip(ech, pivots):
-            vec[pcol] = Fraction(-prow[free], D)
-        basis.append(tuple(vec))
-    return basis
-
-
 def solve(rows: Sequence[Sequence], rhs: Sequence) -> Optional[Vector]:
     """One rational solution of row·x = rhs_i, or None if inconsistent.
 

@@ -110,7 +110,7 @@ def _halfspace_generators(
     row = a + (-b,)
     if row in rows:
         return gens, rows, masks
-    out, out_masks = _pointed_cone_rays(rows + [row], q.dim + 1, (len(rows), gens, masks))
+    _, out, out_masks = _pointed_cone_rays(rows + [row], q.dim + 1, (len(rows), gens, masks))
     return out, rows + [row], out_masks
 
 

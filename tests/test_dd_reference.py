@@ -7,7 +7,10 @@ of both operands, and ``apply_split`` slices each side with a fresh
 H->V pass and takes the hull of the pieces with a fresh conversion of
 their generators.  It differs from the old code in one place only: a row
 0·x <= b with b < 0 gives the empty set, where the old pass raised
-``LinealityError`` when no other row bounded anything.
+``LinealityError`` when no other row bounded anything.  Its cone
+conversion ``_ref_cone_rays`` is the quotient pass that ``cone_rays``
+replaced: rank-deficient rows take the double description in the
+orthogonal complement of their nullspace.
 """
 
 from fractions import Fraction
@@ -19,18 +22,55 @@ from splitlab.geometry import (
     GeometryError,
     LinealityError,
     Polyhedron,
-    _canon_ineq,
+    _pointed_cone_rays,
     as_point,
     cone_rays,
 )
 from splitlab.cuts import CornerModel
-from splitlab.linalg import dot, nullspace, scale_primitive
+from splitlab.linalg import _echelon, dot, rank, scale_primitive
 from splitlab.ranks import EnumerateStrategy, height_at, lift, max_height
 from splitlab.splits import Split, apply_round, apply_split, embed_normal
 
-from conftest import make_rng
+from conftest import _reference_nullspace, make_rng
 
 F = Fraction
+
+
+def _canon_ineq(a, b):
+    """a·x <= b scaled to a coprime integer normal."""
+    prim = scale_primitive(a)
+    # recover the scale factor applied to a so b transforms identically
+    for orig, scaled in zip(a, prim):
+        if scaled != 0:
+            factor = Fraction(scaled, 1) / Fraction(orig)
+            break
+    return prim, Fraction(b) * factor
+
+
+def _ref_cone_rays(rows, d, masks=None):
+    """(lineality basis, extreme rays) of {x : r·x <= 0 for r in rows}; a
+    given ``masks`` list receives each ray's tight set over the nonzero
+    rows.  Rank-deficient rows are projected onto the orthogonal complement
+    of their nullspace, converted there and mapped back."""
+    clean = [tuple(r) for r in rows if any(r)]
+    if rank(clean, d) == d:
+        _, rays, tight = _pointed_cone_rays(clean, d)
+        if masks is not None:
+            masks.extend(tight)
+        return [], rays
+    lines = [scale_primitive(v) for v in _reference_nullspace(clean, d)]
+    comp = [scale_primitive(w) for w in _reference_nullspace(lines, d)]
+    if not comp:
+        return lines, []
+    sub_rows = [tuple(dot(r, w) for w in comp) for r in clean]
+    _, sub_rays, tight = _pointed_cone_rays(sub_rows, len(comp))
+    if masks is not None:
+        masks.extend(tight)
+    rays = []
+    for t in sub_rays:
+        vec = [sum(t[j] * comp[j][c] for j in range(len(comp))) for c in range(d)]
+        rays.append(scale_primitive(vec))
+    return lines, rays
 
 
 def _ref_h_to_v(ineqs, dim):
@@ -42,10 +82,10 @@ def _ref_h_to_v(ineqs, dim):
         if any(row):
             rows.append(scale_primitive(row))
     rows.append((0,) * dim + (-1,))
-    lines, crays = cone_rays(rows, dim + 1)
+    lines, crays = _ref_cone_rays(rows, dim + 1)
     if lines:
         xlines = [l[:-1] for l in lines]
-        comp = [scale_primitive(w) for w in nullspace(xlines, dim)]
+        comp = [scale_primitive(w) for w in _reference_nullspace(xlines, dim)]
         if comp:
             sub = [(tuple(dot(a, w) for w in comp), b) for a, b in ineqs]
             vs, _ = _ref_h_to_v(sub, len(comp))
@@ -62,7 +102,7 @@ def _ref_h_to_v(ineqs, dim):
 def _ref_v_to_h(points, rays, dim):
     rows = [scale_primitive(tuple(p) + (F(1),)) for p in points]
     rows += [tuple(scale_primitive(r)) + (0,) for r in rays]
-    lines, crays = cone_rays(rows, dim + 1)
+    lines, crays = _ref_cone_rays(rows, dim + 1)
     out = {}
     for l in lines:
         a, c = l[:-1], l[-1]
@@ -203,6 +243,67 @@ def _split(rng, d):
             return Split(tuple(x // g for x in pi), rng.randint(-3, 3))
 
 
+def _cone_rows(rng, d):
+    """Rows from a random subspace, often of dimension < d, then sometimes
+    free rows, with duplicate, negated and zero rows."""
+    basis = [tuple(rng.randint(-2, 2) for _ in range(d)) for _ in range(rng.randint(0, d))]
+    rows = [
+        tuple(sum(rng.randint(-2, 2) * b[i] for b in basis) for i in range(d))
+        for _ in range(rng.randint(0, 6))
+    ]
+    if rng.random() < 0.4:
+        rows += [tuple(rng.randint(-3, 3) for _ in range(d)) for _ in range(rng.randint(1, 5))]
+    if rows and rng.random() < 0.3:
+        rows.append(rng.choice(rows))
+    if rows and rng.random() < 0.3:
+        rows.append(tuple(-x for x in rng.choice(rows)))
+    if rng.random() < 0.1:
+        rows.insert(rng.randint(0, len(rows)), (0,) * d)
+    return rows
+
+
+def _lower_dim_generators(rng, d):
+    """Homogeneous generators (p, 1) of points on a random proper affine
+    subspace of R^d: the V->H input of a lower-dimensional polytope."""
+    base = _point(rng, d)
+    dirs = [tuple(rng.randint(-2, 2) for _ in range(d)) for _ in range(rng.randint(0, d - 1))]
+    pts = [
+        tuple(b + sum(rng.randint(-2, 2) * u[i] for u in dirs) for i, b in enumerate(base))
+        for _ in range(rng.randint(1, 6))
+    ]
+    return list(dict.fromkeys(scale_primitive(p + (1,)) for p in pts))
+
+
+def _over_all_rows(masks, rows):
+    """Masks over the nonzero rows re-indexed over all rows: a zero row is
+    tight on every ray."""
+    nonzero = [i for i, r in enumerate(rows) if any(r)]
+    zero = sum(1 << i for i, r in enumerate(rows) if not any(r))
+    return [zero | sum(1 << i for b, i in enumerate(nonzero) if m >> b & 1) for m in masks]
+
+
+def test_cone_rays_matches_quotient_reference():
+    """One double description with its leftover lines put in canonical
+    form gives the quotient pass's lineality basis, rays and masks."""
+    rng = make_rng()
+    seen = dict.fromkeys(("deficient", "negative_D", "skew_rays"), 0)
+    inputs = [(_cone_rows(rng, d), d) for d in [1 + case % 5 for case in range(1200)]]
+    inputs += [(_lower_dim_generators(rng, d), d + 1) for d in [1 + case % 4 for case in range(300)]]
+    for rows, d in inputs:
+        got_masks, ref_masks = [], []
+        got = cone_rays(rows, d, got_masks)
+        ref = _ref_cone_rays(rows, d, ref_masks)
+        assert got == ref, (rows, d)
+        assert got_masks == _over_all_rows(ref_masks, rows), (rows, d)
+        # the double description's own lines and rays, before canonical form
+        lines, rays, _ = _pointed_cone_rays([tuple(r) for r in rows], d)
+        if lines:
+            seen["deficient"] += 1
+            seen["negative_D"] += _echelon([l[::-1] for l in lines], d)[2] < 0
+            seen["skew_rays"] += any(dot(l, r) for l in lines for r in rays)
+    assert seen["deficient"] >= 300 and min(seen.values()) >= 50, seen
+
+
 CASES = 1000
 
 
@@ -326,7 +427,7 @@ def _slab_body(rng, d, kind):
     s = _split(rng, d)
     lo, pi = s.pi0, s.pi
     x0 = tuple(F(c, dot(pi, pi)) for c in pi)
-    frame = [scale_primitive(v) for v in nullspace([pi], d)]
+    frame = [scale_primitive(v) for v in _reference_nullspace([pi], d)]
 
     def at(level):
         ys = [F(rng.randint(-3, 3), rng.choice((1, 2))) for _ in frame]

@@ -19,9 +19,9 @@ from splitlab.geometry import (
     lattice_points,
     require_lattice_free,
 )
-from splitlab.linalg import dot, nullspace, rank, scale_primitive
+from splitlab.linalg import dot, rank, scale_primitive
 
-from conftest import make_rng
+from conftest import _reference_nullspace, make_rng
 
 F = Fraction
 
@@ -92,6 +92,15 @@ def test_intersection_dimensions_must_agree():
             tri.intersect_halfspace(a, F(0))
     with pytest.raises(GeometryError, match="dimension mismatch"):
         tri.intersect(Polyhedron.empty(3))
+
+
+def test_inequality_rows_must_fit_the_dimension():
+    # a 3-entry row among 2-entry ones, and a 1-entry row
+    square = [((1, 0, 0), 1), ((-1, 0), 0), ((0, -1), 0), ((1, 1), 2)]
+    short = [((1,), 1), ((-1, 0), 0), ((0, -1), 0)]
+    for rows in (square, short):
+        with pytest.raises(GeometryError, match="^inequality dimension mismatch$"):
+            Polyhedron.from_inequalities(rows, 2)
 
 
 def test_affine_hull_segment():
@@ -187,7 +196,7 @@ def _brute_cone_rays(rows, d):
     for sub in combinations(rows, d - 1):
         if rank(list(sub), d) != d - 1:
             continue
-        (v,) = nullspace(list(sub), d)
+        (v,) = _reference_nullspace(list(sub), d)
         for w in (v, tuple(-x for x in v)):
             if all(dot(r, w) <= 0 for r in rows):
                 out.add(scale_primitive(w))
@@ -220,7 +229,7 @@ def test_cone_rays_randomized(rng):
             assert lines == []
             assert set(rays) == _brute_cone_rays(rows, d)
             continue
-        assert lines == [scale_primitive(v) for v in nullspace(rows, d)]
+        assert lines == [scale_primitive(v) for v in _reference_nullspace(rows, d)]
         for ray in rays:
             assert all(dot(r, ray) <= 0 for r in rows)
             assert all(dot(l, ray) == 0 for l in lines)

@@ -74,13 +74,14 @@ def test_no_unused_imports(path):
 
 
 # the integer kernel: elimination, primitive scaling, the double description
-# with its incidence bitmasks, the hull of a split's two pieces, and the
-# affine-basis labeling of the 2-partitionability search
+# with its incidence bitmasks and both conversion directions, the hull of a
+# split's two pieces, and the affine-basis labeling of the
+# 2-partitionability search
 INTEGER_ONLY = {
     "linalg.py": ("_integer_rows", "_echelon", "scale_primitive"),
     "geometry.py": (
-        "_pointed_cone_rays", "_combine", "_transpose", "_unrivalled", "_incidence", "_homog_row",
-        "_join", "_from_homogeneous",
+        "_pointed_cone_rays", "_combine", "_primitive", "cone_rays", "_h_to_v", "_v_to_h",
+        "_transpose", "_unrivalled", "_incidence", "_homog_row", "_join", "_from_homogeneous",
     ),
     "splits.py": ("_halfspace_generators",),
     "certify.py": ("is_2partitionable",),

@@ -8,14 +8,13 @@ from splitlab.linalg import (
     dot,
     integer_kernel,
     integer_solve_rows,
-    nullspace,
     rank,
     scale_primitive,
     solve,
     vec_gcd,
 )
 
-from conftest import make_rng
+from conftest import _reference_echelon, make_rng
 
 
 def test_dot_and_gcd():
@@ -32,14 +31,6 @@ def test_rank_and_det():
     assert rank([]) == 0
     assert det([[2, 0], [0, 3]]) == 6
     assert det([[1, 2], [2, 4]]) == 0
-
-
-def test_nullspace():
-    ns = nullspace([(1, 1, 0)], 3)
-    assert len(ns) == 2
-    for v in ns:
-        assert dot((1, 1, 0), v) == 0
-    assert nullspace([(1, 0), (0, 1)], 2) == []
 
 
 def test_solve():
@@ -92,37 +83,6 @@ def test_integer_kernel():
     assert rank(list(ker)) == 2
 
 
-def _reference_echelon(rows, ncols):
-    """Rational Gauss-Jordan reduced row echelon form: (rows, pivot columns)."""
-    work = [[Fraction(x) for x in r] for r in rows]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, len(work)) if work[i][c] != 0), None)
-        if pr is None:
-            continue
-        work[r], work[pr] = work[pr], work[r]
-        work[r] = [x / work[r][c] for x in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][c] != 0:
-                f = work[i][c]
-                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
-        pivots.append(c)
-        r += 1
-    return work[:r], pivots
-
-
-def _reference_nullspace(rows, n):
-    ech, pivots = _reference_echelon(rows, n)
-    basis = []
-    for free in (j for j in range(n) if j not in pivots):
-        vec = [Fraction(int(j == free)) for j in range(n)]
-        for prow, pcol in zip(ech, pivots):
-            vec[pcol] = -prow[free]
-        basis.append(tuple(vec))
-    return basis
-
-
 def _reference_solve(rows, rhs):
     n = len(rows[0])
     ech, pivots = _reference_echelon([list(r) + [b] for r, b in zip(rows, rhs)], n + 1)
@@ -154,7 +114,7 @@ def _reference_det(rows):
 
 def test_fraction_free_kernel_matches_rational_reference(rng):
     # tall, wide and square shapes with Fraction entries, zero rows and
-    # dependent rows, against the rational Gauss-Jordan above
+    # dependent rows, against the rational Gauss-Jordan of conftest
     def entry():
         u = rng.random()
         if u < 0.3:
@@ -174,7 +134,6 @@ def test_fraction_free_kernel_matches_rational_reference(rng):
         if case % 4 == 3:
             rows = [[sum(x) for x in zip(r, rows[0])] for r in rows] + [rows[-1]]
         assert rank(rows, d) == len(_reference_echelon(rows, d)[1])
-        assert nullspace(rows, d) == _reference_nullspace(rows, d)
         rhs = [entry() for _ in rows]
         sol = solve(rows, rhs)
         assert sol == _reference_solve(rows, rhs)
