@@ -1,7 +1,8 @@
 """Byte-for-byte CLI reports: every subcommand in every --format.
 
-The inputs are the README examples (body, corner model and split) plus
-the rotate-facet and sweep2d bodies of ``test_cli.py``; the expected
+The inputs are the README examples (body, corner model and split), the
+rotate-facet and sweep2d bodies of ``test_cli.py`` and the 3D bodies
+``L_P`` and ``L_PRIME`` of the acceptance tests; the expected
 stdout of each case lives in ``tests/golden/<case>.<format>``.  After a
 deliberate change of a report, rewrite the files with
 
@@ -30,6 +31,8 @@ def _input(name: str) -> str:
 CASES = {
     "cut": ["cut", _input("model.json"), _input("body.json")],
     "check2hp": ["check2hp", _input("body.json")],
+    "check2hp_lp": ["check2hp", _input("l_p.json")],
+    "check2hp_lprime": ["check2hp", _input("l_prime.json")],
     "probe": [
         "probe", _input("model.json"), _input("body.json"),
         "--floor", "8", "--bound", "2", "--rounds", "3",
