@@ -6,7 +6,9 @@ disjunction.  A lattice-free polytope has the 2-hyperplane property when
 every face of its integer hull not contained in one of its facets is
 2-partitionable; the laboratory uses this as the finite-split-rank
 criterion and, in dimension 2, pairs it with the classification of
-maximal lattice-free sets.
+maximal lattice-free sets.  The faces of the integer hull and the integer
+points on each come from one integer incidence of the lattice points
+with the hull's rows, so the check enumerates lattice points once.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from .geometry import (
     GeometryError,
     Point,
     Polyhedron,
+    _from_homogeneous,
     as_point,
     cone_rays,
     convex_hull,
@@ -60,30 +63,27 @@ class Classification2D:
     integer_points_on_boundary: tuple[Point, ...]
 
 
-def integer_hull(l: Polyhedron) -> Polyhedron:
-    """Convex hull of the integer points of a bounded polyhedron."""
-    pts = lattice_points(l)  # raises on unbounded input
-    if not pts:
-        return Polyhedron.empty(l.dim)
-    return convex_hull(pts)
+def _faces(p: Polyhedron, points: Sequence[Point]) -> list[tuple[Polyhedron, int]]:
+    """The nonempty faces of a polytope p, sorted by affine dimension and
+    then vertices, each with the bitmask of the ``points`` on it (bit i is
+    points[i]).  The points must lie in p and include its vertices.
 
-
-def faces(p: Polyhedron) -> list[Polyhedron]:
-    """All nonempty faces of a polytope, including p itself.
-
-    Faces are intersections of facet-defining hyperplanes, so the face
-    lattice is the closure of the facet vertex sets under intersection.
+    A face is where some of p's rows are tight, so its points are the
+    intersection of those rows' tight point sets, read off one integer
+    incidence of the points with p's kept rows; the faces' point sets are
+    the closure of the rows' sets under intersection, starting from all
+    points.  Each face is the hull of p's vertices in its set.
     """
     if p.is_empty:
         return []
     if not p.is_bounded:
         raise GeometryError("face enumeration needs a bounded polyhedron")
-    verts = p.vertices
-    tight = [
-        frozenset(i for i, v in enumerate(verts) if dot(a, v) == b)
-        for a, b in p.facet_inequalities()
-    ]
-    sets = {frozenset(range(len(verts)))}
+    gens, rows, _ = p._dd
+    homog = [scale_primitive(tuple(q) + (1,)) for q in points]
+    tight = [sum(1 << i for i, h in enumerate(homog) if dot(r, h) == 0) for r in rows]
+    vertices = set(gens)
+    vertex_bits = sum(1 << i for i, h in enumerate(homog) if h in vertices)
+    sets = {(1 << len(points)) - 1}
     frontier = list(sets)
     while frontier:
         current = frontier.pop()
@@ -92,21 +92,17 @@ def faces(p: Polyhedron) -> list[Polyhedron]:
             if s and s not in sets:
                 sets.add(s)
                 frontier.append(s)
-    out = [convex_hull([verts[i] for i in s]) for s in sets]
-    out.sort(key=lambda f: (f.affine_dim(), f.vertices))
+    out = []
+    for s in sets:
+        on = s & vertex_bits
+        out.append((_from_homogeneous(p.dim, [h for i, h in enumerate(homog) if on >> i & 1]), s))
+    out.sort(key=lambda e: (e[0].affine_dim(), e[0].vertices))
     return out
 
 
-def face_in_facet(face: Polyhedron, l: Polyhedron) -> bool:
-    """True iff some facet inequality of l is tight on all of the face."""
-    if face.is_empty or not l.contains_polyhedron(face):
-        raise GeometryError("face must be a nonempty subset of the polyhedron")
-    for a, b in l.facet_inequalities():
-        if all(dot(a, v) == b for v in face.vertices) and all(
-            dot(a, r) == 0 for r in face.rays
-        ):
-            return True
-    return False
+def faces(p: Polyhedron) -> list[Polyhedron]:
+    """All nonempty faces of a polytope, including p itself."""
+    return [f for f, _ in _faces(p, p.vertices)]
 
 
 def is_2partitionable(points: Sequence[Sequence]) -> PartitionCertificate:
@@ -160,20 +156,30 @@ def is_2partitionable(points: Sequence[Sequence]) -> PartitionCertificate:
 
 
 def has_2hyperplane_property(l: Polyhedron) -> TwoHPReport:
-    """Certify every face of the integer hull not lying in a facet of l."""
+    """Certify every face of the integer hull not lying in a facet of l.
+
+    The faces and the integer points on each come from one incidence of
+    l's integer points with the hull's rows; a face lies in a facet of l
+    iff that facet is tight on all of its points.
+    """
     if not l.is_bounded:
         raise GeometryError("the 2-hyperplane check needs a bounded polyhedron")
     require_lattice_free(l)
-    hull = integer_hull(l)
-    if hull.is_empty:
+    pts = lattice_points(l)
+    if not pts:
         return TwoHPReport((), True)
+    ints = [tuple(int(c) for c in q) for q in pts]
+    on_facet = [
+        sum(1 << i for i, q in enumerate(ints) if dot(a, q) == b)
+        for a, b in l.facet_inequalities()
+    ]
     entries = []
     overall = True
-    for face in faces(hull):
-        contained = face_in_facet(face, l)
+    for face, s in _faces(convex_hull(pts), pts):
+        contained = any(s & m == s for m in on_facet)
         cert = None
         if not contained:
-            cert = is_2partitionable(lattice_points(face))
+            cert = is_2partitionable([q for i, q in enumerate(pts) if s >> i & 1])
             if cert.outcome == "not_partitionable":
                 overall = False
         entries.append(FaceEntry(face, contained, cert))

@@ -492,17 +492,6 @@ class Polyhedron:
         """Each vertex v as (n, t) with integer n, t >= 1 and v = n / t."""
         return tuple((g[:-1], g[-1]) for g in self._dd[0] if g[-1])
 
-    def equalities(self) -> list[Hyperplane]:
-        seen = set(self.inequalities)
-        eqs = []
-        for a, b in self.inequalities:
-            na = tuple(-x for x in a)
-            if (na, -b) in seen:
-                h = Hyperplane.make(a, b)
-                if h not in eqs:
-                    eqs.append(h)
-        return eqs
-
     def facet_inequalities(self) -> list[Inequality]:
         seen = set(self.inequalities)
         return [
@@ -514,7 +503,8 @@ class Polyhedron:
     def affine_dim(self) -> int:
         if self.is_empty:
             return -1
-        return self.dim - len(self.equalities())
+        # each equality is a pair of opposite rows
+        return self.dim - (len(self.inequalities) - len(self.facet_inequalities())) // 2
 
     def relint_contains(self, point: Sequence) -> bool:
         """Membership in the relative interior."""
@@ -523,8 +513,9 @@ class Polyhedron:
             raise GeometryError("point dimension mismatch")
         if self.is_empty:
             return False
-        return all(dot(h.normal, p) == h.offset for h in self.equalities()) and all(
-            dot(a, p) < b for a, b in self.facet_inequalities()
+        facets = set(self.facet_inequalities())
+        return all(
+            dot(a, p) < b if (a, b) in facets else dot(a, p) == b for a, b in self.inequalities
         )
 
     def interior_contains(self, point: Sequence) -> bool:

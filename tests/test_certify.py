@@ -10,10 +10,8 @@ from splitlab.certify import (
     PartitionCertificate,
     classify_2d,
     faces,
-    face_in_facet,
     has_2hyperplane_property,
     infinite_rank_2d,
-    integer_hull,
     is_2partitionable,
 )
 from splitlab.cuts import CornerModel
@@ -198,10 +196,10 @@ def test_strip_beyond_twenty_points():
 
 
 def test_integer_hull():
-    assert integer_hull(TYPE1_T) == TYPE1_T
+    assert convex_hull(lattice_points(TYPE1_T)) == TYPE1_T
     thin = convex_hull([(F(1, 4), F(1, 4)), (F(3, 4), F(1, 4)), (F(1, 4), F(3, 4))])
-    assert integer_hull(thin).is_empty
-    hull = integer_hull(L_P)
+    assert lattice_points(thin) == []
+    hull = convex_hull(lattice_points(L_P))
     assert len(lattice_points(hull)) == 9
     assert convex_hull(T1_POINTS) in faces(hull)
     assert convex_hull(T0_POINTS) in faces(hull)
@@ -213,16 +211,15 @@ def test_faces_counts():
     assert len(faces(seg)) == 3
 
 
-def test_face_in_facet():
-    hull = integer_hull(L_P)
-    t1 = convex_hull(T1_POINTS)
-    t0 = convex_hull(T0_POINTS)
-    assert not face_in_facet(t1, L_P)  # z = 1 is not a facet plane of L_P
-    assert face_in_facet(t0, L_P)  # the base z = 0 facet carries T0
-    assert not face_in_facet(t0, L_PRIME)
-    with pytest.raises(GeometryError):
-        face_in_facet(convex_hull([(10, 10, 10)]), L_P)
-    del hull
+def _entry(l, points):
+    face = convex_hull(points)
+    return next(e for e in has_2hyperplane_property(l).entries if e.face == face)
+
+
+def test_face_contained_in_facet():
+    assert not _entry(L_P, T1_POINTS).contained_in_facet  # z = 1 is not a facet plane of L_P
+    assert _entry(L_P, T0_POINTS).contained_in_facet  # the base z = 0 facet carries T0
+    assert not _entry(L_PRIME, T0_POINTS).contained_in_facet
 
 
 def test_t1_partitionable():

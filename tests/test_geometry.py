@@ -105,9 +105,14 @@ def test_inequality_rows_must_fit_the_dimension():
 
 def test_affine_hull_segment():
     seg = convex_hull([(0, 0, 1), (0, 1, 1)])
-    planes = seg.equalities()
+    rows = set(seg.inequalities)
+    # each equality is kept as a pair of opposite rows, and they are the non-facets
+    paired = [(a, b) for a, b in seg.inequalities if (tuple(-x for x in a), -b) in rows]
+    assert set(paired) == rows - set(seg.facet_inequalities())
+    planes = {Hyperplane.make(a, b) for a, b in paired}
     assert seg.affine_dim() == 1
     normals = {h.normal for h in planes}
+    assert len(paired) == 4
     assert len(planes) == 2
     # the two planes are x1 = 0 and x3 = 1 up to sign conventions
     assert all(h.has_integer_point() for h in planes)

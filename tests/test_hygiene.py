@@ -75,8 +75,8 @@ def test_no_unused_imports(path):
 
 # the integer kernel: elimination, primitive scaling, the double description
 # with its incidence bitmasks and both conversion directions, the hull of a
-# split's two pieces, and the affine-basis labeling of the
-# 2-partitionability search
+# split's two pieces, the face incidence of the 2-hyperplane check and
+# the affine-basis labeling of the 2-partitionability search
 INTEGER_ONLY = {
     "linalg.py": ("_integer_rows", "_echelon", "scale_primitive"),
     "geometry.py": (
@@ -84,7 +84,7 @@ INTEGER_ONLY = {
         "_transpose", "_unrivalled", "_incidence", "_homog_row", "_join", "_from_homogeneous",
     ),
     "splits.py": ("_halfspace_generators",),
-    "certify.py": ("is_2partitionable",),
+    "certify.py": ("_faces", "is_2partitionable"),
 }
 
 
