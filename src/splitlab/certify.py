@@ -68,11 +68,10 @@ def _faces(p: Polyhedron, points: Sequence[Point]) -> list[tuple[Polyhedron, int
     then vertices, each with the bitmask of the ``points`` on it (bit i is
     points[i]).  The points must lie in p and include its vertices.
 
-    A face is where some of p's rows are tight, so its points are the
-    intersection of those rows' tight point sets, read off one integer
-    incidence of the points with p's kept rows; the faces' point sets are
-    the closure of the rows' sets under intersection, starting from all
-    points.  Each face is the hull of p's vertices in its set.
+    A face's points are those tight on some of p's kept rows, so with one
+    integer incidence of the points with the rows, the faces' point sets
+    are the closure of the rows' tight sets under intersection, starting
+    from all points.  Each face is the hull of p's vertices in its set.
     """
     if p.is_empty:
         return []
@@ -80,22 +79,13 @@ def _faces(p: Polyhedron, points: Sequence[Point]) -> list[tuple[Polyhedron, int
         raise GeometryError("face enumeration needs a bounded polyhedron")
     gens, rows, _ = p._dd
     homog = [scale_primitive(tuple(q) + (1,)) for q in points]
-    tight = [sum(1 << i for i, h in enumerate(homog) if dot(r, h) == 0) for r in rows]
     vertices = set(gens)
-    vertex_bits = sum(1 << i for i, h in enumerate(homog) if h in vertices)
+    corners = [(1 << i, h) for i, h in enumerate(homog) if h in vertices]
     sets = {(1 << len(points)) - 1}
-    frontier = list(sets)
-    while frontier:
-        current = frontier.pop()
-        for t in tight:
-            s = current & t
-            if s and s not in sets:
-                sets.add(s)
-                frontier.append(s)
-    out = []
-    for s in sets:
-        on = s & vertex_bits
-        out.append((_from_homogeneous(p.dim, [h for i, h in enumerate(homog) if on >> i & 1]), s))
+    for r in rows:
+        t = sum(1 << i for i, h in enumerate(homog) if dot(r, h) == 0)
+        sets |= {s & t for s in sets if s & t}
+    out = [(_from_homogeneous(p.dim, [h for bit, h in corners if s & bit]), s) for s in sets]
     out.sort(key=lambda e: (e[0].affine_dim(), e[0].vertices))
     return out
 

@@ -50,10 +50,7 @@ def _write(text: str, out: Optional[str]) -> None:
 
 
 def _parse_witness(text: str) -> tuple[Fraction, ...]:
-    try:
-        return tuple(Fraction(part.strip()) for part in text.split(","))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise GeometryError(f"bad witness point {text!r}") from exc
+    return tuple(serialize.parse_rational(part) for part in text.split(","))
 
 
 def _expanded_box(l: Polyhedron) -> tuple[tuple[Fraction, Fraction], ...]:

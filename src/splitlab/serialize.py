@@ -35,7 +35,8 @@ def parse_rational(text: Any) -> Fraction:
         raise GeometryError(f"not a rational: {text!r}")
     if isinstance(text, int):
         return Fraction(text)
-    if not isinstance(text, str):
+    # Fraction's time grows superlinearly in an exponent, so none is accepted
+    if not isinstance(text, str) or "e" in text or "E" in text:
         raise GeometryError(f"not a rational: {text!r}")
     try:
         return Fraction(text.strip())

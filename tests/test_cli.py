@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, formats, exit codes, determinism."""
 
 import json
+from time import perf_counter
 
 import pytest
 
@@ -226,6 +227,20 @@ def test_zero_ray_exits_2(files, capsys, command):
     assert code == 2
     assert out == ""
     assert err == "error: ray must be nonzero\n"
+
+
+def test_exponent_exits_2_at_once(files, capsys, tmp_path):
+    # Fraction("1e10000000") alone takes seconds, and longer for larger exponents
+    doc = tmp_path / "exponent.json"
+    doc.write_text('{"dim":2,"vertices":[["0","0"],["1e10000000","0"],["0","1"]]}')
+    model, body = files("m.json", MODEL), files("l.json", BODY)
+    for argv in (["check2hp", str(doc)], ["probe", model, body, "--witness", "1e99999999,0"]):
+        start = perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert perf_counter() - start < 1
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: not a rational: '1e")
 
 
 def test_unwritable_out_exits_2(files, capsys, tmp_path):

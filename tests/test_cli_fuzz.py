@@ -21,7 +21,9 @@ SCALARS = (
     st.none()
     | st.booleans()
     | st.integers(-5, 5)
-    | st.sampled_from(["0", "1", "-1", "1/2", "-3/2", "1/0", "x", ""])
+    | st.sampled_from(
+        ["0", "1", "-1", "1/2", "-3/2", "1/0", "x", "", "1e2", "-5E-1", "1e10000000"]
+    )
 )
 TREES = st.recursive(
     SCALARS,

@@ -24,6 +24,10 @@ def test_rational_round_trip():
         serialize.parse_rational("1/0")
     with pytest.raises(GeometryError):
         serialize.parse_rational("abc")
+    # exponents are refused: parsing one takes time superlinear in its value
+    for text in ("1e2", "1E2", "2.5e-1", " 1e10000000 "):
+        with pytest.raises(GeometryError, match="^not a rational"):
+            serialize.parse_rational(text)
 
 
 def test_decimal_rendering():
