@@ -10,7 +10,10 @@ their generators.  It differs from the old code in one place only: a row
 ``LinealityError`` when no other row bounded anything.  Its cone
 conversion ``_ref_cone_rays`` is the quotient pass that ``cone_rays``
 replaced: rank-deficient rows take the double description in the
-orthogonal complement of their nullspace.
+orthogonal complement of their nullspace.  The 2-hyperplane check is
+compared with the face-by-face procedure that one incidence replaced:
+faces from the facets' tight vertex sets, each a fresh hull, facet
+containment by Fraction dot products and a lattice-point scan per face.
 """
 
 from fractions import Fraction
@@ -18,6 +21,13 @@ from math import gcd
 
 import pytest
 
+from splitlab.certify import (
+    FaceEntry,
+    TwoHPReport,
+    faces,
+    has_2hyperplane_property,
+    is_2partitionable,
+)
 from splitlab.geometry import (
     GeometryError,
     LinealityError,
@@ -25,6 +35,10 @@ from splitlab.geometry import (
     _pointed_cone_rays,
     as_point,
     cone_rays,
+    convex_hull,
+    interior_integer_point,
+    lattice_points,
+    require_lattice_free,
 )
 from splitlab.cuts import CornerModel
 from splitlab.linalg import _echelon, dot, rank, scale_primitive
@@ -193,6 +207,12 @@ def _point(rng, d):
     return tuple(F(rng.randint(-4, 4), rng.choice((1, 1, 2, 3))) for _ in range(d))
 
 
+def _on_span(rng, base, dirs):
+    """base plus a random integer combination of dirs."""
+    cs = [rng.randint(-2, 2) for _ in dirs]
+    return tuple(b + sum(c * u[i] for c, u in zip(cs, dirs)) for i, b in enumerate(base))
+
+
 def _generators(rng, d):
     """Points and rays: full-dimensional, lower-dimensional (a base point
     plus integer combinations of fewer than d directions), sometimes with
@@ -203,10 +223,7 @@ def _generators(rng, d):
             tuple(rng.randint(-2, 2) for _ in range(d))
             for _ in range(rng.randint(1, max(1, d - 1)))
         ]
-        pts = [
-            tuple(b + sum(rng.randint(-2, 2) * u[i] for u in dirs) for i, b in enumerate(base))
-            for _ in range(rng.randint(1, 5))
-        ]
+        pts = [_on_span(rng, base, dirs) for _ in range(rng.randint(1, 5))]
     else:
         pts = [_point(rng, d) for _ in range(rng.randint(1, d + 4))]
     rays = []
@@ -267,10 +284,7 @@ def _lower_dim_generators(rng, d):
     subspace of R^d: the V->H input of a lower-dimensional polytope."""
     base = _point(rng, d)
     dirs = [tuple(rng.randint(-2, 2) for _ in range(d)) for _ in range(rng.randint(0, d - 1))]
-    pts = [
-        tuple(b + sum(rng.randint(-2, 2) * u[i] for u in dirs) for i, b in enumerate(base))
-        for _ in range(rng.randint(1, 6))
-    ]
+    pts = [_on_span(rng, base, dirs) for _ in range(rng.randint(1, 6))]
     return list(dict.fromkeys(scale_primitive(p + (1,)) for p in pts))
 
 
@@ -548,3 +562,161 @@ def test_t3_rounds_match_reference():
     assert (len(q.vertices), len(q.facet_inequalities()), len(q.inequalities)) == (135, 55, 55)
     assert max_height(q) == F(36032, 97703)
     assert height_at(q, f) == F(1, 8)
+
+
+# ---------------------------------------------------------------------------
+# the 2-hyperplane check against its face-by-face reference
+
+
+def _ref_affine_dim(p):
+    v0 = p.vertices[0]
+    return rank([tuple(x - y for x, y in zip(v, v0)) for v in p.vertices[1:]], p.dim)
+
+
+def ref_faces(p):
+    """Every nonempty face of a polytope: the closure of the facets' tight
+    vertex sets (by Fraction dot products) under intersection, each face a
+    fresh hull of its vertices."""
+    if p.is_empty:
+        return []
+    verts = p.vertices
+    tight = [
+        frozenset(i for i, v in enumerate(verts) if dot(a, v) == b)
+        for a, b in p.facet_inequalities()
+    ]
+    sets = {frozenset(range(len(verts)))}
+    frontier = list(sets)
+    while frontier:
+        current = frontier.pop()
+        for t in tight:
+            s = current & t
+            if s and s not in sets:
+                sets.add(s)
+                frontier.append(s)
+    out = [convex_hull([verts[i] for i in s]) for s in sets]
+    out.sort(key=lambda f: (_ref_affine_dim(f), f.vertices))
+    return out
+
+
+def ref_face_in_facet(face, l):
+    """True iff some facet inequality of l is tight on all of the face."""
+    return any(all(dot(a, v) == b for v in face.vertices) for a, b in l.facet_inequalities())
+
+
+def ref_has_2hyperplane_property(l):
+    """The integer hull's faces from ``ref_faces``, facet containment from
+    ``ref_face_in_facet`` and each certified face's points from its own
+    lattice-point scan."""
+    require_lattice_free(l)
+    pts = lattice_points(l)
+    if not pts:
+        return TwoHPReport((), True)
+    entries = []
+    for face in ref_faces(convex_hull(pts)):
+        contained = ref_face_in_facet(face, l)
+        cert = None if contained else is_2partitionable(lattice_points(face))
+        entries.append(FaceEntry(face, contained, cert))
+    overall = all(e.certificate is None or e.certificate.outcome != "not_partitionable"
+                  for e in entries)
+    return TwoHPReport(tuple(entries), overall)
+
+
+L_P = [(F(1, 4), F(1, 4), F(3, 2)), (F(-1, 2), F(-1, 2), 0), (F(5, 2), F(-1, 2), 0),
+       (F(-1, 2), F(5, 2), 0)]
+L_PRIME = [(0, 0, F(-1, 2)), (F(5, 2), 0, F(-1, 2)), (0, F(5, 2), F(-1, 2)), (0, 0, F(3, 2)),
+           (F(1, 2), 0, F(3, 2)), (0, F(1, 2), F(3, 2))]
+TYPE1_T = [(0, 0), (2, 0), (0, 2)]
+QUAD = [(F(1, 2), F(-1, 2)), (F(3, 2), F(1, 2)), (F(1, 2), F(3, 2)), (F(-1, 2), F(1, 2))]
+STRIP = Polyhedron.from_inequalities(
+    [((7, 11), 1), ((-7, -11), 0), ((1, 0), 200), ((-1, 0), 200)], 2
+)
+
+
+def _unimodular_image(rng, verts):
+    """verts under a random product of integer shears and a random shift."""
+    d = len(verts[0])
+    u = [[int(i == j) for j in range(d)] for i in range(d)]
+    for _ in range(rng.randint(0, 3) if d > 1 else 0):
+        i, j = rng.sample(range(d), 2)
+        a = rng.choice((-1, 1))
+        u[i] = [x + a * y for x, y in zip(u[i], u[j])]
+    shift = [rng.randint(-2, 2) for _ in range(d)]
+    return [tuple(dot(r, v) + t for r, t in zip(u, shift)) for v in verts]
+
+
+def _lattice_free_body(rng, d, kind):
+    """A seeded lattice-free polytope in R^d: an image of an acceptance
+    body, a segment or a triangle in 3D (``image``), or the first lattice-free hull of points between the
+    planes of a split (``slab``), of random points (``random``) or of
+    points on a proper affine subspace (``lower``)."""
+    if kind == "image":
+        bodies = {
+            1: [[(0,), (1,)], [(F(-1, 2),), (0,)]],
+            2: [TYPE1_T, QUAD, [(0, 0), (1, 1)]],
+            3: [L_P, L_PRIME, [(0, 0, 0), (2, 0, 0), (0, 2, 0)], [(0, 0, 0), (1, 1, 0)]],
+        }
+        return convex_hull(_unimodular_image(rng, rng.choice(bodies[d])))
+    s = _split(rng, d)
+    while True:
+        if kind == "slab":
+            pts = []
+            while len(pts) < d + 2:
+                q = _point(rng, d)
+                if s.pi0 <= dot(s.pi, q) <= s.pi0 + 1:
+                    pts.append(q)
+        elif kind == "random":
+            pts = [_point(rng, d) for _ in range(rng.randint(2, d + 3))]
+        else:
+            pts = [tuple(F(c, p[-1]) for c in p[:-1]) for p in _lower_dim_generators(rng, d)]
+        l = convex_hull(pts)
+        if interior_integer_point(l) is None:
+            return l
+
+
+TWOHP_CASES = 240
+
+
+def test_2hyperplane_check_matches_reference():
+    """has_2hyperplane_property, entry for entry, against the face-by-face
+    reference on seeded lattice-free bodies in dimensions 1-3, lower-
+    dimensional ones included, and on the 73-point strip."""
+    rng = make_rng()
+    seen = dict.fromkeys(("contained", "partitionable", "not_partitionable", "lower_uncontained"), 0)
+    bodies = [STRIP]
+    kinds = ("image", "slab", "random", "lower")
+    for case in range(TWOHP_CASES):
+        d = 1 + case % 3
+        kind = kinds[case // 3 % len(kinds)]
+        if not (kind == "lower" and d == 1):
+            bodies.append(_lattice_free_body(rng, d, kind))
+    for l in bodies:
+        got = has_2hyperplane_property(l)
+        want = ref_has_2hyperplane_property(l)
+        assert got.entries == want.entries, l
+        assert got.overall == want.overall, l
+        for e in got.entries:
+            if e.contained_in_facet:
+                seen["contained"] += 1
+            else:
+                seen[e.certificate.outcome.replace("trivially_", "")] += 1
+                seen["lower_uncontained"] += l.affine_dim() < l.dim
+    assert min(seen.values()) >= 10, seen
+
+
+FACES_CASES = 200
+
+
+def test_faces_match_reference():
+    """faces() against the face-by-face reference on seeded polytopes in
+    dimensions 1-4, lower-dimensional ones included."""
+    rng = make_rng()
+    lower = 0
+    for case in range(FACES_CASES):
+        d = 1 + case % 4
+        pts, _ = _generators(rng, d)
+        p = convex_hull(pts)
+        lower += p.affine_dim() < d
+        got = faces(p)
+        assert got == ref_faces(p), pts
+        assert [f.affine_dim() for f in got] == [_ref_affine_dim(f) for f in got]
+    assert lower >= 20
