@@ -78,7 +78,7 @@ def _faces(p: Polyhedron, points: Sequence[Point]) -> list[tuple[Polyhedron, int
     if not p.is_bounded:
         raise GeometryError("face enumeration needs a bounded polyhedron")
     gens, rows, _ = p._dd
-    homog = [scale_primitive(tuple(q) + (1,)) for q in points]
+    homog = [scale_primitive(q + (1,)) for q in points]
     vertices = set(gens)
     corners = [(1 << i, h) for i, h in enumerate(homog) if h in vertices]
     sets = {(1 << len(points)) - 1}

@@ -35,7 +35,7 @@ def parse_rational(text: Any) -> Fraction:
         raise GeometryError(f"not a rational: {text!r}")
     if isinstance(text, int):
         return Fraction(text)
-    # Fraction's time grows superlinearly in an exponent, so none is accepted
+    # Fraction's parse time grows superlinearly with an exponent's value
     if not isinstance(text, str) or "e" in text or "E" in text:
         raise GeometryError(f"not a rational: {text!r}")
     try:

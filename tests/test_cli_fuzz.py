@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from splitlab.cli import main
 
-# Fraction's parse time grows superlinearly in an exponent, so every one is refused
+# refused: Fraction's parse time grows superlinearly with an exponent's value
 EXPONENTS = ["1e2", "-5E-1", "1e10000000"]
 KEYS = ("dim", "vertices", "rays", "inequalities", "a", "b", "f", "pi", "pi0", "splits")
 SCALARS = (
