@@ -12,12 +12,13 @@ no row cuts span the lineality space, and integer elimination puts them
 and the rays in canonical form.  Every polyhedron keeps that DD state
 (homogeneous integer generators, homogenized rows and the incidence
 bitmasks), so intersecting with further rows, and slicing for a split,
-are DD steps from the kept state rather than fresh passes.  The hull of
-a full-dimensional polyhedron and further generators (``_join``) is the
-same step in the polar: the polyhedron's facet rows are the seed rays,
-its generators the rows, and each new generator one more row.  All
-arithmetic is integer or :class:`fractions.Fraction`, never floating
-point; containment and split tests compare integers only.
+are DD steps from the kept state rather than fresh passes; a batch of
+rows, such as a whole round of split hulls, is one step.  The facet rows
+of the hull of a full-dimensional polyhedron and further generators
+(``_join_rows``) come from the same step in the polar: the seed rays are
+its facet rows, its generators the rows, and each new generator one more
+row.  All arithmetic is integer or :class:`fractions.Fraction`, never
+floating point; containment and split tests compare integers only.
 
 Ambient dimension is capped at 4: three geometric coordinates plus one
 lifted coordinate cover every object handled here.
@@ -262,10 +263,11 @@ def _v_to_h(gens: list[IntVec], dim: int) -> tuple[list[Inequality], list[int]]:
 def _facets(
     gens: list[IntVec], rows: list[IntVec], row_masks: list[int]
 ) -> tuple[list[Inequality], list[int]]:
-    """The sorted canonical inequalities of the rows with a nonzero normal,
-    whose generator masks are ``row_masks``, and each generator's tight
-    mask over them followed by the homogenizing row −t <= 0."""
-    out = {_row_ineq(r): m for r, m in zip(rows, row_masks) if any(r[:-1])}
+    """The sorted canonical inequalities of the rows with a nonzero normal
+    that are tight on some generator (a point's polar has a ray tight on
+    none), whose generator masks are ``row_masks``, and each generator's
+    tight mask over them followed by the homogenizing row −t <= 0."""
+    out = {_row_ineq(r): m for r, m in zip(rows, row_masks) if m and any(r[:-1])}
     ineqs = sorted(out)
     return ineqs, _incidence([out[h] for h in ineqs], gens)
 
@@ -316,32 +318,24 @@ def _canonical(dim: int, rows: list[IntVec], gens: list[IntVec], masks: list[int
     return _polyhedron(dim, ineqs, gens, masks)
 
 
-def _extreme(
-    dim: int, ineqs: list[Inequality], gens: list[IntVec], masks: list[int]
-) -> "Polyhedron":
-    """The polyhedron with canonical rows ``ineqs`` of the cone over the
-    distinct generators ``gens``, whose tight masks are ``masks``: in a
+def _from_homogeneous(dim: int, gens: list[IntVec]) -> "Polyhedron":
+    """The polyhedron generated by the distinct primitive homogeneous
+    generators ``gens`` (at least one with t > 0), by one V->H pass: in a
     pointed cone, a generator is extreme iff no other generator is tight
     on every row it is tight on."""
+    ineqs, masks = _v_to_h(gens, dim)
+    if not all(g[-1] for g in gens) and rank([a for a, _ in ineqs], dim) < dim:
+        raise LinealityError("polyhedron contains a line")
     keep = _unrivalled(masks)
     return _polyhedron(dim, ineqs, [gens[k] for k in keep], [masks[k] for k in keep])
 
 
-def _from_homogeneous(dim: int, gens: list[IntVec]) -> "Polyhedron":
-    """The polyhedron generated by the distinct primitive homogeneous
-    generators ``gens`` (at least one with t > 0), by one V->H pass."""
-    ineqs, masks = _v_to_h(gens, dim)
-    if not all(g[-1] for g in gens) and rank([a for a, _ in ineqs], dim) < dim:
-        raise LinealityError("polyhedron contains a line")
-    return _extreme(dim, ineqs, gens, masks)
-
-
-def _join(
+def _join_rows(
     dim: int, seed: tuple[list[IntVec], list[IntVec], list[int]], other_gens: list[IntVec]
-) -> "Polyhedron":
-    """The convex hull of a full-dimensional polyhedron, given by its
-    pointed double description ``seed`` = (generators, distinct rows,
-    masks), and the homogeneous generators ``other_gens``.
+) -> list[IntVec]:
+    """The facet rows of the convex hull of a full-dimensional polyhedron,
+    given by its pointed double description ``seed`` = (generators,
+    distinct rows, masks), and the homogeneous generators ``other_gens``.
 
     The polar of a hull is the intersection of the polars, so this is a
     double-description step in the polar from the seed's state: its rays
@@ -354,11 +348,10 @@ def _join(
     facets = _unrivalled(tight)
     have = set(gens)
     polar_rows = gens + [g for g in other_gens if g not in have]
-    _, polar, polar_masks = _pointed_cone_rays(
+    _, polar, _ = _pointed_cone_rays(
         polar_rows, dim + 1, (len(gens), [rows[k] for k in facets], [tight[k] for k in facets])
     )
-    ineqs, gen_masks = _facets(polar_rows, polar, polar_masks)
-    return _extreme(dim, ineqs, polar_rows, gen_masks)
+    return polar
 
 
 def _homog_row(a: IntVec, b) -> IntVec:
@@ -542,9 +535,9 @@ class Polyhedron:
         return self._cut(None if other.is_empty else other._dd[1])
 
     def _cut(self, rows: Optional[list[IntVec]]) -> "Polyhedron":
-        """self intersected with the homogeneous rows (None: infeasible),
-        by double-description steps from self's state for the rows it
-        does not have yet; self itself if none of them cuts it."""
+        """self intersected with the distinct primitive homogeneous rows
+        (None: infeasible), by DD steps from self's state for the rows it
+        does not have yet, in order; self itself if none of them cuts it."""
         if self.is_empty:
             return self
         if rows is None:

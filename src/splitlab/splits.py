@@ -1,14 +1,15 @@
 """Split disjunctions and their action on rational polyhedra.
 
 A split (pi, pi0) is the disjunction pi.x <= pi0 or pi.x >= pi0 + 1 with
-integer data and coprime pi.  Applying it to a polyhedron takes the
-convex hull of the two clipped pieces, in integers: each piece is one
-double-description (DD) step from the polyhedron's kept state, and the
-hull is a seeded DD step in the polar, since the polar of a hull is the
-intersection of the polars.  It starts from a full-dimensional piece,
-whose facet rows are the rays, and adds the other piece's generators as
-rows; only two lower-dimensional pieces take a fresh conversion.
-"""
+integer data and coprime pi.  A round of splits cuts a polyhedron by the
+convex hulls of each split's two clipped pieces, in integers: each piece
+is one double-description (DD) step from the polyhedron's kept state, and
+a hull's facet rows come from a seeded DD step in the polar, since the
+polar of a hull is the intersection of the polars.  It starts from a
+full-dimensional piece, whose facet rows are the rays, and adds the other
+piece's generators as rows; only two lower-dimensional pieces take a
+fresh conversion.  The round's distinct hull rows, in lexmin order, then
+cut the polyhedron in one more DD step; one split is a round of one."""
 
 from __future__ import annotations
 
@@ -26,9 +27,8 @@ from .geometry import (
     Point,
     Polyhedron,
     as_point,
-    _canonical,
     _from_homogeneous,
-    _join,
+    _join_rows,
     _pointed_cone_rays,
 )
 from .linalg import dot, integer_solve_rows, scale_primitive, vec_gcd
@@ -114,17 +114,18 @@ def _halfspace_generators(
     return out, rows + [row], out_masks
 
 
-def apply_split(
-    q: Polyhedron, s: Split, split_coords: Optional[Sequence[int]] = None
-) -> Polyhedron:
-    """Convex hull of the two pieces of q cut out by the disjunction.
+def _split_rows(
+    q: Polyhedron, s: Split, split_coords: Optional[Sequence[int]]
+) -> Optional[list[IntVec]]:
+    """The homogeneous rows of the convex hull of the two pieces of q cut
+    out by the disjunction s: none when s leaves q unchanged, and None when
+    both pieces are empty (no point, as in ``_homog_rows``).
 
-    The hull is one double-description step in the polar, seeded from a
-    full-dimensional piece (``_join``); an empty piece leaves the other
-    one, and two lower-dimensional pieces take a fresh V->H pass.
+    With one nonempty piece these are its slice rows.  Two pieces give the
+    rays of one double-description step in the polar, seeded from a
+    full-dimensional piece (``_join_rows``); two lower-dimensional pieces
+    take a fresh V->H pass.
     """
-    if q.is_empty:
-        return q
     a = embed_normal(s.pi, q.dim, split_coords)
     lo, hi = s.pi0, s.pi0 + 1
     # signs of a.v - lo and a.v - hi, in integers over homogeneous vertices
@@ -132,14 +133,12 @@ def apply_split(
     below = [v <= lo * t for v, t in vals]
     above = [v >= hi * t for v, t in vals]
     ray_vals = [dot(a, r) for r in q.rays]
-    if all(b or u for b, u in zip(below, above)):
-        # every generator already satisfies the disjunction
-        if all(below) and all(rv <= 0 for rv in ray_vals):
-            return q
-        if all(above) and all(rv >= 0 for rv in ray_vals):
-            return q
-        if q.is_bounded:
-            return q
+    if all(b or u for b, u in zip(below, above)) and (
+        q.is_bounded
+        or all(below) and all(rv <= 0 for rv in ray_vals)
+        or all(above) and all(rv >= 0 for rv in ray_vals)
+    ):
+        return []  # every generator already satisfies the disjunction
     neg_a = tuple(-x for x in a)
     pieces = [
         piece
@@ -147,19 +146,25 @@ def apply_split(
         if any(g[-1] for g in piece[0])
     ]
     if not pieces:
-        return Polyhedron.empty(q.dim)
+        return None
     if len(pieces) == 1:
-        # the other piece is empty
-        gens, rows, masks = pieces[0]
-        return _canonical(q.dim, rows, gens, masks)
+        return pieces[0][1]  # the other piece is empty
     # seed from a full-dimensional piece (no row is tight on all of its
     # generators), the one with more generators when both are, so that the
     # fewest generators enter as new polar rows
     pieces.sort(key=lambda piece: -len(piece[0]))
     for k, seed in enumerate(pieces):
         if not reduce(and_, seed[2]):
-            return _join(q.dim, seed, pieces[1 - k][0])
-    return _from_homogeneous(q.dim, list(dict.fromkeys(pieces[0][0] + pieces[1][0])))
+            return _join_rows(q.dim, seed, pieces[1 - k][0])
+    return _from_homogeneous(q.dim, list(dict.fromkeys(pieces[0][0] + pieces[1][0])))._dd[1]
+
+
+def apply_split(
+    q: Polyhedron, s: Split, split_coords: Optional[Sequence[int]] = None
+) -> Polyhedron:
+    """Convex hull of the two pieces of q cut out by the disjunction: the
+    round of the one split s."""
+    return apply_round(q, [s], split_coords)
 
 
 def classify_split(
@@ -224,20 +229,20 @@ def facet_splits(qx: Polyhedron) -> list[Split]:
 def apply_round(
     q: Polyhedron, splits: Sequence[Split], split_coords: Optional[Sequence[int]] = None
 ) -> Polyhedron:
-    """Apply every split to q and intersect the results.
+    """The intersection over the splits of the hulls of their pieces of q.
 
-    q itself, which apply_split returns when the split englobes q, is
-    skipped; intersecting with a piece that already contains the running
-    intersection returns that intersection unchanged.
+    The distinct hull rows of every split, in lexmin order (ascending
+    tuples), cut q in one seeded double-description step, and the result
+    is put in canonical form once; q itself comes back when no split
+    changes it, and the empty polyhedron when some split leaves no point.
     """
-    result = q
+    rows: set[IntVec] = set()
     for s in splits:
-        piece = apply_split(q, s, split_coords)
-        if piece is not q:
-            result = result.intersect(piece)
-        if result.is_empty:
-            break
-    return result
+        hull = _split_rows(q, s, split_coords)
+        if hull is None:
+            return Polyhedron.empty(q.dim)
+        rows.update(hull)
+    return q._cut(sorted(rows))
 
 
 def enumerate_splits(

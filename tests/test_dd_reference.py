@@ -5,9 +5,11 @@ constructor runs a full V->H pass and then a full H->V pass (or the
 reverse), an intersection redoes the double description over the rows
 of both operands, and ``apply_split`` slices each side with a fresh
 H->V pass and takes the hull of the pieces with a fresh conversion of
-their generators.  It differs from the old code in one place only: a row
-0·x <= b with b < 0 gives the empty set, where the old pass raised
-``LinealityError`` when no other row bounded anything.  Its cone
+their generators, and a round of splits intersects those hulls one split
+at a time.  It differs from the old code in two places: a row 0·x <= b
+with b < 0 gives the empty set, where the old pass raised
+``LinealityError`` when no other row bounded anything, and a V->H row
+tight on no generator (a point's polar has one) is dropped.  Its cone
 conversion ``_ref_cone_rays`` is the quotient pass that ``cone_rays``
 replaced: rank-deficient rows take the double description in the
 orthogonal complement of their nullspace.  The 2-hyperplane check is
@@ -17,7 +19,7 @@ containment by Fraction dot products and a lattice-point scan per face.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import floor, gcd
 
 import pytest
 
@@ -125,7 +127,8 @@ def _ref_v_to_h(points, rays, dim):
             out[_canon_ineq([-x for x in a], c)] = None
     for r in crays:
         a, c = r[:-1], r[-1]
-        if any(a):
+        # a ray tight on no generator is not a facet
+        if any(a) and any(dot(r, g) == 0 for g in rows):
             out[_canon_ineq(a, -c)] = None
     return sorted(out)
 
@@ -193,6 +196,14 @@ def ref_apply_split(q, s):
     if not verts:
         return Polyhedron.empty(q.dim)
     return ref_from_generators(verts, rays)
+
+
+def ref_apply_round(q, splits):
+    """Each split's hull from scratch, intersected one split at a time."""
+    out = q
+    for s in splits:
+        out = ref_intersect(out, ref_apply_split(q, s))
+    return out
 
 
 def _outcome(fn, *args):
@@ -475,9 +486,10 @@ HULL_CASES = 400
 
 
 def test_hull_paths_match_reference(monkeypatch):
-    """Every path of apply_split's hull against the from-scratch reference:
-    the join seeded from the lo piece or the hi piece, the fresh pass for
-    two lower-dimensional pieces, and one piece empty."""
+    """Every path of a split's hull rows against the from-scratch reference:
+    the polar join seeded from the lo piece or the hi piece, the fresh pass
+    for two lower-dimensional pieces, and the slice rows of the one
+    nonempty piece when the other is empty."""
     import splitlab.splits as splits
     from splitlab.geometry import _canonical, _homog_row
 
@@ -485,21 +497,29 @@ def test_hull_paths_match_reference(monkeypatch):
     current = {}
 
     def watch(path, fn):
-        def run(dim, *args):
+        def run(*args):
+            if path == "rows":
+                current["path"] = None
+                out = fn(*args)
+                # rows that took neither the join nor the fresh pass are the
+                # slice of the one nonempty piece
+                taken = current["path"] or ("empty" if out else None)
+                if taken:
+                    seen[taken] += 1
+                return out
             if path == "join":
                 a, lo = current["split"]
-                seed = args[0][0]
-                side = all(dot(a, g[:-1]) <= lo * g[-1] for g in seed)
-                seen["seed_lo" if side else "seed_hi"] += 1
+                side = all(dot(a, g[:-1]) <= lo * g[-1] for g in args[1][0])
+                current["path"] = "seed_lo" if side else "seed_hi"
             else:
-                seen[path] += 1
-            return fn(dim, *args)
+                current["path"] = path
+            return fn(*args)
 
         return run
 
-    monkeypatch.setattr(splits, "_join", watch("join", splits._join))
+    monkeypatch.setattr(splits, "_split_rows", watch("rows", splits._split_rows))
+    monkeypatch.setattr(splits, "_join_rows", watch("join", splits._join_rows))
     monkeypatch.setattr(splits, "_from_homogeneous", watch("fallback", splits._from_homogeneous))
-    monkeypatch.setattr(splits, "_canonical", watch("empty", splits._canonical))
     # a tetrahedron with one edge on each plane is the hull of two
     # lower-dimensional pieces
     edges = [(0, 0, 0), (0, 1, 0), (1, 0, 0), (1, 0, 1)]
@@ -537,11 +557,58 @@ def test_hull_paths_match_reference(monkeypatch):
     assert min(seen.values()) >= 20, seen
 
 
+def _round_splits(rng, p, d):
+    """One to four random splits, most with the lo plane at or just below
+    the level of a vertex of p, and sometimes one of them again (as itself
+    or from the other side)."""
+    out = []
+    for _ in range(rng.randint(1, 4)):
+        s = _split(rng, d)
+        if rng.random() < 0.7:
+            level = dot(s.pi, rng.choice(p.vertices))
+            s = Split(s.pi, floor(level) - rng.randint(0, 1))
+        out.append(s)
+    if rng.random() < 0.3:
+        s = rng.choice(out)
+        out.insert(rng.randint(0, len(out)), rng.choice((s, s.partner())))
+    return out
+
+
+ROUND_CASES = 500
+
+
+def test_round_matches_sequential_reference():
+    """apply_round, one cut by the hull rows of every split of the round,
+    against each split's hull from scratch intersected one split at a time,
+    on seeded bodies in dims 1-4."""
+    rng = make_rng()
+    seen = dict.fromkeys(("rays", "lower", "empty_piece", "duplicate", "empty"), 0)
+    for case in range(ROUND_CASES):
+        d = 1 + case % 4
+        try:
+            p = Polyhedron.from_generators(*_generators(rng, d))
+        except LinealityError:
+            continue
+        splits = _round_splits(rng, p, d)
+        got = _outcome(apply_round, p, splits)
+        assert got == _outcome(ref_apply_round, p, splits), (p, splits)
+        seen["rays"] += bool(p.rays)
+        seen["lower"] += p.affine_dim() < d
+        seen["duplicate"] += len({s.canonical() for s in splits}) < len(splits)
+        seen["empty"] += not got[1]
+        for s in splits:
+            lo = ref_intersect_halfspace(p, s.pi, s.pi0)
+            hi = ref_intersect_halfspace(p, tuple(-x for x in s.pi), -s.pi0 - 1)
+            # one piece empty, and the hull of the other is not p
+            seen["empty_piece"] += lo.is_empty != hi.is_empty and ref_apply_split(p, s) != p
+    assert min(seen.values()) >= 20, seen
+
+
 def test_t3_rounds_match_reference():
     """The 3D growth body T3 of the ROADMAP (lift P^L over its vertex
     centroid, floor 2, every split of max-norm 1 touching its box ± 1):
-    round 1 equals a from-scratch round, and round 2 keeps the recorded
-    size and heights."""
+    round 1 equals a from-scratch round, and rounds 2 and 3 keep the
+    recorded sizes and heights."""
     verts = [(0, F(3, 2), F(1, 2)), (1, 2, 0), (F(3, 2), F(5, 2), -1), (3, 0, F(-3, 2))]
     body = Polyhedron.from_generators(verts)
     f = tuple(sum(F(v[i]) for v in verts) / 4 for i in range(3))
@@ -562,6 +629,10 @@ def test_t3_rounds_match_reference():
     assert (len(q.vertices), len(q.facet_inequalities()), len(q.inequalities)) == (135, 55, 55)
     assert max_height(q) == F(36032, 97703)
     assert height_at(q, f) == F(1, 8)
+    q = apply_round(q, splits, (0, 1, 2))
+    assert (len(q.vertices), len(q.facet_inequalities()), len(q.inequalities)) == (397, 141, 141)
+    assert max_height(q) == F(1651345240132, 6539326790093)
+    assert height_at(q, f) == F(1951, 78264)
 
 
 # ---------------------------------------------------------------------------

@@ -60,6 +60,18 @@ def test_unit_cube():
         TYPE1_T.contains_polyhedron(Polyhedron.empty(3))
 
 
+def test_point_hull_rows_are_tight(rng):
+    """Every row of a point's hull is tight on the point: a row tight on no
+    generator is not a facet."""
+    assert convex_hull([(1,)]).inequalities == (((-1,), -1), ((1,), 1))
+    for dim in range(1, 5):
+        for _ in range(20):
+            pt = tuple(F(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(dim))
+            p = convex_hull([pt])
+            assert len(p.inequalities) == 2 * dim, pt
+            assert all(dot(a, pt) == b for a, b in p.inequalities), pt
+
+
 def test_h_to_v_round_trip():
     p = Polyhedron.from_inequalities(
         [((1, 0), F(1)), ((-1, 0), F(0)), ((0, 1), F(1)), ((0, -1), F(0))], 2

@@ -81,9 +81,10 @@ INTEGER_ONLY = {
     "linalg.py": ("_integer_rows", "_echelon", "scale_primitive"),
     "geometry.py": (
         "_pointed_cone_rays", "_combine", "_primitive", "cone_rays", "_h_to_v", "_v_to_h",
-        "_transpose", "_unrivalled", "_incidence", "_homog_row", "_join", "_from_homogeneous",
+        "_transpose", "_unrivalled", "_incidence", "_homog_row", "_join_rows",
+        "_from_homogeneous",
     ),
-    "splits.py": ("_halfspace_generators",),
+    "splits.py": ("_halfspace_generators", "_split_rows"),
     "certify.py": ("_faces", "is_2partitionable"),
 }
 
