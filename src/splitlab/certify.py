@@ -77,12 +77,11 @@ def _faces(p: Polyhedron, points: Sequence[Point]) -> list[tuple[Polyhedron, int
         return []
     if not p.is_bounded:
         raise GeometryError("face enumeration needs a bounded polyhedron")
-    gens, rows, _ = p._dd
     homog = [scale_primitive(q + (1,)) for q in points]
-    vertices = set(gens)
+    vertices = set(p.gens)
     corners = [(1 << i, h) for i, h in enumerate(homog) if h in vertices]
     sets = {(1 << len(points)) - 1}
-    for r in rows:
+    for r in p.rows:
         t = sum(1 << i for i, h in enumerate(homog) if dot(r, h) == 0)
         sets |= {s & t for s in sets if s & t}
     out = [(_from_homogeneous(p.dim, [h for bit, h in corners if s & bit]), s) for s in sets]
@@ -107,9 +106,12 @@ def is_2partitionable(points: Sequence[Sequence]) -> PartitionCertificate:
     first class, then lexicographically (the order of a scan over all
     subsets), and the first one an integer split realizes is returned.
     The witness split is automatically coprime: its values on the two
-    classes are consecutive integers.
+    classes are consecutive integers.  S is a set, so a repeated point
+    counts once.
     """
-    pts = sorted(as_point(q) for q in points)
+    pts = sorted({as_point(q) for q in points})
+    if len({len(q) for q in pts}) > 1:
+        raise GeometryError("points have mismatched dimensions")
     for q in pts:
         if any(c.denominator != 1 for c in q):
             raise GeometryError("2-partitionability is defined for integer points")

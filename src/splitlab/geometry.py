@@ -1,24 +1,25 @@
-"""Exact rational polyhedra with synchronized dual representations.
+"""Exact rational polyhedra stored as one integer double description.
 
-A :class:`Polyhedron` stores vertices, recession rays and facet
-inequalities at once, all canonicalized, so equality of polyhedra is a
-syntactic check.  Each conversion runs one integer double-description
-(DD) pass over the homogenization cone and reads the other
-representation off the generator-by-row incidence that pass leaves: the
-extreme generators and the facet rows are the ones whose tight sets no
-other generator or row contains.  Rank-deficient input, such as the
-generators of a lower-dimensional face, takes the same pass: the lines
-no row cuts span the lineality space, and integer elimination puts them
-and the rays in canonical form.  Every polyhedron keeps that DD state
-(homogeneous integer generators, homogenized rows and the incidence
-bitmasks), so intersecting with further rows, and slicing for a split,
-are DD steps from the kept state rather than fresh passes; a batch of
-rows, such as a whole round of split hulls, is one step.  The facet rows
-of the hull of a full-dimensional polyhedron and further generators
-(``_join_rows``) come from the same step in the polar: the seed rays are
-its facet rows, its generators the rows, and each new generator one more
-row.  All arithmetic is integer or :class:`fractions.Fraction`, never
-floating point; containment and split tests compare integers only.
+A :class:`Polyhedron` is the double description (DD) of its
+homogenization cone: primitive homogeneous generators, primitive facet
+rows and the generator-by-row incidence bitmasks.  Each element has one
+primitive form and both lists are sorted, so equality of polyhedra is a
+syntactic check on integers; rational vertices and inequalities are
+cached views.  Each conversion runs one integer DD pass over the
+homogenization cone and reads the other side off the incidence that pass
+leaves: the extreme generators and the facet rows are the ones whose
+tight sets no other generator or row contains.  Rank-deficient input,
+such as the generators of a lower-dimensional face, takes the same pass:
+the lines no row cuts span the lineality space, and integer elimination
+puts them and the rays in canonical form.  Intersecting with further
+rows, and slicing for a split, are DD steps from the stored state; a
+batch of rows, such as a whole round of split hulls, is one step.  The
+facet rows of the hull of a full-dimensional polyhedron and further
+generators (``_join_rows``) come from the same step in the polar: the
+seed rays are its facet rows, its generators the rows, and each new
+generator one more row.  All arithmetic is integer or
+:class:`fractions.Fraction`, never floating point; containment and split
+tests compare integers only.
 
 Ambient dimension is capped at 4: three geometric coordinates plus one
 lifted coordinate cover every object handled here.
@@ -26,7 +27,7 @@ lifted coordinate cover every object handled here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import ceil, floor, gcd
@@ -34,8 +35,6 @@ from typing import Iterator, Optional, Sequence
 
 from .linalg import (
     _echelon,
-    _integer_rows,
-    _row_scale,
     det,
     dot,
     integer_solve_rows,
@@ -68,6 +67,13 @@ class NotLatticeFreeError(GeometryError):
 
 def as_point(coords: Sequence) -> Point:
     return tuple(Fraction(c) for c in coords)
+
+
+def _integer(x) -> int:
+    """x as an int, refusing a non-integral value rather than truncating it."""
+    if Fraction(x).denominator != 1:
+        raise GeometryError(f"not an integer: {x!r}")
+    return int(x)
 
 
 def _check_dim(dim: int) -> None:
@@ -244,12 +250,12 @@ def _h_to_v(rows: list[IntVec], dim: int) -> tuple[list[IntVec], list[int]]:
     return gens, masks
 
 
-def _v_to_h(gens: list[IntVec], dim: int) -> tuple[list[Inequality], list[int]]:
-    """Irredundant inequality description of the cone over the distinct
-    homogeneous generators ``gens``, and each generator's tight mask over
-    those rows followed by the homogenizing row −t <= 0.
+def _v_to_h(gens: list[IntVec], dim: int) -> tuple[list[IntVec], list[int]]:
+    """Irredundant rows of the cone over the distinct homogeneous
+    generators ``gens``, and each generator's tight mask over those rows
+    followed by the homogenizing row −t <= 0.
 
-    Equality constraints appear as paired opposite inequalities.
+    Equality constraints appear as paired opposite rows.
     """
     fmasks: list[int] = []
     lines, crays = cone_rays(gens, dim + 1, fmasks)
@@ -262,14 +268,14 @@ def _v_to_h(gens: list[IntVec], dim: int) -> tuple[list[Inequality], list[int]]:
 
 def _facets(
     gens: list[IntVec], rows: list[IntVec], row_masks: list[int]
-) -> tuple[list[Inequality], list[int]]:
-    """The sorted canonical inequalities of the rows with a nonzero normal
-    that are tight on some generator (a point's polar has a ray tight on
-    none), whose generator masks are ``row_masks``, and each generator's
-    tight mask over them followed by the homogenizing row −t <= 0."""
-    out = {_row_ineq(r): m for r, m in zip(rows, row_masks) if m and any(r[:-1])}
-    ineqs = sorted(out)
-    return ineqs, _incidence([out[h] for h in ineqs], gens)
+) -> tuple[list[IntVec], list[int]]:
+    """The sorted rows with a nonzero normal that are tight on some
+    generator (a point's polar has a ray tight on none), whose generator
+    masks are ``row_masks``, and each generator's tight mask over them
+    followed by the homogenizing row −t <= 0."""
+    out = {r: m for r, m in zip(rows, row_masks) if m and any(r[:-1])}
+    facets = sorted(out)
+    return facets, _incidence([out[r] for r in facets], gens)
 
 
 def _incidence(row_masks: list[int], gens: list[IntVec]) -> list[int]:
@@ -282,22 +288,13 @@ def _incidence(row_masks: list[int], gens: list[IntVec]) -> list[int]:
 
 
 def _polyhedron(
-    dim: int, ineqs: list[Inequality], gens: list[IntVec], masks: list[int]
+    dim: int, rows: list[IntVec], gens: Sequence[IntVec], masks: Sequence[int]
 ) -> "Polyhedron":
-    """The polyhedron with canonical rows ``ineqs`` and extreme homogeneous
-    generators ``gens``, keeping ``masks`` (over ineqs and −t <= 0) as its
-    double-description state."""
-    verts = sorted(
-        (tuple(Fraction(c, g[-1]) for c in g[:-1]), g, m)
-        for g, m in zip(gens, masks)
-        if g[-1]
-    )
-    rays = sorted((g[:-1], g, m) for g, m in zip(gens, masks) if not g[-1])
-    p = Polyhedron(dim, tuple(v[0] for v in verts), tuple(r[0] for r in rays), tuple(ineqs))
-    rows = [_homog_row(a, b) for a, b in ineqs] + [(0,) * dim + (-1,)]
-    state = verts + rays
-    p.__dict__["_dd"] = ([s[1] for s in state], rows, [s[2] for s in state])
-    return p
+    """The polyhedron with sorted primitive facet rows ``rows`` and
+    extreme homogeneous generators ``gens``, whose tight masks over rows
+    and then −t <= 0 are ``masks``."""
+    gens, masks = zip(*sorted(zip(gens, masks)))
+    return Polyhedron(dim, gens, (*rows, (0,) * dim + (-1,)), masks)
 
 
 def _canonical(dim: int, rows: list[IntVec], gens: list[IntVec], masks: list[int]) -> "Polyhedron":
@@ -305,17 +302,17 @@ def _canonical(dim: int, rows: list[IntVec], gens: list[IntVec], masks: list[int
 
     The rows are distinct, so a row is a facet iff no other row is tight on
     all of its tight generators (which also rules out an empty tight set);
-    the homogenizing row takes part but is not output.  A row tight on
+    the homogenizing row takes part but is not a facet.  A row tight on
     every generator means a lower-dimensional set, whose equalities come
     from one ``_v_to_h`` pass.
     """
     tight = _transpose(masks, len(rows))
     if (1 << len(gens)) - 1 in tight:
-        ineqs, gmasks = _v_to_h(gens, dim)
-        return _polyhedron(dim, ineqs, gens, gmasks)
+        facets, masks = _v_to_h(gens, dim)
+        return _polyhedron(dim, facets, gens, masks)
     keep = _unrivalled(tight)
-    ineqs, masks = _facets(gens, [rows[k] for k in keep], [tight[k] for k in keep])
-    return _polyhedron(dim, ineqs, gens, masks)
+    facets, masks = _facets(gens, [rows[k] for k in keep], [tight[k] for k in keep])
+    return _polyhedron(dim, facets, gens, masks)
 
 
 def _from_homogeneous(dim: int, gens: list[IntVec]) -> "Polyhedron":
@@ -323,11 +320,11 @@ def _from_homogeneous(dim: int, gens: list[IntVec]) -> "Polyhedron":
     generators ``gens`` (at least one with t > 0), by one V->H pass: in a
     pointed cone, a generator is extreme iff no other generator is tight
     on every row it is tight on."""
-    ineqs, masks = _v_to_h(gens, dim)
-    if not all(g[-1] for g in gens) and rank([a for a, _ in ineqs], dim) < dim:
+    rows, masks = _v_to_h(gens, dim)
+    if not all(g[-1] for g in gens) and rank([r[:-1] for r in rows], dim) < dim:
         raise LinealityError("polyhedron contains a line")
     keep = _unrivalled(masks)
-    return _polyhedron(dim, ineqs, [gens[k] for k in keep], [masks[k] for k in keep])
+    return _polyhedron(dim, rows, [gens[k] for k in keep], [masks[k] for k in keep])
 
 
 def _join_rows(
@@ -347,16 +344,11 @@ def _join_rows(
     tight = _transpose(masks, len(rows))
     facets = _unrivalled(tight)
     have = set(gens)
-    polar_rows = gens + [g for g in other_gens if g not in have]
+    polar_rows = [*gens, *(g for g in other_gens if g not in have)]
     _, polar, _ = _pointed_cone_rays(
         polar_rows, dim + 1, (len(gens), [rows[k] for k in facets], [tight[k] for k in facets])
     )
     return polar
-
-
-def _homog_row(a: IntVec, b) -> IntVec:
-    """The primitive integer row a·x − b·t <= 0 of a canonical a·x <= b."""
-    return tuple(x * b.denominator for x in a) + (-b.numerator,)
 
 
 # ---------------------------------------------------------------------------
@@ -395,24 +387,27 @@ class Hyperplane:
 
 @dataclass(frozen=True)
 class Polyhedron:
-    """Rational polyhedron with both representations kept synchronized.
+    """Rational polyhedron as the integer double description of its cone.
 
-    ``vertices`` are Fraction tuples, ``rays`` coprime integer direction
-    vectors, ``inequalities`` canonical (coprime integer normal, rational
-    offset) rows.  All three are sorted, so ``==`` decides set equality.
+    ``gens``: sorted primitive extreme generators, a vertex n/t as (n, t)
+    with t >= 1 and a ray r as (r, 0).  ``rows``: sorted primitive facet
+    rows a·x − b·t <= 0, then −t <= 0; the empty set has t <= 0 there.
+    ``masks``: each generator's tight rows, bit k for rows[k].  ``==``
+    decides set equality.  ``vertices``, ``rays`` and ``inequalities``
+    (coprime integer normal, rational offset) are sorted views.
     """
 
     dim: int
-    vertices: tuple[Point, ...]
-    rays: tuple[IntVec, ...]
-    inequalities: tuple[Inequality, ...]
+    gens: tuple[IntVec, ...]
+    rows: tuple[IntVec, ...]
+    masks: tuple[int, ...] = field(compare=False)
 
     # -- construction -----------------------------------------------------
 
     @staticmethod
     def empty(dim: int) -> "Polyhedron":
         _check_dim(dim)
-        return Polyhedron(dim, (), (), (((0,) * dim, Fraction(-1)),))
+        return Polyhedron(dim, (), ((0,) * dim + (1,), (0,) * dim + (-1,)), ())
 
     @staticmethod
     def from_generators(points: Sequence[Sequence], rays: Sequence[Sequence] = ()) -> "Polyhedron":
@@ -446,15 +441,31 @@ class Polyhedron:
             return Polyhedron.empty(dim)
         return _canonical(dim, rows, gens, masks)
 
+    # -- views --------------------------------------------------------------
+
+    @cached_property
+    def vertices(self) -> tuple[Point, ...]:
+        return tuple(sorted(tuple(Fraction(c, g[-1]) for c in g[:-1]) for g in self.gens if g[-1]))
+
+    @cached_property
+    def rays(self) -> tuple[IntVec, ...]:
+        return tuple(g[:-1] for g in self.gens if not g[-1])
+
+    @cached_property
+    def inequalities(self) -> tuple[Inequality, ...]:
+        if not self.gens:
+            return (((0,) * self.dim, Fraction(-1)),)
+        return tuple(sorted(_row_ineq(r) for r in self.rows[:-1]))
+
     # -- basic predicates --------------------------------------------------
 
     @property
     def is_empty(self) -> bool:
-        return not self.vertices
+        return not self.gens
 
     @property
     def is_bounded(self) -> bool:
-        return not self.rays
+        return all(g[-1] for g in self.gens)
 
     def contains(self, point: Sequence) -> bool:
         p = as_point(point)
@@ -463,27 +474,6 @@ class Polyhedron:
         if self.is_empty:
             return False
         return all(dot(a, p) <= b for a, b in self.inequalities)
-
-    @cached_property
-    def _dd(self) -> tuple[list[IntVec], list[IntVec], list[int]]:
-        """The double description of the homogenization cone: generators
-        (vertices as primitive (n, t) with t >= 1, then rays as (r, 0)),
-        rows (a·x − b·t <= 0 per inequality, then −t <= 0) and each
-        generator's tight rows as a bitmask.  Constructors keep the masks of
-        the pass that built the polyhedron; only a directly constructed
-        instance evaluates them here."""
-        gens = [
-            tuple(n) + (_row_scale(v),)
-            for v, n in zip(self.vertices, _integer_rows(self.vertices))
-        ] + [r + (0,) for r in self.rays]
-        rows = [_homog_row(a, b) for a, b in self.inequalities] + [(0,) * self.dim + (-1,)]
-        masks = [sum(1 << k for k, r in enumerate(rows) if dot(r, g) == 0) for g in gens]
-        return gens, rows, masks
-
-    @cached_property
-    def homogeneous_vertices(self) -> tuple[tuple[IntVec, int], ...]:
-        """Each vertex v as (n, t) with integer n, t >= 1 and v = n / t."""
-        return tuple((g[:-1], g[-1]) for g in self._dd[0] if g[-1])
 
     def facet_inequalities(self) -> list[Inequality]:
         seen = set(self.inequalities)
@@ -532,9 +522,9 @@ class Polyhedron:
     def intersect(self, other: "Polyhedron") -> "Polyhedron":
         if self.dim != other.dim:
             raise GeometryError("dimension mismatch in intersection")
-        return self._cut(None if other.is_empty else other._dd[1])
+        return self._cut(None if other.is_empty else other.rows)
 
-    def _cut(self, rows: Optional[list[IntVec]]) -> "Polyhedron":
+    def _cut(self, rows: Optional[Sequence[IntVec]]) -> "Polyhedron":
         """self intersected with the distinct primitive homogeneous rows
         (None: infeasible), by DD steps from self's state for the rows it
         does not have yet, in order; self itself if none of them cuts it."""
@@ -542,14 +532,15 @@ class Polyhedron:
             return self
         if rows is None:
             return Polyhedron.empty(self.dim)
-        gens, known, masks = self._dd
-        have = set(known)
-        rows = known + [r for r in rows if r not in have]
-        if len(rows) == len(known):
+        have = set(self.rows)
+        rows = [*self.rows, *(r for r in rows if r not in have)]
+        if len(rows) == len(self.rows):
             return self
-        _, out, out_masks = _pointed_cone_rays(rows, self.dim + 1, (len(known), gens, masks))
+        _, out, out_masks = _pointed_cone_rays(
+            rows, self.dim + 1, (len(self.rows), self.gens, self.masks)
+        )
         # a cut drops a generator, so the extreme rays change
-        if out == gens:
+        if tuple(out) == self.gens:
             return self
         if not any(g[-1] for g in out):
             return Polyhedron.empty(self.dim)
@@ -558,14 +549,8 @@ class Polyhedron:
     def contains_polyhedron(self, other: "Polyhedron") -> bool:
         if other.dim != self.dim:
             raise GeometryError("dimension mismatch in containment")
-        if other.is_empty:
-            return True
-        # a·(n/t) <= b in integers: a·n·den(b) <= num(b)·t
-        return all(
-            dot(a, n) * b.denominator <= b.numerator * t
-            for n, t in other.homogeneous_vertices
-            for a, b in self.inequalities
-        ) and all(dot(a, r) <= 0 for r in other.rays for a, _ in self.inequalities)
+        # every generator of other satisfies every row of self
+        return all(dot(r, g) <= 0 for g in other.gens for r in self.rows)
 
 
 # ---------------------------------------------------------------------------
@@ -630,24 +615,27 @@ def _iter_lattice_points(p: Polyhedron) -> Iterator[Point]:
 
 def integer_solve(rows: Sequence[tuple[Sequence[int], int]]) -> Optional[IntVec]:
     """An integer solution of the equality system {a_i·x = b_i}, if any."""
-    return integer_solve_rows([(tuple(int(x) for x in a), int(b)) for a, b in rows])
+    return integer_solve_rows([(tuple(_integer(x) for x in a), _integer(b)) for a, b in rows])
 
 
 def apply_unimodular(p: Polyhedron, u: Sequence[Sequence[int]], shift: Sequence[int]) -> Polyhedron:
     """Image of p under x -> U x + shift for a unimodular integer matrix U."""
-    rows = [tuple(int(x) for x in r) for r in u]
+    rows = [tuple(_integer(x) for x in r) for r in u]
     if len(rows) != p.dim or any(len(r) != p.dim for r in rows):
         raise GeometryError("transformation matrix shape mismatch")
     if abs(det(rows)) != 1:
         raise GeometryError("transformation matrix is not unimodular")
     t = as_point(shift)
+    if len(t) != p.dim:
+        raise GeometryError("shift dimension mismatch")
     if p.is_empty:
         return p
-    verts = [
-        tuple(dot(rows[i], v) + t[i] for i in range(p.dim)) for v in p.vertices
+    # (n, t) maps to (U n + shift·t, t), a bijection of generators
+    gens = [
+        scale_primitive(tuple(dot(r, g[:-1]) + c * g[-1] for r, c in zip(rows, t)) + (g[-1],))
+        for g in p.gens
     ]
-    rays = [tuple(dot(rows[i], r) for i in range(p.dim)) for r in p.rays]
-    return Polyhedron.from_generators(verts, rays)
+    return _from_homogeneous(p.dim, gens)
 
 
 def interior_integer_point(p: Polyhedron) -> Optional[Point]:

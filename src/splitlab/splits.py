@@ -3,7 +3,7 @@
 A split (pi, pi0) is the disjunction pi.x <= pi0 or pi.x >= pi0 + 1 with
 integer data and coprime pi.  A round of splits cuts a polyhedron by the
 convex hulls of each split's two clipped pieces, in integers: each piece
-is one double-description (DD) step from the polyhedron's kept state, and
+is one double-description (DD) step from the polyhedron's stored state, and
 a hull's facet rows come from a seeded DD step in the polar, since the
 polar of a hull is the intersection of the polars.  It starts from a
 full-dimensional piece, whose facet rows are the rays, and adds the other
@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import product
 from math import ceil, floor
-from operator import and_
+from operator import and_, or_
 from typing import Optional, Sequence
 
 from .geometry import (
@@ -28,6 +28,7 @@ from .geometry import (
     Polyhedron,
     as_point,
     _from_homogeneous,
+    _integer,
     _join_rows,
     _pointed_cone_rays,
 )
@@ -49,7 +50,7 @@ class Split:
 
     @staticmethod
     def make(pi: Sequence[int], pi0: int) -> "Split":
-        return Split(tuple(int(x) for x in pi), int(pi0))
+        return Split(tuple(_integer(x) for x in pi), _integer(pi0))
 
     def partner(self) -> "Split":
         """The same disjunction written from the other side."""
@@ -98,25 +99,25 @@ def embed_normal(pi: IntVec, dim: int, split_coords: Optional[Sequence[int]]) ->
 
 def _halfspace_generators(
     q: Polyhedron, a: IntVec, b: int
-) -> tuple[list[IntVec], list[IntVec], list[int]]:
+) -> tuple[Sequence[IntVec], Sequence[IntVec], Sequence[int]]:
     """The double description (generators, rows, masks) of q intersected
-    with {x : a.x <= b}, in the form of ``Polyhedron._dd``.
+    with {x : a.x <= b}, in the form of q's fields.
 
     One double-description step from q's state: it keeps the generators
     that satisfy the row and creates the ones on the plane a.x = b.  A row
     that q already has is not appended again, so the rows stay distinct.
     """
-    gens, rows, masks = q._dd
     row = a + (-b,)
-    if row in rows:
-        return gens, rows, masks
-    _, out, out_masks = _pointed_cone_rays(rows + [row], q.dim + 1, (len(rows), gens, masks))
-    return out, rows + [row], out_masks
+    if row in q.rows:
+        return q.gens, q.rows, q.masks
+    rows = [*q.rows, row]
+    _, out, out_masks = _pointed_cone_rays(rows, q.dim + 1, (len(q.rows), q.gens, q.masks))
+    return out, rows, out_masks
 
 
 def _split_rows(
     q: Polyhedron, s: Split, split_coords: Optional[Sequence[int]]
-) -> Optional[list[IntVec]]:
+) -> Optional[Sequence[IntVec]]:
     """The homogeneous rows of the convex hull of the two pieces of q cut
     out by the disjunction s: none when s leaves q unchanged, and None when
     both pieces are empty (no point, as in ``_homog_rows``).
@@ -128,16 +129,12 @@ def _split_rows(
     """
     a = embed_normal(s.pi, q.dim, split_coords)
     lo, hi = s.pi0, s.pi0 + 1
-    # signs of a.v - lo and a.v - hi, in integers over homogeneous vertices
-    vals = [(dot(a, n), t) for n, t in q.homogeneous_vertices]
+    # a generator (n, t) is below the lo plane if a.n <= lo.t and above the
+    # hi plane if a.n >= hi.t; for a ray (t = 0) that is a sign of a.n
+    vals = [(dot(a, g[:-1]), g[-1]) for g in q.gens]
     below = [v <= lo * t for v, t in vals]
     above = [v >= hi * t for v, t in vals]
-    ray_vals = [dot(a, r) for r in q.rays]
-    if all(b or u for b, u in zip(below, above)) and (
-        q.is_bounded
-        or all(below) and all(rv <= 0 for rv in ray_vals)
-        or all(above) and all(rv >= 0 for rv in ray_vals)
-    ):
+    if all(map(or_, below, above)) and (q.is_bounded or all(below) or all(above)):
         return []  # every generator already satisfies the disjunction
     neg_a = tuple(-x for x in a)
     pieces = [
@@ -156,7 +153,7 @@ def _split_rows(
     for k, seed in enumerate(pieces):
         if not reduce(and_, seed[2]):
             return _join_rows(q.dim, seed, pieces[1 - k][0])
-    return _from_homogeneous(q.dim, list(dict.fromkeys(pieces[0][0] + pieces[1][0])))._dd[1]
+    return _from_homogeneous(q.dim, list(dict.fromkeys((*pieces[0][0], *pieces[1][0])))).rows
 
 
 def apply_split(

@@ -77,8 +77,9 @@ def partition_oracle(points, bound=3):
 
 
 def _scan_reference(points):
-    """The 2^n bipartition scan: by size of the first class, then lexicographic."""
-    pts = sorted(as_point(q) for q in points)
+    """The 2^n bipartition scan of the set of points: by size of the first
+    class, then lexicographic."""
+    pts = sorted({as_point(q) for q in points})
     if len(pts) <= 1:
         return PartitionCertificate("trivially_partitionable", None, tuple(pts), ())
     n, m = len(pts), len(pts[0])
@@ -245,6 +246,12 @@ def test_partitionable_trivia():
     assert is_2partitionable([]).outcome == "trivially_partitionable"
     with pytest.raises(GeometryError):
         is_2partitionable([(F(1, 2), 0)])
+    with pytest.raises(GeometryError):
+        is_2partitionable([(0, 0), (1,)])
+    # S is a set: a repeated point is one point
+    cert = is_2partitionable([(0, 0), (0, 0)])
+    assert cert.outcome == "trivially_partitionable" and cert.s1 == ((0, 0),)
+    assert is_2partitionable([(0, 0), (1, 0), (0, 0)]) == is_2partitionable([(0, 0), (1, 0)])
 
 
 def test_partitionability_vs_oracle_randomized():

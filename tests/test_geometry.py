@@ -15,6 +15,7 @@ from splitlab.geometry import (
     apply_unimodular,
     cone_rays,
     convex_hull,
+    integer_solve,
     interior_integer_point,
     lattice_points,
     require_lattice_free,
@@ -193,9 +194,12 @@ def test_hull_round_trip_randomized():
         assert r == p
         for x in pts:
             assert p.contains(x)
-        for (n, t), v in zip(p.homogeneous_vertices, p.vertices):
-            assert t >= 1 and gcd(t, *n) == 1
-            assert tuple(F(c, t) for c in n) == v
+        # the stored generators are primitive, sorted, and the views read them
+        assert list(p.gens) == sorted(p.gens)
+        for g in p.gens:
+            assert g[-1] >= 0 and gcd(*g) == 1
+        assert p.vertices == tuple(sorted(tuple(F(c, g[-1]) for c in g[:-1]) for g in p.gens if g[-1]))
+        assert p.rays == tuple(g[:-1] for g in p.gens if not g[-1])
         # integer containment against the rational vertex and ray tests
         shift = tuple((case + i) % 3 - 1 for i in range(dim))
         moved = convex_hull([tuple(c + s for c, s in zip(v, shift)) for v in p.vertices], p.rays)
@@ -293,6 +297,24 @@ def test_apply_unimodular():
     assert len(lattice_points(image)) == len(lattice_points(TYPE1_T))
     with pytest.raises(GeometryError):
         apply_unimodular(TYPE1_T, ((2, 0), (0, 1)), shift)
+    # a shift of the wrong length, short or long
+    with pytest.raises(GeometryError, match="shift dimension mismatch"):
+        apply_unimodular(TYPE1_T, u, (1,))
+    with pytest.raises(GeometryError, match="shift dimension mismatch"):
+        apply_unimodular(TYPE1_T, u, (1, 2, 3))
+    # a non-integral entry is refused, not truncated; integral Fractions pass
+    with pytest.raises(GeometryError, match="not an integer"):
+        apply_unimodular(TYPE1_T, ((1, F(3, 2)), (0, 1)), shift)
+    with pytest.raises(GeometryError, match="not an integer"):
+        apply_unimodular(TYPE1_T, ((1, 1.5), (0, 1)), shift)
+    assert apply_unimodular(TYPE1_T, ((F(1), F(2, 2)), (0, 1)), shift) == image
+
+
+def test_integer_solve_refuses_fractions():
+    # 3/2·x = 1 has no integer solution; truncating 3/2 to 1 would give x = 1
+    with pytest.raises(GeometryError, match="not an integer"):
+        integer_solve([((F(3, 2),), 1)])
+    assert integer_solve([((F(4, 2),), F(6, 3))]) == (1,)
 
 
 def test_apply_unimodular_preserves_lattice_counts_randomized():
@@ -307,6 +329,7 @@ def test_apply_unimodular_preserves_lattice_counts_randomized():
         shift = (rng.randint(-3, 3), rng.randint(-3, 3))
         image = apply_unimodular(p, u, shift)
         assert len(lattice_points(image)) == len(lattice_points(p))
+        assert image == convex_hull([tuple(dot(r, v) + c for r, c in zip(u, shift)) for v in p.vertices])
 
 
 def test_hyperplane_integer_points():

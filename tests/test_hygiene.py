@@ -74,25 +74,39 @@ def test_no_unused_imports(path):
 
 
 # the integer kernel: elimination, primitive scaling, the double description
-# with its incidence bitmasks and both conversion directions, the hull of a
+# with its incidence bitmasks and both conversion directions, the stored
+# state of a polyhedron, its cuts and containment test, the hull of a
 # split's two pieces, the face incidence of the 2-hyperplane check and
 # the affine-basis labeling of the 2-partitionability search
 INTEGER_ONLY = {
     "linalg.py": ("_integer_rows", "_echelon", "scale_primitive"),
     "geometry.py": (
         "_pointed_cone_rays", "_combine", "_primitive", "cone_rays", "_h_to_v", "_v_to_h",
-        "_transpose", "_unrivalled", "_incidence", "_homog_row", "_join_rows",
-        "_from_homogeneous",
+        "_transpose", "_unrivalled", "_facets", "_incidence", "_polyhedron", "_canonical",
+        "_join_rows", "_from_homogeneous", "Polyhedron._cut", "Polyhedron.contains_polyhedron",
     ),
     "splits.py": ("_halfspace_generators", "_split_rows"),
     "certify.py": ("_faces", "is_2partitionable"),
 }
 
 
+def _functions(tree: ast.Module) -> dict[str, ast.FunctionDef]:
+    """Top-level functions by name and methods as ``Class.name``."""
+    out = {}
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            out[node.name] = node
+        elif isinstance(node, ast.ClassDef):
+            for n in node.body:
+                if isinstance(n, ast.FunctionDef):
+                    out[f"{node.name}.{n.name}"] = n
+    return out
+
+
 @pytest.mark.parametrize("module", sorted(INTEGER_ONLY))
 def test_integer_kernel_builds_no_fraction(module):
     tree = ast.parse((SRC / module).read_text(), filename=module)
-    bodies = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    bodies = _functions(tree)
     for name in INTEGER_ONLY[module]:
         names = {
             n.id if isinstance(n, ast.Name) else n.attr
