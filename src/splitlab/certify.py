@@ -20,12 +20,13 @@ from typing import Optional, Sequence
 from .cuts import CornerModel, boundary_hull, rays_into_corners
 from .geometry import (
     GeometryError,
+    IntVec,
     Point,
     Polyhedron,
     _from_homogeneous,
+    _iter_lattice_points,
     as_point,
     cone_rays,
-    convex_hull,
     integer_solve,
     lattice_points,
     require_lattice_free,
@@ -63,10 +64,11 @@ class Classification2D:
     integer_points_on_boundary: tuple[Point, ...]
 
 
-def _faces(p: Polyhedron, points: Sequence[Point]) -> list[tuple[Polyhedron, int]]:
+def _faces(p: Polyhedron, points: Sequence[IntVec]) -> list[tuple[Polyhedron, int]]:
     """The nonempty faces of a polytope p, sorted by affine dimension and
-    then vertices, each with the bitmask of the ``points`` on it (bit i is
-    points[i]).  The points must lie in p and include its vertices.
+    then vertices, each with the bitmask of the homogeneous integer
+    ``points`` (n, t) on it (bit i is points[i]).  The points must lie in
+    p and include its generators, in primitive form.
 
     A face's points are those tight on some of p's kept rows, so with one
     integer incidence of the points with the rows, the faces' point sets
@@ -77,12 +79,11 @@ def _faces(p: Polyhedron, points: Sequence[Point]) -> list[tuple[Polyhedron, int
         return []
     if not p.is_bounded:
         raise GeometryError("face enumeration needs a bounded polyhedron")
-    homog = [scale_primitive(q + (1,)) for q in points]
     vertices = set(p.gens)
-    corners = [(1 << i, h) for i, h in enumerate(homog) if h in vertices]
+    corners = [(1 << i, h) for i, h in enumerate(points) if h in vertices]
     sets = {(1 << len(points)) - 1}
     for r in p.rows:
-        t = sum(1 << i for i, h in enumerate(homog) if dot(r, h) == 0)
+        t = sum(1 << i for i, h in enumerate(points) if dot(r, h) == 0)
         sets |= {s & t for s in sets if s & t}
     out = [(_from_homogeneous(p.dim, [h for bit, h in corners if s & bit]), s) for s in sets]
     out.sort(key=lambda e: (e[0].affine_dim(), e[0].vertices))
@@ -91,7 +92,7 @@ def _faces(p: Polyhedron, points: Sequence[Point]) -> list[tuple[Polyhedron, int
 
 def faces(p: Polyhedron) -> list[Polyhedron]:
     """All nonempty faces of a polytope, including p itself."""
-    return [f for f, _ in _faces(p, p.vertices)]
+    return [f for f, _ in _faces(p, p.gens)]
 
 
 def is_2partitionable(points: Sequence[Sequence]) -> PartitionCertificate:
@@ -157,17 +158,17 @@ def has_2hyperplane_property(l: Polyhedron) -> TwoHPReport:
     if not l.is_bounded:
         raise GeometryError("the 2-hyperplane check needs a bounded polyhedron")
     require_lattice_free(l)
-    pts = lattice_points(l)
+    pts = list(_iter_lattice_points(l))
     if not pts:
         return TwoHPReport((), True)
-    ints = [tuple(int(c) for c in q) for q in pts]
     on_facet = [
-        sum(1 << i for i, q in enumerate(ints) if dot(a, q) == b)
+        sum(1 << i for i, q in enumerate(pts) if dot(a, q) == b)
         for a, b in l.facet_inequalities()
     ]
+    homog = [q + (1,) for q in pts]
     entries = []
     overall = True
-    for face, s in _faces(convex_hull(pts), pts):
+    for face, s in _faces(_from_homogeneous(l.dim, homog), homog):
         contained = any(s & m == s for m in on_facet)
         cert = None
         if not contained:

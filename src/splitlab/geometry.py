@@ -19,7 +19,9 @@ generators (``_join_rows``) come from the same step in the polar: the
 seed rays are its facet rows, its generators the rows, and each new
 generator one more row.  All arithmetic is integer or
 :class:`fractions.Fraction`, never floating point; containment and split
-tests compare integers only.
+tests compare integers only, and so do lattice-point enumeration and the
+relative-interior test, which read the box off the generators and the
+equality rows off the incidence.
 
 Ambient dimension is capped at 4: three geometric coordinates plus one
 lifted coordinate cover every object handled here.
@@ -29,8 +31,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
-from math import ceil, floor, gcd
+from functools import cached_property, reduce
+from math import gcd
+from operator import and_
 from typing import Iterator, Optional, Sequence
 
 from .linalg import (
@@ -483,22 +486,29 @@ class Polyhedron:
             if (tuple(-x for x in a), -b) not in seen
         ]
 
+    @cached_property
+    def _equalities(self) -> int:
+        """The rows tight on every generator, as a bitmask over ``rows``
+        (bit k for rows[k]): the equality rows, in opposite pairs.  Only
+        for a nonempty polyhedron."""
+        return reduce(and_, self.masks)
+
     def affine_dim(self) -> int:
         if self.is_empty:
             return -1
-        # each equality is a pair of opposite rows
-        return self.dim - (len(self.inequalities) - len(self.facet_inequalities())) // 2
+        return self.dim - self._equalities.bit_count() // 2
 
     def relint_contains(self, point: Sequence) -> bool:
-        """Membership in the relative interior."""
+        """Membership in the relative interior: on every equality row and
+        strictly inside every other row."""
         p = as_point(point)
         if len(p) != self.dim:
             raise GeometryError("point dimension mismatch")
         if self.is_empty:
             return False
-        facets = set(self.facet_inequalities())
+        h, eq = p + (1,), self._equalities
         return all(
-            dot(a, p) < b if (a, b) in facets else dot(a, p) == b for a, b in self.inequalities
+            dot(r, h) == 0 if eq >> k & 1 else dot(r, h) < 0 for k, r in enumerate(self.rows[:-1])
         )
 
     def interior_contains(self, point: Sequence) -> bool:
@@ -565,47 +575,54 @@ def convex_hull(points: Sequence[Sequence], rays: Sequence[Sequence] = ()) -> Po
 
 
 def lattice_points(p: Polyhedron) -> list[Point]:
-    """All integer points of a bounded polyhedron, sorted lexicographically."""
-    return list(_iter_lattice_points(p))
+    """All integer points of a bounded polyhedron, sorted lexicographically.
+
+    The enumeration reads only the integer double description; the points
+    become ``Fraction`` tuples on the way out."""
+    return [as_point(q) for q in _iter_lattice_points(p)]
 
 
-def _iter_lattice_points(p: Polyhedron) -> Iterator[Point]:
-    """The integer points of a bounded p, lazily and in lexicographic order."""
+def _iter_lattice_points(p: Polyhedron) -> Iterator[IntVec]:
+    """The integer points of a bounded p as int tuples, lazily and in
+    lexicographic order.
+
+    The box runs from the least ceiling to the greatest floor of each
+    vertex coordinate.  Each row a·x + c <= 0 bounds coordinate k, given the fixed prefix, by its
+    least value over the box on the coordinates after k (its tail), and
+    bounds it exactly at the last coordinate it involves, where the tail
+    is empty; so every point that reaches the leaf satisfies every row.
+    """
     if p.is_empty:
         return
-    if p.rays:
+    if not p.is_bounded:
         raise GeometryError("refusing to enumerate integer points of an unbounded set")
-    box = p.bounding_box()
-    lo = [ceil(b[0]) for b in box]
-    hi = [floor(b[1]) for b in box]
-    ineqs = p.inequalities
+    d = p.dim
+    lo = [min(-(-g[k] // g[-1]) for g in p.gens) for k in range(d)]
+    hi = [max(g[k] // g[-1] for g in p.gens) for k in range(d)]
+    if any(l > h for l, h in zip(lo, hi)):
+        return
+    rows = p.rows[:-1]
+    # each term a_j·x_j of a row at its least over the box
+    least = [[x * (lo[j] if x > 0 else hi[j]) for j, x in enumerate(r[:d])] for r in rows]
+    # per depth k: (a[:k], a[k], c + the tail's least over the box)
+    bounds = [
+        [(r[:k], r[k], r[-1] + sum(m[k + 1 :])) for r, m in zip(rows, least) if r[k]]
+        for k in range(d)
+    ]
 
-    def recurse(prefix: list[int], depth: int) -> Iterator[Point]:
-        if depth == p.dim:
-            q = tuple(Fraction(c) for c in prefix)
-            if p.contains(q):
-                yield q
+    def recurse(prefix: list[int], depth: int) -> Iterator[IntVec]:
+        if depth == d:
+            yield tuple(prefix)
             return
-        lo_k, hi_k = Fraction(lo[depth]), Fraction(hi[depth])
-        for a, b in ineqs:
-            c = a[depth]
-            if c == 0:
-                continue
-            rem = b - sum(a[i] * prefix[i] for i in range(depth))
-            # bound the contribution of the still-free coordinates
-            tail = Fraction(0)
-            for j in range(depth + 1, p.dim):
-                if a[j] > 0:
-                    tail += a[j] * box[j][0]
-                elif a[j] < 0:
-                    tail += a[j] * box[j][1]
-            limit = (rem - tail) / c
+        lo_k, hi_k = lo[depth], hi[depth]
+        for head, c, tail in bounds[depth]:
+            # c·x_k <= rem: x_k <= floor(rem / c) for c > 0, >= ceil(rem / c) for c < 0
+            rem = -tail - dot(head, prefix)
             if c > 0:
-                hi_k = min(hi_k, limit)
+                hi_k = min(hi_k, rem // c)
             else:
-                lo_k = max(lo_k, limit)
-        start, stop = ceil(lo_k), floor(hi_k)
-        for v in range(start, stop + 1):
+                lo_k = max(lo_k, -(rem // -c))
+        for v in range(lo_k, hi_k + 1):
             prefix.append(v)
             yield from recurse(prefix, depth + 1)
             prefix.pop()
@@ -640,8 +657,21 @@ def apply_unimodular(p: Polyhedron, u: Sequence[Sequence[int]], shift: Sequence[
 
 def interior_integer_point(p: Polyhedron) -> Optional[Point]:
     """The lexicographically first integer point in the relative interior
-    of a bounded p, if one exists; the scan stops there."""
-    return next((q for q in _iter_lattice_points(p) if p.relint_contains(q)), None)
+    of a bounded p, if one exists; the scan stops there.
+
+    The test runs in integers on the enumerated points, which satisfy
+    every row: a point is in the relative interior iff it is strictly
+    inside every row that is not an equality (``Polyhedron._equalities``).
+    """
+    if p.is_empty:
+        return None
+    eq = p._equalities
+    strict = [r for k, r in enumerate(p.rows[:-1]) if not eq >> k & 1]
+    for q in _iter_lattice_points(p):
+        h = q + (1,)
+        if all(dot(r, h) < 0 for r in strict):
+            return as_point(q)
+    return None
 
 
 def require_lattice_free(p: Polyhedron) -> None:

@@ -152,6 +152,62 @@ def test_lattice_points_vs_box_scan_randomized():
         trials += 1
 
 
+def reference_relint(p: Polyhedron, q) -> bool:
+    """Oracle: on the equalities, which come as opposite pairs of
+    inequalities, and strictly inside the rest."""
+    facets = set(p.facet_inequalities())
+    return all(
+        dot(a, q) < b if (a, b) in facets else dot(a, q) == b for a, b in p.inequalities
+    )
+
+
+def test_lattice_points_and_interior_point_vs_box_scan():
+    """Enumeration and the interior point against the box scan, in dims
+    1-4: full-dimensional bodies, points, segments and triangles, bodies
+    inside one open unit box, negative vertices with denominators 2-4."""
+    rng = make_rng()
+    kinds = {"full": 0, "point": 0, "segment": 0, "triangle": 0, "no box point": 0}
+    with_interior = 0
+    for case in range(160):
+        dim = case % 4 + 1
+        reach = (8, 8, 6, 3)[dim - 1]
+        den = rng.choice((1, 2, 3, 4))
+
+        def coord():
+            return F(rng.randint(-reach * den, reach * den), den)
+
+        kind = rng.choice(["full", "point", "segment", "triangle"][: dim + 1])
+        if case % 5 == 4:
+            # every coordinate strictly between two consecutive integers
+            kind, den = "no box point", rng.choice((2, 3, 4))
+            cell = [rng.randint(-reach, reach - 1) for _ in range(dim)]
+            pts = [
+                tuple(c + F(rng.randint(1, den - 1), den) for c in cell) for _ in range(dim + 1)
+            ]
+        elif kind == "full":
+            pts = [tuple(coord() for _ in range(dim)) for _ in range(dim + rng.randint(1, 3))]
+        else:
+            # an affine image of the unit point, segment or triangle
+            k = ["point", "segment", "triangle"].index(kind)
+            base = tuple(coord() for _ in range(dim))
+            dirs = [tuple(F(rng.randint(-3, 3), den) for _ in range(dim)) for _ in range(k)]
+            pts = [base] + [tuple(b + d for b, d in zip(base, v)) for v in dirs]
+        p = convex_hull(pts)
+        kinds[kind] += 1
+        expected = brute_lattice_points(p)
+        assert lattice_points(p) == expected, pts
+        if kind == "no box point":
+            assert expected == [], pts
+        first = next((q for q in expected if reference_relint(p, q)), None)
+        assert interior_integer_point(p) == first, pts
+        with_interior += first is not None
+        centroid = tuple(sum(c) / len(p.vertices) for c in zip(*p.vertices))
+        for q in expected + list(p.vertices) + [centroid]:
+            assert p.relint_contains(q) == reference_relint(p, q), (pts, q)
+    assert min(kinds.values()) >= 5, kinds
+    assert with_interior >= 10
+
+
 def test_hull_round_trip_randomized():
     rng = make_rng()
     checked = 0
