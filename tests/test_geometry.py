@@ -164,7 +164,7 @@ def reference_relint(p: Polyhedron, q) -> bool:
 def test_lattice_points_and_interior_point_vs_box_scan():
     """Enumeration and the interior point against the box scan, in dims
     1-4: full-dimensional bodies, points, segments and triangles, bodies
-    inside one open unit box, negative vertices with denominators 2-4."""
+    inside one open unit box, negative vertices with denominators 1-4."""
     rng = make_rng()
     kinds = {"full": 0, "point": 0, "segment": 0, "triangle": 0, "no box point": 0}
     with_interior = 0
