@@ -242,10 +242,9 @@ def _h_to_v(rows: list[IntVec], dim: int) -> tuple[list[IntVec], list[int]]:
 
     Returns ([], []) if the set {x : (x, 1) in the cone} is empty and
     raises if it contains a line.  Every line of the cone has t = 0, so the
-    set is empty iff no extreme ray has t > 0.
+    set is empty iff no extreme ray (in any form modulo lines) has t > 0.
     """
-    masks: list[int] = []
-    lines, gens = cone_rays(rows, dim + 1, masks)
+    lines, gens, masks = _pointed_cone_rays(rows, dim + 1)
     if not any(g[-1] for g in gens):
         return [], []
     if lines:

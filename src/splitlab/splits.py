@@ -9,7 +9,11 @@ polar of a hull is the intersection of the polars.  It starts from a
 full-dimensional piece, whose facet rows are the rays, and adds the other
 piece's generators as rows; only two lower-dimensional pieces take a
 fresh conversion.  The round's distinct hull rows, in lexmin order, then
-cut the polyhedron in one more DD step; one split is a round of one."""
+cut the polyhedron in one more DD step; one split is a round of one.
+
+The 2D sweep finds its start line and apex sector in closed form, in
+integers (``_sweep_sector``), so its cost does not depend on where the
+body sits."""
 
 from __future__ import annotations
 
@@ -275,48 +279,6 @@ def enumerate_splits(
 # the 2D Chvatal sweep
 
 
-def _line_meets_interior(p: Polyhedron, base: Point, direction: IntVec) -> bool:
-    """Does the line base + t*direction meet the interior of full-dim p?"""
-    tlo: Optional[Fraction] = None
-    thi: Optional[Fraction] = None
-    for a, b in p.inequalities:
-        slope = dot(a, direction)
-        offset = b - dot(a, base)
-        if slope == 0:
-            if offset <= 0:
-                return False  # whole line on or outside this facet plane
-        elif slope > 0:
-            t = Fraction(offset, slope)
-            thi = t if thi is None else min(thi, t)
-        else:
-            t = Fraction(offset, slope)
-            tlo = t if tlo is None else max(tlo, t)
-    if tlo is None or thi is None:
-        return True
-    return tlo < thi
-
-
-def _point_in_closed_triangle(p: Point, a: Point, b: Point, c: Point) -> bool:
-    def cross(o, u, v):
-        return (u[0] - o[0]) * (v[1] - o[1]) - (u[1] - o[1]) * (v[0] - o[0])
-
-    d1, d2, d3 = cross(a, b, p), cross(b, c, p), cross(c, a, p)
-    has_neg = d1 < 0 or d2 < 0 or d3 < 0
-    has_pos = d1 > 0 or d2 > 0 or d3 > 0
-    return not (has_neg and has_pos)
-
-
-def _point_on_segment(p: Point, a: Point, b: Point) -> bool:
-    cross = (b[0] - a[0]) * (p[1] - a[1]) - (b[1] - a[1]) * (p[0] - a[0])
-    if cross != 0:
-        return False
-    t_num = [(p[i] - a[i]) for i in range(2)]
-    seg = [(b[i] - a[i]) for i in range(2)]
-    d = dot(seg, seg)
-    t = dot(t_num, seg)
-    return 0 <= t <= d
-
-
 def _choose_translation(pi: IntVec, u: IntVec) -> IntVec:
     """Integer d with pi.d = 1, minimal in (max-norm, lex) over d + Z*u."""
     d0 = integer_solve_rows([(pi, 1)])
@@ -338,22 +300,50 @@ def _choose_translation(pi: IntVec, u: IntVec) -> IntVec:
     return best[1]
 
 
+def _sweep_sector(
+    rows: Sequence[IntVec], a0: IntVec, u: IntVec, d: IntVec, apex: IntVec
+) -> range:
+    """The indices k of the sweep's lines through a0 along w_k = d + k·u,
+    from the start line ℓ to the apex sector t.
+
+    ``rows`` are the upper part q̄'s rows, a0 an integer endpoint of its
+    bottom edge, u the edge's primitive direction from a0, D = det(d, u)
+    = ±1 and ``apex`` = (n, s), s > 0.  The line along w_k meets q̄'s
+    interior iff e·w_k < 0 for q̄'s other row e tight at a0, and e·u < 0,
+    so ℓ = ⌊e·d / −e·u⌋.  The apex n/s = a0 + α·d + β·u is on w_t or
+    between w_t and w_{t+1} for t = ⌊β/α⌋; v = n − s·a0 gives
+    s·α = D·det(v, u) > 0 and s·β = D·det(d, v).
+    """
+    e = next(r[:2] for r in rows if dot(r, (*a0, 1)) == 0 and dot(r[:2], u) < 0)
+    v = (apex[0] - apex[2] * a0[0], apex[1] - apex[2] * a0[1])
+    D = d[0] * u[1] - d[1] * u[0]
+    alpha = D * (v[0] * u[1] - v[1] * u[0])
+    beta = D * (d[0] * v[1] - d[1] * v[0])
+    return range(dot(e, d) // -dot(e, u), beta // alpha + 1)
+
+
 def sweep_sequence_2d(q: Polyhedron, chv: Split, p: Sequence) -> SplitSequence:
     """Sequence of splits confining the upper slab part of q to a pyramid.
 
     ``chv`` must be a Chvatal split for q whose far plane misses q; the
-    near plane cuts a segment L out of q.  The returned splits rotate
-    lines through lattice points of the two boundary lines until the
-    part of the swept polyhedron with pi.x >= pi0 lies inside
-    conv(p, L).
+    near plane cuts a segment L with integer endpoints out of q, and the
+    apex p lies strictly between the planes.  From each endpoint a0 the
+    returned splits rotate the lines through a0 along d + k·u (u the
+    primitive direction of L away from a0, d an integer vector with
+    pi·d = 1), from the last line that misses the interior of
+    q̄ = q ∩ {pi.x >= pi0} to the sector of p, both in closed form.  The
+    part of the swept polyhedron with pi.x >= pi0 then lies inside
+    conv(p, L), which is checked.
     """
     if q.dim != 2:
         raise GeometryError("sweep is only implemented in dimension 2")
+    if len(p) != 2:
+        raise GeometryError("sweep apex must have 2 coordinates")
     if q.is_empty:
         raise GeometryError("sweep hypothesis failed: empty polyhedron")
     pp = as_point(p)
-    pi, pi0 = chv.pi, chv.pi0
-    a = embed_normal(pi, 2, None)
+    pi0 = chv.pi0
+    a = embed_normal(chv.pi, 2, None)
     vals = [dot(a, v) for v in q.vertices]
     if any(dot(a, r) > 0 for r in q.rays) or max(vals) >= pi0 + 1:
         raise GeometryError(
@@ -374,51 +364,27 @@ def sweep_sequence_2d(q: Polyhedron, chv: Split, p: Sequence) -> SplitSequence:
         raise GeometryError(
             "sweep hypothesis failed: apex point not strictly between the planes"
         )
-    end0, end1 = seg.vertices
-    for e in (end0, end1):
-        if any(c.denominator != 1 for c in e):
-            raise GeometryError(
-                "sweep hypothesis failed: segment endpoint is not an integer point"
-            )
+    if any(c.denominator != 1 for e in seg.vertices for c in e):
+        raise GeometryError("sweep hypothesis failed: segment endpoint is not an integer point")
+    end0, end1 = (tuple(int(c) for c in e) for e in seg.vertices)
     qbar = q.intersect_halfspace(tuple(-x for x in a), Fraction(-pi0))
+    apex = scale_primitive((*pp, 1))
 
     splits: list[Split] = []
     current = q
     for a0, a1 in ((end0, end1), (end1, end0)):
-        u = tuple(int(x) for x in scale_dir(a1, a0))
+        u = scale_dir(a1, a0)
         if not seg.contains(tuple(a0[i] + u[i] for i in range(2))):
             raise GeometryError(
                 "sweep hypothesis failed: endpoint facet split does not intersect the segment"
             )
-        d = _choose_translation(pi, u)
-        kmax = _sweep_scan_bound(qbar, pp, a0, u, d)
-        ell = None
-        for k in range(kmax, -kmax - 1, -1):
-            direction = (d[0] + k * u[0], d[1] + k * u[1])
-            if not _line_meets_interior(qbar, a0, direction):
-                ell = k
-                break
-        if ell is None:
-            raise GeometryError("sweep failed to find an empty starting line")
-        t = None
-        for k in range(-kmax, kmax + 1):
-            b_k = tuple(a0[i] + d[i] + k * u[i] for i in range(2))
-            b_k1 = tuple(a0[i] + d[i] + (k + 1) * u[i] for i in range(2))
-            if _point_on_segment(pp, a0, b_k) or (
-                _point_in_closed_triangle(pp, a0, b_k, b_k1)
-                and not _point_on_segment(pp, a0, b_k1)
-            ):
-                t = k
-                break
-        if t is None:
-            raise GeometryError("sweep failed to locate the apex sector")
-        for k in range(ell, t + 1):
+        d = _choose_translation(a, u)
+        for k in _sweep_sector(qbar.rows, a0, u, d, apex):
             direction = (d[0] + k * u[0], d[1] + k * u[1])
             n = (-direction[1], direction[0])
             if dot(n, u) < 0:
                 n = (-n[0], -n[1])
-            c0 = dot(n, a0)
-            s = Split.make(n, int(c0)).canonical()
+            s = Split.make(n, dot(n, a0)).canonical()
             splits.append(s)
             current = apply_split(current, s)
 
@@ -433,10 +399,3 @@ def scale_dir(to_point: Point, from_point: Point) -> IntVec:
     return scale_primitive(
         tuple(to_point[i] - from_point[i] for i in range(len(to_point)))
     )
-
-
-def _sweep_scan_bound(qbar: Polyhedron, p: Point, a0: Point, u: IntVec, d: IntVec) -> int:
-    coords = [abs(c) for v in list(qbar.vertices) + [p, a0] for c in v]
-    extent = max(coords) if coords else Fraction(1)
-    scale = max(max(abs(x) for x in u), max(abs(x) for x in d), 1)
-    return 8 * (ceil(extent) + 2) * scale + 8

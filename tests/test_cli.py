@@ -229,6 +229,21 @@ def test_zero_ray_exits_2(files, capsys, command):
     assert err == "error: ray must be nonzero\n"
 
 
+@pytest.mark.parametrize("apex", ["7/8", "7/8,3/2,1"], ids=["one", "three"])
+def test_sweep_apex_coordinates_must_be_two(files, capsys, apex):
+    body = {
+        "dim": 2,
+        "vertices": [["-1", "0"], ["-1", "3"], ["0", "0"], ["0", "3"], ["3/4", "1"], ["3/4", "2"]],
+    }
+    split = {"pi": ["1", "0"], "pi0": "0"}
+    code, out, err = run(
+        capsys, "sweep2d", files("q.json", body), files("s.json", split), "--apex", apex
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: sweep apex must have 2 coordinates\n"
+
+
 def test_exponent_exits_2_at_once(files, capsys, tmp_path):
     # Fraction("1e10000000") alone takes seconds, and longer for larger exponents
     doc = tmp_path / "exponent.json"

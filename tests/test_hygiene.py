@@ -76,8 +76,9 @@ def test_no_unused_imports(path):
 # the integer kernel: elimination, primitive scaling, the double description
 # with its incidence bitmasks and both conversion directions, the stored
 # state of a polyhedron, its cuts and containment test, its equality rows,
-# lattice-point enumeration, the hull of a split's two pieces, the face
-# incidence of the 2-hyperplane check and the affine-basis labeling of the
+# lattice-point enumeration, the hull of a split's two pieces, the start
+# line and apex sector of the 2D sweep, the face incidence of the
+# 2-hyperplane check and the affine-basis labeling of the
 # 2-partitionability search
 INTEGER_ONLY = {
     "linalg.py": ("_integer_rows", "_echelon", "scale_primitive"),
@@ -87,7 +88,7 @@ INTEGER_ONLY = {
         "_join_rows", "_from_homogeneous", "Polyhedron._cut", "Polyhedron.contains_polyhedron",
         "Polyhedron._equalities", "_iter_lattice_points",
     ),
-    "splits.py": ("_halfspace_generators", "_split_rows"),
+    "splits.py": ("_halfspace_generators", "_split_rows", "_sweep_sector"),
     "certify.py": ("_faces", "is_2partitionable"),
 }
 

@@ -3,6 +3,7 @@
 from fractions import Fraction
 from functools import reduce
 from math import ceil, floor
+from time import perf_counter
 
 import pytest
 
@@ -248,6 +249,31 @@ def test_sweep_trivial_and_errors():
     straddling = convex_hull([(0, 0), (2, 0), (1, 2)])
     with pytest.raises(GeometryError):
         sweep_sequence_2d(straddling, chv, (F(1, 2), F(1, 2)))  # not Chvatal
+    for apex in ((F(7, 8),), (F(3, 2), F(7, 8), 1)):
+        with pytest.raises(GeometryError, match="apex must have 2 coordinates"):
+            sweep_sequence_2d(q, chv, apex)
+
+
+def test_sweep_embeds_a_split_on_fewer_coordinates():
+    q = convex_hull([(-1, 0), (-1, 3), (0, 0), (0, 3), (F(3, 4), 1), (F(3, 4), 2)])
+    apex = (F(7, 8), F(3, 2))
+    seq = sweep_sequence_2d(q, Split.make((1, 0), 0), apex)
+    assert [(s.pi, s.pi0) for s in seq.splits] == [((1, -1), -1), ((1, 1), 2)]
+    assert sweep_sequence_2d(q, Split.make((1,), 0), apex) == seq
+
+
+def test_sweep_follows_a_translation():
+    # the start line and apex sector are closed forms, so a far shift of
+    # the body costs no more and moves the splits with it
+    shift = (10**6, 3)
+    q = convex_hull(
+        [(x + shift[0], y + shift[1]) for x, y in
+         [(0, -1), (3, -1), (0, 0), (3, 0), (1, F(3, 4)), (2, F(3, 4))]]
+    )
+    start = perf_counter()
+    seq = sweep_sequence_2d(q, Split.make((0, 1), 3), (F(3, 2) + shift[0], F(7, 8) + shift[1]))
+    assert perf_counter() - start < 1
+    assert [(s.pi, s.pi0) for s in seq.splits] == [((1, -1), 999997), ((1, 1), 1000005)]
 
 
 def test_sequence_provenance():
