@@ -13,7 +13,7 @@ cut the polyhedron in one more DD step; one split is a round of one.
 
 The 2D sweep finds its start line and apex sector in closed form, in
 integers (``_sweep_sector``), so its cost does not depend on where the
-body sits."""
+body sits; its length has a budget measured from the segment's endpoints."""
 
 from __future__ import annotations
 
@@ -279,27 +279,6 @@ def enumerate_splits(
 # the 2D Chvatal sweep
 
 
-def _choose_translation(pi: IntVec, u: IntVec) -> IntVec:
-    """Integer d with pi.d = 1, minimal in (max-norm, lex) over d + Z*u."""
-    d0 = integer_solve_rows([(pi, 1)])
-    assert d0 is not None
-    # all solutions differ by integer multiples of u; the max-norm is
-    # coercive in that multiplier, so a window around the least-squares
-    # minimizer contains the optimum
-    uu = dot(u, u)
-    k0 = round(Fraction(-dot(d0, u), uu))
-    anchor = tuple(d0[i] + k0 * u[i] for i in range(2))
-    span = 2 * max(abs(x) for x in anchor) + 2
-    best = None
-    for k in range(k0 - span, k0 + span + 1):
-        cand = tuple(d0[i] + k * u[i] for i in range(2))
-        key = (max(abs(x) for x in cand), cand)
-        if best is None or key < best:
-            best = key
-    assert best is not None
-    return best[1]
-
-
 def _sweep_sector(
     rows: Sequence[IntVec], a0: IntVec, u: IntVec, d: IntVec, apex: IntVec
 ) -> range:
@@ -331,9 +310,14 @@ def sweep_sequence_2d(q: Polyhedron, chv: Split, p: Sequence) -> SplitSequence:
     returned splits rotate the lines through a0 along d + k·u (u the
     primitive direction of L away from a0, d an integer vector with
     pi·d = 1), from the last line that misses the interior of
-    q̄ = q ∩ {pi.x >= pi0} to the sector of p, both in closed form.  The
-    part of the swept polyhedron with pi.x >= pi0 then lies inside
-    conv(p, L), which is checked.
+    q̄ = q ∩ {pi.x >= pi0} to the sector of p, both in closed form.  Any
+    such d gives the same lines.  The part of the swept polyhedron with
+    pi.x >= pi0 then lies inside conv(p, L), which is checked.
+
+    The number of splits from an endpoint grows like 1/alpha as p nears
+    the near plane (alpha = pi.p - pi0); more than 8·(extent + 2)·scale + 8,
+    with extent the largest coordinate of q̄ and p measured from the
+    endpoint and scale the largest entry of pi and u, is refused.
     """
     if q.dim != 2:
         raise GeometryError("sweep is only implemented in dimension 2")
@@ -369,6 +353,7 @@ def sweep_sequence_2d(q: Polyhedron, chv: Split, p: Sequence) -> SplitSequence:
     end0, end1 = (tuple(int(c) for c in e) for e in seg.vertices)
     qbar = q.intersect_halfspace(tuple(-x for x in a), Fraction(-pi0))
     apex = scale_primitive((*pp, 1))
+    d = integer_solve_rows([(a, 1)])
 
     splits: list[Split] = []
     current = q
@@ -378,8 +363,16 @@ def sweep_sequence_2d(q: Polyhedron, chv: Split, p: Sequence) -> SplitSequence:
             raise GeometryError(
                 "sweep hypothesis failed: endpoint facet split does not intersect the segment"
             )
-        d = _choose_translation(a, u)
-        for k in _sweep_sector(qbar.rows, a0, u, d, apex):
+        ks = _sweep_sector(qbar.rows, a0, u, d, apex)
+        # the length grows like 1/alpha as p nears the near plane
+        extent = max(abs(c - a0[i]) for v in (*qbar.vertices, pp) for i, c in enumerate(v))
+        budget = 8 * (ceil(extent) + 2) * max(*map(abs, a), *map(abs, u)) + 8
+        if len(ks) > budget:
+            raise GeometryError(
+                f"sweep needs {len(ks)} splits from an endpoint, more than its budget "
+                f"{budget}: the apex is too close to the near plane"
+            )
+        for k in ks:
             direction = (d[0] + k * u[0], d[1] + k * u[1])
             n = (-direction[1], direction[0])
             if dot(n, u) < 0:

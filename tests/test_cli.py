@@ -170,6 +170,29 @@ def test_sweep2d(files, capsys):
     ]
 
 
+def test_sweep2d_apex_near_the_plane_exits_2_at_once(files, capsys):
+    q = {
+        "dim": 2,
+        "vertices": [
+            ["0", "-1"], ["3", "-1"], ["0", "0"],
+            ["3", "0"], ["1", "3/4"], ["2", "3/4"],
+        ],
+    }
+    split = {"pi": ["0", "1"], "pi0": "0"}
+    start = perf_counter()
+    code, out, err = run(
+        capsys,
+        "sweep2d", files("q.json", q), files("s.json", split), "--apex", "3/2,1/1000000000",
+    )
+    assert perf_counter() - start < 1
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "error: sweep needs 1500000000 splits from an endpoint, more than its budget 48: "
+        "the apex is too close to the near plane\n"
+    )
+
+
 def test_byte_identical_outputs(files, capsys, tmp_path):
     m, l = files("m.json", MODEL), files("l.json", BODY)
     out1, out2 = str(tmp_path / "a.json"), str(tmp_path / "b.json")

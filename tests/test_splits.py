@@ -276,6 +276,20 @@ def test_sweep_follows_a_translation():
     assert [(s.pi, s.pi0) for s in seq.splits] == [((1, -1), 999997), ((1, 1), 1000005)]
 
 
+def test_sweep_length_has_a_budget():
+    # the length grows like 1/alpha as the apex nears the near plane; the
+    # budget is measured from the endpoints, so it moves with the body
+    body = [(0, -1), (3, -1), (0, 0), (3, 0), (1, F(3, 4)), (2, F(3, 4))]
+    for sx, sy in ((0, 0), (10**6, 3)):
+        q = convex_hull([(x + sx, y + sy) for x, y in body])
+        chv = Split.make((0, 1), sy)
+        assert len(sweep_sequence_2d(q, chv, (F(3, 2) + sx, F(1, 16) + sy)).splits) == 48
+        start = perf_counter()
+        with pytest.raises(GeometryError, match="1500000000 splits .* more than its budget 48"):
+            sweep_sequence_2d(q, chv, (F(3, 2) + sx, F(1, 10**9) + sy))
+        assert perf_counter() - start < 1
+
+
 def test_sequence_provenance():
     with pytest.raises(GeometryError):
         SplitSequence((Split.make((1, 0), 0),), ())

@@ -6,9 +6,12 @@ through the endpoint that misses the interior of the upper part, and the
 apex sector by scanning k upward from minus the cap with triangle and
 segment tests.  The cap, 8·(extent + 2)·scale + 8, grows with the body's
 coordinates; when the answer lies outside it, the scan fails with one of
-the two messages in ``CAP_ONLY``, and the closed form goes on to the
-postcondition.  At the default seed 90 of the 200 configurations give a
-sequence, 108 are refused by both postconditions and 2 hit the cap.
+the two messages in ``CAP_ONLY``.  The closed form has no such cap but a
+budget on the sweep's length, measured from the endpoint, and refuses
+those cases by that budget or by its postcondition.  At the default seed
+90 of the 200 configurations give a sequence, 108 are refused by both
+postconditions and 2 hit the cap (one refused by the budget, one by the
+postcondition).
 """
 
 from fractions import Fraction
@@ -203,13 +206,9 @@ def test_sweep_matches_the_scan_on_unimodular_images():
             want = ref_sweep(image, split, point)
         except GeometryError as exc:
             if str(exc) in CAP_ONLY:
-                # the closed form has no cap: it returns a sequence that
-                # passed its postcondition or refuses with a GeometryError
                 cap_only += 1
-                try:
+                with pytest.raises(GeometryError, match="more than its budget|postcondition"):
                     sweep_sequence_2d(image, split, point)
-                except GeometryError:
-                    pass
             else:
                 refused += 1
                 with pytest.raises(GeometryError):
