@@ -24,6 +24,7 @@ from .geometry import (
     Point,
     Polyhedron,
     _from_homogeneous,
+    _integer,
     _iter_lattice_points,
     as_point,
     cone_rays,
@@ -110,17 +111,16 @@ def is_2partitionable(points: Sequence[Sequence]) -> PartitionCertificate:
     classes are consecutive integers.  S is a set, so a repeated point
     counts once.
     """
-    pts = sorted({as_point(q) for q in points})
-    if len({len(q) for q in pts}) > 1:
+    try:
+        ints = sorted({tuple(map(_integer, q)) for q in points})
+    except GeometryError:
+        raise GeometryError("2-partitionability is defined for integer points") from None
+    if len({len(q) for q in ints}) > 1:
         raise GeometryError("points have mismatched dimensions")
-    for q in pts:
-        if any(c.denominator != 1 for c in q):
-            raise GeometryError("2-partitionability is defined for integer points")
-    if len(pts) <= 1:
-        return PartitionCertificate("trivially_partitionable", None, tuple(pts), ())
-    n = len(pts)
-    m = len(pts[0])
-    ints = [tuple(int(c) for c in q) for q in pts]
+    if len(ints) <= 1:
+        return PartitionCertificate("trivially_partitionable", None, tuple(map(as_point, ints)), ())
+    n = len(ints)
+    m = len(ints[0])
     diffs = [[q[k] - ints[0][k] for q in ints] for k in range(m)]
     ech, pivots, D, _ = _echelon(diffs, n)
     candidates = []
@@ -138,13 +138,14 @@ def is_2partitionable(points: Sequence[Sequence]) -> PartitionCertificate:
         sol = integer_solve(rows)
         if sol is None:
             continue
-        pi, c = sol[:m], sol[m]
-        s1 = tuple(pts[i] for i in combo)
-        s2 = tuple(pts[i] for i in range(n) if i not in chosen)
-        split = Split.make(pi, c)
+        split = Split(sol[:m], sol[m])
+        s1 = [ints[i] for i in combo]
+        s2 = [ints[i] for i in range(n) if i not in chosen]
         assert all(dot(split.pi, q) == split.pi0 for q in s1)
         assert all(dot(split.pi, q) == split.pi0 + 1 for q in s2)
-        return PartitionCertificate("partitionable", split, s1, s2)
+        return PartitionCertificate(
+            "partitionable", split, tuple(map(as_point, s1)), tuple(map(as_point, s2))
+        )
     return PartitionCertificate("not_partitionable", None, (), ())
 
 

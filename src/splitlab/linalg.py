@@ -209,15 +209,3 @@ def integer_solve_rows(rows: Sequence[tuple[Sequence[int], int]]) -> Optional[In
             y[pc] = s // pv
     return tuple(sum(U[i][j] * y[j] for j in range(m)) for i in range(m))
 
-
-def integer_kernel(rows: Sequence[Sequence[int]], m: int) -> list[IntVector]:
-    """Lattice basis of {x in Z^m : row·x = 0 for every row}."""
-    if not rows:
-        return [tuple(int(i == j) for j in range(m)) for i in range(m)]
-    A = [list(r) for r in rows]
-    H, U, _ = _column_echelon(A, m)
-    basis = []
-    for j in range(m):
-        if all(H[i][j] == 0 for i in range(len(A))):
-            basis.append(tuple(U[i][j] for i in range(m)))
-    return basis

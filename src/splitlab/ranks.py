@@ -25,11 +25,10 @@ from .geometry import (
     Polyhedron,
     as_point,
     convex_hull,
-    integer_solve,
     lattice_points,
     require_lattice_free,
 )
-from .linalg import dot, integer_kernel, rank as mat_rank, solve
+from .linalg import _column_echelon, dot, integer_solve_rows, rank as mat_rank, solve
 from .splits import (
     Split,
     SplitSequence,
@@ -89,8 +88,8 @@ class EnumerateStrategy:
     bound: int
     box: tuple[tuple[Fraction, Fraction], ...]
 
-    def splits_for_round(self, r: int, x_dim: int) -> list[Split]:
-        return _nonempty(enumerate_splits(x_dim, self.bound, self.box))
+    def splits_for_round(self, r: int) -> list[Split]:
+        return _nonempty(enumerate_splits(self.bound, self.box))
 
 
 @dataclass(frozen=True)
@@ -99,7 +98,7 @@ class ExplicitStrategy:
 
     sequence: SplitSequence
 
-    def splits_for_round(self, r: int, x_dim: int) -> list[Split]:
+    def splits_for_round(self, r: int) -> list[Split]:
         seq = _nonempty(self.sequence.splits)
         return [seq[r - 1]] if r <= len(seq) else []
 
@@ -189,8 +188,11 @@ def _profile(q: Polyhedron, witnesses: Sequence[Point]) -> HeightProfile:
     return HeightProfile(samples, max_height(q))
 
 
-def _x_coords(q: Polyhedron) -> tuple[int, ...]:
-    return tuple(range(q.dim - 1))
+def _in_x_space(cone: LiftedCone, splits: Sequence[Split]) -> Sequence[Split]:
+    """The splits, refused unless each lives in the cone's x-space."""
+    if any(len(s.pi) != cone.x_dim for s in splits):
+        raise GeometryError("split coordinates do not fit the ambient dimension")
+    return splits
 
 
 def probe_rounds(
@@ -202,14 +204,14 @@ def probe_rounds(
     """Apply a split strategy round by round and record heights.
 
     Each round intersects the results of applying every split of the
-    round's set (one split per round for an explicit sequence).  A round
-    at which the maximum height becomes nonpositive certifies that many
-    rounds as an upper bound on the split rank of the cut.
+    round's set (one split per round for an explicit sequence), each a
+    split of the cone's x-space.  A round at which the maximum height
+    becomes nonpositive certifies that many rounds as an upper bound on
+    the split rank of the cut.
     """
     if budget < 1:
         raise GeometryError("budget must be a positive number of rounds")
     wit = [as_point(w) for w in witnesses]
-    coords = _x_coords(cone.poly)
     q = cone.poly
     profiles = [_profile(q, wit)]
     applied: list[Split] = []
@@ -217,10 +219,10 @@ def probe_rounds(
     q_round: Optional[int] = None
     rounds_done = 0
     for r in range(1, budget + 1):
-        splits = strategy.splits_for_round(r, cone.x_dim)
+        splits = _in_x_space(cone, strategy.splits_for_round(r))
         if not splits:
             break
-        q = apply_round(q, splits, coords)
+        q = apply_round(q, splits)
         applied.extend(splits)
         rounds_done = r
         profiles.append(_profile(q, wit))
@@ -270,7 +272,7 @@ def execute_finite_rank(
     counted toward q, the reported split-rank upper bound.
     """
     sequence, englobing = program
-    coords = _x_coords(cone.poly)
+    _in_x_space(cone, [*sequence.splits, englobing])
     # validate against the shadow sequence in x-space
     shadows = [cone.base]
     for s in sequence.splits:
@@ -296,13 +298,13 @@ def execute_finite_rank(
     facet_rounds = [facet_splits(shadow) for shadow in shadows[:-1]]
     for _ in range(cap):
         for fs, s in zip(facet_rounds, sequence.splits):
-            q = apply_round(q, fs, coords)
+            q = apply_round(q, fs)
             applied.extend(fs)
             tags.extend(["facet-round"] * len(fs))
-            q = apply_split(q, s, coords)
+            q = apply_split(q, s)
             applied.append(s)
             tags.append("user")
-        q = apply_split(q, englobing, coords)
+        q = apply_split(q, englobing)
         applied.append(englobing)
         tags.append("user")
         rounds_done += 1
@@ -433,18 +435,14 @@ def rotate_facet(l: Polyhedron, facet_index: int) -> Polyhedron:
         raise GeometryError("facet hyperplane already contains integer points")
     m = l.dim
     beta = ceil(b1)  # next lattice level; b1 is fractional here
-    x0 = integer_solve([(a1, beta)])
-    assert x0 is not None
-    kernel = integer_kernel([a1], m)  # m-1 lattice directions inside the level set
-    d_comp = integer_solve([(a1, 1)])
-    assert d_comp is not None
-    # dual vector c with c.kernel[0] = 1, c.kernel[j>0] = 0, c.d = 0;
-    # the kernel basis plus d is unimodular, so c comes out integer
-    basis = [list(k) for k in kernel] + [list(d_comp)]
-    rhs = [Fraction(1)] + [Fraction(0)] * (m - 1)
-    c_sol = solve(basis, rhs)
-    assert c_sol is not None
-    c = tuple(int(x) for x in c_sol)
+    # a unimodular completion of the primitive a1: column 0 is d with
+    # a1.d = 1, the others span the lattice inside the level sets
+    _, u, _ = _column_echelon([list(a1)], m)
+    d, *kernel = zip(*u)
+    x0 = tuple(beta * x for x in d)
+    # dual vector c with c.kernel[0] = 1, c.kernel[j>0] = 0, c.d = 0 (c.d = 1
+    # when m = 1); the rows form a unimodular matrix, so c is integer
+    c = integer_solve_rows(list(zip([*kernel, d], [1] + [0] * (m - 1))))
 
     others = [facets[i] for i in range(len(facets)) if i != facet_index]
     # anchor the new hyperplane strictly outside the slice at the next level

@@ -127,13 +127,6 @@ def _parse_inequality(row: Any) -> tuple:
     return parse_point(row["a"]), parse_rational(row["b"])
 
 
-def corner_model_to_dict(m: CornerModel) -> dict:
-    return {
-        "f": emit_point(m.f),
-        "rays": [emit_point(r) for r in m.rays],
-    }
-
-
 def corner_model_from_dict(data: dict) -> CornerModel:
     if not isinstance(data, dict) or "f" not in data or "rays" not in data:
         raise GeometryError("corner model JSON needs 'f' and 'rays' fields")

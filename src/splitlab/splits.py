@@ -1,7 +1,10 @@
 """Split disjunctions and their action on rational polyhedra.
 
 A split (pi, pi0) is the disjunction pi.x <= pi0 or pi.x >= pi0 + 1 with
-integer data and coprime pi.  A round of splits cuts a polyhedron by the
+integer data and coprime pi.  A split acts on the leading coordinates of
+the space it meets, so a split of x-space applies as it is to a cone
+lifted into (x, z); where q lies along a split is read from q's
+generators once (``_extent``).  A round of splits cuts a polyhedron by the
 convex hulls of each split's two clipped pieces, in integers: each piece
 is one double-description (DD) step from the polyhedron's stored state, and
 a hull's facet rows come from a seeded DD step in the polar, since the
@@ -91,14 +94,23 @@ class SplitClass:
     chvatal: bool
 
 
-def embed_normal(pi: IntVec, dim: int, split_coords: Optional[Sequence[int]]) -> IntVec:
-    coords = tuple(split_coords) if split_coords is not None else tuple(range(len(pi)))
-    if len(coords) != len(pi) or any(c < 0 or c >= dim for c in coords):
+def embed_normal(pi: IntVec, dim: int) -> IntVec:
+    """pi on the leading coordinates of a dim-space, padded with zeros: a
+    split of x-space acts on a cone lifted into (x, z) this way."""
+    if len(pi) > dim:
         raise GeometryError("split coordinates do not fit the ambient dimension")
-    full = [0] * dim
-    for c, v in zip(coords, pi):
-        full[c] = v
-    return tuple(full)
+    return (*pi, *(0,) * (dim - len(pi)))
+
+
+def _extent(q: Polyhedron, a: IntVec) -> tuple[Optional[Fraction], Optional[Fraction]]:
+    """The least and the greatest value of a·x over a nonempty q, None on a
+    side where q is unbounded: a vertex (n, t) gives a·n/t, and a ray
+    (r, 0) only the sign of a·r."""
+    vals = [Fraction(dot(a, g[:-1]), g[-1]) for g in q.gens if g[-1]]
+    slopes = {dot(a, g[:-1]) for g in q.gens if not g[-1]}
+    least = None if any(r < 0 for r in slopes) else min(vals)
+    greatest = None if any(r > 0 for r in slopes) else max(vals)
+    return least, greatest
 
 
 def _halfspace_generators(
@@ -119,9 +131,7 @@ def _halfspace_generators(
     return out, rows, out_masks
 
 
-def _split_rows(
-    q: Polyhedron, s: Split, split_coords: Optional[Sequence[int]]
-) -> Optional[Sequence[IntVec]]:
+def _split_rows(q: Polyhedron, s: Split) -> Optional[Sequence[IntVec]]:
     """The homogeneous rows of the convex hull of the two pieces of q cut
     out by the disjunction s: none when s leaves q unchanged, and None when
     both pieces are empty (no point, as in ``_homog_rows``).
@@ -131,7 +141,7 @@ def _split_rows(
     full-dimensional piece (``_join_rows``); two lower-dimensional pieces
     take a fresh V->H pass.
     """
-    a = embed_normal(s.pi, q.dim, split_coords)
+    a = embed_normal(s.pi, q.dim)
     lo, hi = s.pi0, s.pi0 + 1
     # a generator (n, t) is below the lo plane if a.n <= lo.t and above the
     # hi plane if a.n >= hi.t; for a ray (t = 0) that is a sign of a.n
@@ -160,46 +170,28 @@ def _split_rows(
     return _from_homogeneous(q.dim, list(dict.fromkeys((*pieces[0][0], *pieces[1][0])))).rows
 
 
-def apply_split(
-    q: Polyhedron, s: Split, split_coords: Optional[Sequence[int]] = None
-) -> Polyhedron:
+def apply_split(q: Polyhedron, s: Split) -> Polyhedron:
     """Convex hull of the two pieces of q cut out by the disjunction: the
     round of the one split s."""
-    return apply_round(q, [s], split_coords)
+    return apply_round(q, [s])
 
 
-def classify_split(
-    q: Polyhedron, s: Split, split_coords: Optional[Sequence[int]] = None
-) -> SplitClass:
-    """Intersecting / englobing / Chvatal flags of s relative to q."""
+def classify_split(q: Polyhedron, s: Split) -> SplitClass:
+    """Intersecting / englobing / Chvatal flags of s relative to q.
+
+    s is Chvatal when q misses one of its sides (all of q lies below the
+    far plane or above the near one) and intersecting otherwise; it is
+    englobing when it leaves q unchanged."""
     if q.is_empty:
         raise GeometryError("classification needs a nonempty polyhedron")
-    a = embed_normal(s.pi, q.dim, split_coords)
-    lo, hi = Fraction(s.pi0), Fraction(s.pi0 + 1)
-    vals = [dot(a, v) for v in q.vertices]
-    minv, maxv = min(vals), max(vals)
-    unbounded_up = any(dot(a, r) > 0 for r in q.rays)
-    unbounded_down = any(dot(a, r) < 0 for r in q.rays)
-
-    def reaches(c: Fraction) -> bool:
-        above = maxv >= c or unbounded_up
-        below = minv <= c or unbounded_down
-        return above and below
-
-    intersecting = reaches(lo) and reaches(hi)
-    upper_empty = maxv < hi and not unbounded_up
-    lower_empty = minv > lo and not unbounded_down
-    chvatal = upper_empty or lower_empty
-    if q.is_bounded:
-        englobing = all(v <= lo or v >= hi for v in vals)
-    else:
-        englobing = apply_split(q, s, split_coords) == q
-    return SplitClass(intersecting, englobing, chvatal)
+    least, greatest = _extent(q, embed_normal(s.pi, q.dim))
+    chvatal = (greatest is not None and greatest < s.pi0 + 1) or (
+        least is not None and least > s.pi0
+    )
+    return SplitClass(not chvatal, apply_split(q, s) == q, chvatal)
 
 
-def split_confines(
-    q: Polyhedron, s: Split, split_coords: Optional[Sequence[int]] = None
-) -> bool:
+def split_confines(q: Polyhedron, s: Split) -> bool:
     """True iff q lies between the two boundary planes of s.
 
     A confining split leaves q unchanged and certifies that its two
@@ -208,11 +200,8 @@ def split_confines(
     """
     if q.is_empty:
         raise GeometryError("confinement needs a nonempty polyhedron")
-    a = embed_normal(s.pi, q.dim, split_coords)
-    lo, hi = Fraction(s.pi0), Fraction(s.pi0 + 1)
-    if any(dot(a, r) != 0 for r in q.rays):
-        return False
-    return all(lo <= dot(a, v) <= hi for v in q.vertices)
+    least, greatest = _extent(q, embed_normal(s.pi, q.dim))
+    return None not in (least, greatest) and s.pi0 <= least and greatest <= s.pi0 + 1
 
 
 def facet_splits(qx: Polyhedron) -> list[Split]:
@@ -227,11 +216,11 @@ def facet_splits(qx: Polyhedron) -> list[Split]:
     return [Split(a, ceil(b) - 1) for a, b in qx.facet_inequalities()]
 
 
-def apply_round(
-    q: Polyhedron, splits: Sequence[Split], split_coords: Optional[Sequence[int]] = None
-) -> Polyhedron:
+def apply_round(q: Polyhedron, splits: Sequence[Split]) -> Polyhedron:
     """The intersection over the splits of the hulls of their pieces of q.
 
+    Each split acts on q's leading coordinates (``embed_normal``), so a
+    round of x-space splits applies to a cone lifted into (x, z) as it is.
     The distinct hull rows of every split, in lexmin order (ascending
     tuples), cut q in one seeded double-description step, and the result
     is put in canonical form once; q itself comes back when no split
@@ -239,25 +228,23 @@ def apply_round(
     """
     rows: set[IntVec] = set()
     for s in splits:
-        hull = _split_rows(q, s, split_coords)
+        hull = _split_rows(q, s)
         if hull is None:
             return Polyhedron.empty(q.dim)
         rows.update(hull)
     return q._cut(sorted(rows))
 
 
-def enumerate_splits(
-    dim: int, bound: int, box: Sequence[tuple[Fraction, Fraction]]
-) -> list[Split]:
-    """All canonical splits with max-norm at most ``bound`` touching ``box``.
+def enumerate_splits(bound: int, box: Sequence[tuple[Fraction, Fraction]]) -> list[Split]:
+    """All canonical splits of len(box)-space with max-norm at most
+    ``bound`` touching ``box``.
 
     The identification (pi, pi0) ~ (-pi, -pi0-1) is resolved by keeping
     the representative whose leading nonzero entry is positive.
     """
     if bound < 1:
         return []
-    if len(box) != dim:
-        raise GeometryError("box must give one interval per coordinate")
+    dim = len(box)
     out: list[Split] = []
     for pi in product(range(-bound, bound + 1), repeat=dim):
         if not any(pi) or vec_gcd(pi) != 1 or next(x for x in pi if x) < 0:
@@ -287,9 +274,10 @@ def _sweep_sector(
 
     ``rows`` are the upper part q̄'s rows, a0 an integer endpoint of its
     bottom edge, u the edge's primitive direction from a0, D = det(d, u)
-    = ±1 and ``apex`` = (n, s), s > 0.  The line along w_k meets q̄'s
-    interior iff e·w_k < 0 for q̄'s other row e tight at a0, and e·u < 0,
-    so ℓ = ⌊e·d / −e·u⌋.  The apex n/s = a0 + α·d + β·u is on w_t or
+    = ±1 and ``apex`` = (n, s), s > 0.  For q̄'s other row e tight at a0,
+    e·u < 0, the line along w_k meets q̄ only at a0 iff e·w_k > 0 (at
+    equality it runs along that facet), so the last such line is
+    ℓ = ⌈e·d / −e·u⌉ − 1.  The apex n/s = a0 + α·d + β·u is on w_t or
     between w_t and w_{t+1} for t = ⌊β/α⌋; v = n − s·a0 gives
     s·α = D·det(v, u) > 0 and s·β = D·det(d, v).
     """
@@ -298,7 +286,7 @@ def _sweep_sector(
     D = d[0] * u[1] - d[1] * u[0]
     alpha = D * (v[0] * u[1] - v[1] * u[0])
     beta = D * (d[0] * v[1] - d[1] * v[0])
-    return range(dot(e, d) // -dot(e, u), beta // alpha + 1)
+    return range(-(dot(e, d) // dot(e, u)) - 1, beta // alpha + 1)
 
 
 def sweep_sequence_2d(q: Polyhedron, chv: Split, p: Sequence) -> SplitSequence:
@@ -309,10 +297,10 @@ def sweep_sequence_2d(q: Polyhedron, chv: Split, p: Sequence) -> SplitSequence:
     apex p lies strictly between the planes.  From each endpoint a0 the
     returned splits rotate the lines through a0 along d + k·u (u the
     primitive direction of L away from a0, d an integer vector with
-    pi·d = 1), from the last line that misses the interior of
-    q̄ = q ∩ {pi.x >= pi0} to the sector of p, both in closed form.  Any
-    such d gives the same lines.  The part of the swept polyhedron with
-    pi.x >= pi0 then lies inside conv(p, L), which is checked.
+    pi·d = 1), from the last line that meets q̄ = q ∩ {pi.x >= pi0} only
+    at a0 to the sector of p, both in closed form.  Any such d gives the
+    same lines.  The part of the swept polyhedron with pi.x >= pi0 then
+    lies inside conv(p, L), which is checked.
 
     The number of splits from an endpoint grows like 1/alpha as p nears
     the near plane (alpha = pi.p - pi0); more than 8·(extent + 2)·scale + 8,
@@ -327,13 +315,13 @@ def sweep_sequence_2d(q: Polyhedron, chv: Split, p: Sequence) -> SplitSequence:
         raise GeometryError("sweep hypothesis failed: empty polyhedron")
     pp = as_point(p)
     pi0 = chv.pi0
-    a = embed_normal(chv.pi, 2, None)
-    vals = [dot(a, v) for v in q.vertices]
-    if any(dot(a, r) > 0 for r in q.rays) or max(vals) >= pi0 + 1:
+    a = embed_normal(chv.pi, 2)
+    greatest = _extent(q, a)[1]
+    if greatest is None or greatest >= pi0 + 1:
         raise GeometryError(
             "sweep hypothesis failed: split is not Chvatal for q (far plane meets q)"
         )
-    if max(vals) <= pi0 and all(dot(a, r) <= 0 for r in q.rays):
+    if greatest <= pi0:
         return SplitSequence.make([], [])  # nothing above the near plane
     seg = q.intersect_halfspace(a, Fraction(pi0)).intersect_halfspace(
         tuple(-x for x in a), Fraction(-pi0)

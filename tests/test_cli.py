@@ -267,6 +267,18 @@ def test_sweep_apex_coordinates_must_be_two(files, capsys, apex):
     assert err == "error: sweep apex must have 2 coordinates\n"
 
 
+@pytest.mark.parametrize("pi", [["1"], ["1", "0", "0"]], ids=["one", "three"])
+def test_probe_program_splits_must_live_in_x_space(files, capsys, pi):
+    program = {"splits": [{"pi": ["1", "0"], "pi0": "0"}, {"pi": pi, "pi0": "0"}]}
+    code, out, err = run(
+        capsys, "probe", files("m.json", MODEL), files("l.json", BODY),
+        "--program", files("p.json", program),
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: split coordinates do not fit the ambient dimension\n"
+
+
 def test_exponent_exits_2_at_once(files, capsys, tmp_path):
     # Fraction("1e10000000") alone takes seconds, and longer for larger exponents
     doc = tmp_path / "exponent.json"

@@ -206,7 +206,7 @@ def _ref_halfspace_generators(q, a, b):
 def ref_apply_split(q, s):
     if q.is_empty:
         return q
-    a = embed_normal(s.pi, q.dim, None)
+    a = embed_normal(s.pi, q.dim)
     lo, hi = s.pi0, s.pi0 + 1
     vals = [dot(a, v) for v in q.vertices]
     ray_vals = [dot(a, r) for r in q.rays]
@@ -660,7 +660,7 @@ def test_t3_rounds_match_reference():
     model = CornerModel.make(f, [tuple(F(c) - x for c, x in zip(v, f)) for v in verts])
     cone = lift(model, body, "P^L", 2)
     box = tuple((lo - 1, hi + 1) for lo, hi in body.bounding_box())
-    splits = EnumerateStrategy(1, box).splits_for_round(1, 3)
+    splits = EnumerateStrategy(1, box).splits_for_round(1)
     assert len(splits) == 140
     q = cone.poly
     ref = q
@@ -668,13 +668,13 @@ def test_t3_rounds_match_reference():
         piece = ref_apply_split(q, s)
         if piece is not q:
             ref = ref_intersect(ref, piece)
-    q = apply_round(q, splits, (0, 1, 2))
+    q = apply_round(q, splits)
     assert _state(q) == _state(ref)
-    q = apply_round(q, splits, (0, 1, 2))
+    q = apply_round(q, splits)
     assert (len(q.vertices), len(q.facet_inequalities()), len(q.inequalities)) == (135, 55, 55)
     assert max_height(q) == F(36032, 97703)
     assert height_at(q, f) == F(1, 8)
-    q = apply_round(q, splits, (0, 1, 2))
+    q = apply_round(q, splits)
     assert (len(q.vertices), len(q.facet_inequalities()), len(q.inequalities)) == (397, 141, 141)
     assert max_height(q) == F(1651345240132, 6539326790093)
     assert height_at(q, f) == F(1951, 78264)

@@ -1,4 +1,4 @@
-"""Exact linear algebra: echelon forms, integer systems, lattice kernels."""
+"""Exact linear algebra: echelon forms and integer systems."""
 
 from fractions import Fraction
 from itertools import product
@@ -6,7 +6,6 @@ from itertools import product
 from splitlab.linalg import (
     det,
     dot,
-    integer_kernel,
     integer_solve_rows,
     rank,
     scale_primitive,
@@ -71,16 +70,6 @@ def test_integer_solve_vs_brute_force():
         if brute is not None:
             # solvable over the window => the solver must find something
             assert sol is not None
-
-
-def test_integer_kernel():
-    ker = integer_kernel([(1, 1, 0)], 3)
-    assert len(ker) == 2
-    for v in ker:
-        assert dot((1, 1, 0), v) == 0
-        assert vec_gcd(v) >= 1
-    # kernel vectors generate the full lattice slice: (1,-1,0) and e3 reachable
-    assert rank(list(ker)) == 2
 
 
 def _reference_solve(rows, rhs):

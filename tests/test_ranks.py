@@ -116,7 +116,7 @@ def test_probe_facet_rounds_strategy():
     q = cone.poly
     heights = [height_at(q, TYPE1_MODEL.f)]
     for _ in range(2):
-        q = apply_round(q, facet_splits(TYPE1_T), (0, 1))
+        q = apply_round(q, facet_splits(TYPE1_T))
         heights.append(height_at(q, TYPE1_MODEL.f))
     assert heights[0] == 1
     assert all(h > 0 for h in heights)
@@ -133,7 +133,7 @@ def test_probe_facet_rounds_strategy():
 )
 def test_strategy_empty_split_set(strategy):
     with pytest.raises(GeometryError, match="strategy produced an empty split set"):
-        strategy.splits_for_round(1, 2)
+        strategy.splits_for_round(1)
     cone = lift(TYPE1_MODEL, TYPE1_T, floor=4)
     with pytest.raises(GeometryError, match="strategy produced an empty split set"):
         probe_rounds(cone, strategy, 1, [TYPE1_MODEL.f])
@@ -142,11 +142,14 @@ def test_strategy_empty_split_set(strategy):
 def test_strategy_splits_for_round():
     s1, s2 = Split.make((1, 0), 0), Split.make((0, 1), 0)
     explicit = ExplicitStrategy(SplitSequence.make([s1, s2]))
-    assert [explicit.splits_for_round(r, 2) for r in (1, 2, 3)] == [[s1], [s2], []]
+    assert [explicit.splits_for_round(r) for r in (1, 2, 3)] == [[s1], [s2], []]
     enum = EnumerateStrategy(1, PROBE_BOX)
-    assert enum.splits_for_round(1, 2) == enum.splits_for_round(5, 2) != []
-    with pytest.raises(GeometryError, match="one interval per coordinate"):
-        enum.splits_for_round(1, 3)
+    assert enum.splits_for_round(1) == enum.splits_for_round(5) != []
+    # a box of the wrong size gives splits outside the cone's x-space
+    cone = lift(TYPE1_MODEL, TYPE1_T, floor=4)
+    for box in (PROBE_BOX[:1], PROBE_BOX + ((F(0), F(1)),)):
+        with pytest.raises(GeometryError, match="do not fit"):
+            probe_rounds(cone, EnumerateStrategy(1, box), 1, [TYPE1_MODEL.f])
 
 
 def test_executor_slab():
@@ -189,6 +192,17 @@ def test_executor_rejects_type1_programs():
         execute_finite_rank(
             cone,
             (SplitSequence.make([Split.make((1, 0), 10)]), Split.make((1, 0), 0)),
+        )
+
+
+def test_executor_refuses_splits_outside_x_space():
+    cone = lift(SQ_MODEL, UNIT_SQ, floor=8)
+    for englobing in (Split.make((1,), 0), Split.make((1, 0, 0), 0)):
+        with pytest.raises(GeometryError, match="do not fit"):
+            execute_finite_rank(cone, (SplitSequence.make([]), englobing))
+    with pytest.raises(GeometryError, match="do not fit"):
+        execute_finite_rank(
+            cone, (SplitSequence.make([Split.make((0, 0, 1), 0)]), Split.make((1, 0), 0))
         )
 
 

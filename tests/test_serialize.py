@@ -82,7 +82,8 @@ def test_polyhedron_round_trip_randomized():
 
 def test_model_and_split_round_trip():
     m = CornerModel.make((F(1, 2), F(1, 2)), [(1, 0), (0, 1), (-1, -1)])
-    assert serialize.corner_model_from_dict(serialize.corner_model_to_dict(m)) == m
+    doc = {"f": ["1/2", "1/2"], "rays": [["1", "0"], ["0", "1"], ["-1", "-1"]]}
+    assert serialize.corner_model_from_dict(doc) == m
     s = Split.make((1, -2), 3)
     assert serialize.split_from_dict(serialize.split_to_dict(s)) == s
     with pytest.raises(GeometryError):

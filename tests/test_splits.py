@@ -7,10 +7,11 @@ from time import perf_counter
 
 import pytest
 
-from splitlab.geometry import GeometryError, Polyhedron, convex_hull, lattice_points
+from splitlab.geometry import GeometryError, LinealityError, Polyhedron, convex_hull, lattice_points
 from splitlab.linalg import dot, vec_gcd
 from splitlab.splits import (
     Split,
+    SplitClass,
     SplitSequence,
     apply_round,
     apply_split,
@@ -160,6 +161,63 @@ def test_split_confines():
     assert not split_confines(TYPE1_T, Split.make((1, 1), 0))
 
 
+def ref_classify_split(q: Polyhedron, s: Split) -> SplitClass:
+    """The classification by vertex values and ray signs, as before it
+    read one extent helper."""
+    a = s.pi + (0,) * (q.dim - len(s.pi))
+    lo, hi = F(s.pi0), F(s.pi0 + 1)
+    vals = [dot(a, v) for v in q.vertices]
+    minv, maxv = min(vals), max(vals)
+    unbounded_up = any(dot(a, r) > 0 for r in q.rays)
+    unbounded_down = any(dot(a, r) < 0 for r in q.rays)
+
+    def reaches(c):
+        return (maxv >= c or unbounded_up) and (minv <= c or unbounded_down)
+
+    intersecting = reaches(lo) and reaches(hi)
+    upper_empty = maxv < hi and not unbounded_up
+    lower_empty = minv > lo and not unbounded_down
+    if q.is_bounded:
+        englobing = all(v <= lo or v >= hi for v in vals)
+    else:
+        englobing = apply_split(q, s) == q
+    return SplitClass(intersecting, englobing, upper_empty or lower_empty)
+
+
+def ref_split_confines(q: Polyhedron, s: Split) -> bool:
+    a = s.pi + (0,) * (q.dim - len(s.pi))
+    if any(dot(a, r) != 0 for r in q.rays):
+        return False
+    return all(s.pi0 <= dot(a, v) <= s.pi0 + 1 for v in q.vertices)
+
+
+def test_classify_and_confines_match_reference(rng):
+    differences = done = 0
+    while done < 300:
+        dim = rng.choice((2, 3))
+        pts = [
+            tuple(F(rng.randint(-6, 6), rng.choice((1, 2, 3))) for _ in range(dim))
+            for _ in range(rng.randint(1, dim + 2))
+        ]
+        rays = [tuple(rng.randint(-1, 1) for _ in range(dim)) for _ in range(rng.randint(0, 2))]
+        thin = done % 3 == 0  # q between x1 = 0 and x1 = 1, so some splits confine it
+        if thin:
+            pts = [(F(rng.randint(0, 2), 2), *p[1:]) for p in pts]
+            rays = [(0, *r[1:]) for r in rays]
+        try:
+            q = convex_hull(pts, [r for r in rays if any(r)])
+        except LinealityError:
+            continue
+        if thin:
+            s = Split.make((1,) + (0,) * rng.randint(0, dim - 1), rng.randint(-1, 1))
+        else:
+            s = random_split(rng, q)
+        differences += classify_split(q, s) != ref_classify_split(q, s)
+        differences += split_confines(q, s) != ref_split_confines(q, s)
+        done += 1
+    assert differences == 0
+
+
 def test_facet_split():
     s = facet_splits(TYPE1_T)[0]
     a, b = TYPE1_T.facet_inequalities()[0]
@@ -208,12 +266,12 @@ def test_facet_splits_match_facets():
 
 def test_enumerate_splits_counts():
     box1 = ((F(0), F(2)), (F(0), F(2)))
-    assert len(enumerate_splits(2, 1, box1)) == 20
+    assert len(enumerate_splits(1, box1)) == 20
     box2 = ((F(-1), F(3)), (F(-1), F(3)))
-    assert len(enumerate_splits(2, 2, box2)) == 88
+    assert len(enumerate_splits(2, box2)) == 88
     # canonical: all leading nonzeros positive, no duplicates
     seen = set()
-    for s in enumerate_splits(2, 2, box2):
+    for s in enumerate_splits(2, box2):
         assert next(x for x in s.pi if x) > 0
         key = (s.pi, s.pi0)
         assert key not in seen
@@ -237,6 +295,17 @@ def test_sweep_sequence():
     # the part below the near plane is untouched
     low = (0, 1)
     assert cur.intersect_halfspace(low, F(0)) == q.intersect_halfspace(low, F(0))
+
+
+def test_sweep_starts_below_a_facet_through_the_endpoint():
+    # from (0, 0) the facet to (0, 1/2) is a sweep line, so the last line
+    # that meets the upper part only at (0, 0) is the one before it
+    q = convex_hull([(0, 0), (0, F(1, 2)), (3, 0)])
+    seq = sweep_sequence_2d(q, Split.make((0, 1), 0), (F(1, 2), F(1, 4)))
+    assert [(s.pi, s.pi0) for s in seq.splits] == [
+        ((1, 1), 0), ((1, 0), 0), ((1, -1), 0), ((1, -2), 0),
+        ((1, 5), 2), ((1, 6), 2), ((1, 7), 2), ((1, 8), 2), ((1, 9), 2), ((1, 10), 2),
+    ]
 
 
 def test_sweep_trivial_and_errors():

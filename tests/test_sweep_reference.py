@@ -1,17 +1,18 @@
 """The closed-form 2D sweep against the scan it replaced.
 
-The reference ``ref_sweep`` is the earlier ``sweep_sequence_2d``: it finds
-the start line by scanning k downward from a cap for the first line
-through the endpoint that misses the interior of the upper part, and the
-apex sector by scanning k upward from minus the cap with triangle and
-segment tests.  The cap, 8·(extent + 2)·scale + 8, grows with the body's
+The reference ``ref_sweep`` is the earlier ``sweep_sequence_2d`` with its
+start line corrected: it finds the start line by scanning k downward from
+a cap for the first line through the endpoint that meets the upper part
+only at the endpoint (a line along a facet does not), and the apex
+sector by scanning k upward from minus the cap with triangle and segment
+tests.  The cap, 8·(extent + 2)·scale + 8, grows with the body's
 coordinates; when the answer lies outside it, the scan fails with one of
 the two messages in ``CAP_ONLY``.  The closed form has no such cap but a
-budget on the sweep's length, measured from the endpoint, and refuses
-those cases by that budget or by its postcondition.  At the default seed
-90 of the 200 configurations give a sequence, 108 are refused by both
-postconditions and 2 hit the cap (one refused by the budget, one by the
-postcondition).
+budget on the sweep's length, measured from the endpoint, and may refuse
+by that budget where the scan sweeps or hits its cap.  At the default
+seed 199 of the 200 configurations give a sequence (198 equal to the
+reference's, 1 where only the reference hits its cap) and 1 is refused
+by the budget (the reference hits its cap there too).
 """
 
 from fractions import Fraction
@@ -39,24 +40,20 @@ F = Fraction
 CAP_ONLY = ("sweep failed to find an empty starting line", "sweep failed to locate the apex sector")
 
 
-def _line_meets_interior(p, base, direction) -> bool:
+def _line_meets_only_at(p, base, direction) -> bool:
+    """True iff the line base + t·direction meets p, which holds base, in
+    base alone."""
     tlo: Optional[Fraction] = None
     thi: Optional[Fraction] = None
     for a, b in p.inequalities:
         slope = dot(a, direction)
-        offset = b - dot(a, base)
-        if slope == 0:
-            if offset <= 0:
-                return False
-        elif slope > 0:
-            t = Fraction(offset, slope)
+        if slope > 0:
+            t = Fraction(b - dot(a, base), slope)
             thi = t if thi is None else min(thi, t)
-        else:
-            t = Fraction(offset, slope)
+        elif slope < 0:
+            t = Fraction(b - dot(a, base), slope)
             tlo = t if tlo is None else max(tlo, t)
-    if tlo is None or thi is None:
-        return True
-    return tlo < thi
+    return tlo == thi == 0
 
 
 def _point_in_closed_triangle(p, a, b, c) -> bool:
@@ -103,7 +100,7 @@ def ref_sweep(q: Polyhedron, chv: Split, p) -> SplitSequence:
     """The scanning sweep, with its cap, for 2D q and a 2-coordinate p."""
     pp = as_point(p)
     pi, pi0 = chv.pi, chv.pi0
-    a = embed_normal(pi, 2, None)
+    a = embed_normal(pi, 2)
     vals = [dot(a, v) for v in q.vertices]
     if any(dot(a, r) > 0 for r in q.rays) or max(vals) >= pi0 + 1:
         raise GeometryError("not Chvatal")
@@ -129,7 +126,7 @@ def ref_sweep(q: Polyhedron, chv: Split, p) -> SplitSequence:
         kmax = _sweep_scan_bound(qbar, pp, a0, u, d)
         ell = None
         for k in range(kmax, -kmax - 1, -1):
-            if not _line_meets_interior(qbar, a0, (d[0] + k * u[0], d[1] + k * u[1])):
+            if _line_meets_only_at(qbar, a0, (d[0] + k * u[0], d[1] + k * u[1])):
                 ell = k
                 break
         if ell is None:
@@ -191,8 +188,8 @@ def _draw(rng):
 def test_sweep_matches_the_scan_on_unimodular_images():
     rng = make_rng()
     chv = Split.make((0, 1), 0)
-    compared = cap_only = refused = 0
-    while compared + cap_only + refused < 200:
+    swept = refused = 0
+    while swept + refused < 200:
         drawn = _draw(rng)
         if drawn is None:
             continue
@@ -205,15 +202,18 @@ def test_sweep_matches_the_scan_on_unimodular_images():
         try:
             want = ref_sweep(image, split, point)
         except GeometryError as exc:
-            if str(exc) in CAP_ONLY:
-                cap_only += 1
-                with pytest.raises(GeometryError, match="more than its budget|postcondition"):
-                    sweep_sequence_2d(image, split, point)
-            else:
+            if str(exc) not in CAP_ONLY:
                 refused += 1
                 with pytest.raises(GeometryError):
                     sweep_sequence_2d(image, split, point)
+                continue
+            want = None  # beyond the scan's cap
+        try:
+            got = sweep_sequence_2d(image, split, point)
+        except GeometryError as exc:
+            assert "more than its budget" in str(exc)
+            refused += 1
             continue
-        assert sweep_sequence_2d(image, split, point) == want
-        compared += 1
-    assert compared >= 60
+        assert want is None or got == want
+        swept += 1
+    assert swept >= 190
