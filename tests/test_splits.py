@@ -162,8 +162,8 @@ def test_split_confines():
 
 
 def ref_classify_split(q: Polyhedron, s: Split) -> SplitClass:
-    """The classification by vertex values and ray signs, as before it
-    read one extent helper."""
+    """Reference: the flags from q's vertex values and ray signs, and for
+    a polytope englobing from the vertices alone."""
     a = s.pi + (0,) * (q.dim - len(s.pi))
     lo, hi = F(s.pi0), F(s.pi0 + 1)
     vals = [dot(a, v) for v in q.vertices]
@@ -185,6 +185,7 @@ def ref_classify_split(q: Polyhedron, s: Split) -> SplitClass:
 
 
 def ref_split_confines(q: Polyhedron, s: Split) -> bool:
+    """Reference: no ray leaves the slab and every vertex lies in it."""
     a = s.pi + (0,) * (q.dim - len(s.pi))
     if any(dot(a, r) != 0 for r in q.rays):
         return False
