@@ -25,7 +25,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import product
 from math import ceil, floor
-from operator import and_, or_
+from operator import and_
 from typing import Optional, Sequence
 
 from .geometry import (
@@ -113,6 +113,12 @@ def _extent(q: Polyhedron, a: IntVec) -> tuple[Optional[Fraction], Optional[Frac
     return least, greatest
 
 
+def _vertex_between(q: Polyhedron, a: IntVec, pi0: int) -> bool:
+    """True iff a vertex of q lies strictly between a·x = pi0 and pi0 + 1; a
+    split with none leaves q unchanged, as every generator lies in a piece."""
+    return any(pi0 * g[-1] < dot(a, g[:-1]) < (pi0 + 1) * g[-1] for g in q.gens)
+
+
 def _halfspace_generators(
     q: Polyhedron, a: IntVec, b: int
 ) -> tuple[Sequence[IntVec], Sequence[IntVec], Sequence[int]]:
@@ -141,15 +147,9 @@ def _split_rows(q: Polyhedron, s: Split) -> Optional[Sequence[IntVec]]:
     full-dimensional piece (``_join_rows``); two lower-dimensional pieces
     take a fresh V->H pass.
     """
-    a = embed_normal(s.pi, q.dim)
-    lo, hi = s.pi0, s.pi0 + 1
-    # a generator (n, t) is below the lo plane if a.n <= lo.t and above the
-    # hi plane if a.n >= hi.t; for a ray (t = 0) that is a sign of a.n
-    vals = [(dot(a, g[:-1]), g[-1]) for g in q.gens]
-    below = [v <= lo * t for v, t in vals]
-    above = [v >= hi * t for v, t in vals]
-    if all(map(or_, below, above)) and (q.is_bounded or all(below) or all(above)):
-        return []  # every generator already satisfies the disjunction
+    a, lo, hi = embed_normal(s.pi, q.dim), s.pi0, s.pi0 + 1
+    if not _vertex_between(q, a, lo):
+        return []
     neg_a = tuple(-x for x in a)
     pieces = [
         piece
@@ -181,14 +181,16 @@ def classify_split(q: Polyhedron, s: Split) -> SplitClass:
 
     s is Chvatal when q misses one of its sides (all of q lies below the
     far plane or above the near one) and intersecting otherwise; it is
-    englobing when it leaves q unchanged."""
+    englobing when it leaves q unchanged, that is when no vertex of q lies
+    strictly between its planes."""
     if q.is_empty:
         raise GeometryError("classification needs a nonempty polyhedron")
-    least, greatest = _extent(q, embed_normal(s.pi, q.dim))
+    a = embed_normal(s.pi, q.dim)
+    least, greatest = _extent(q, a)
     chvatal = (greatest is not None and greatest < s.pi0 + 1) or (
         least is not None and least > s.pi0
     )
-    return SplitClass(not chvatal, apply_split(q, s) == q, chvatal)
+    return SplitClass(not chvatal, not _vertex_between(q, a, s.pi0), chvatal)
 
 
 def split_confines(q: Polyhedron, s: Split) -> bool:
@@ -303,8 +305,8 @@ def sweep_sequence_2d(q: Polyhedron, chv: Split, p: Sequence) -> SplitSequence:
     lies inside conv(p, L), which is checked.
 
     The number of splits from an endpoint grows like 1/alpha as p nears
-    the near plane (alpha = pi.p - pi0); more than 8·(extent + 2)·scale + 8,
-    with extent the largest coordinate of q̄ and p measured from the
+    the near plane (alpha = pi.p - pi0); more than 16·(extent + 2)·scale +
+    17, with extent the largest coordinate of q̄ and p measured from the
     endpoint and scale the largest entry of pi and u, is refused.
     """
     if q.dim != 2:
@@ -352,9 +354,9 @@ def sweep_sequence_2d(q: Polyhedron, chv: Split, p: Sequence) -> SplitSequence:
                 "sweep hypothesis failed: endpoint facet split does not intersect the segment"
             )
         ks = _sweep_sector(qbar.rows, a0, u, d, apex)
-        # the length grows like 1/alpha as p nears the near plane
+        # the lines k in [-cap, cap] of the old scan, cap = 8·(extent + 2)·scale + 8
         extent = max(abs(c - a0[i]) for v in (*qbar.vertices, pp) for i, c in enumerate(v))
-        budget = 8 * (ceil(extent) + 2) * max(*map(abs, a), *map(abs, u)) + 8
+        budget = 16 * (ceil(extent) + 2) * max(*map(abs, a), *map(abs, u)) + 17
         if len(ks) > budget:
             raise GeometryError(
                 f"sweep needs {len(ks)} splits from an endpoint, more than its budget "

@@ -188,7 +188,7 @@ def test_sweep2d_apex_near_the_plane_exits_2_at_once(files, capsys):
     assert code == 2
     assert out == ""
     assert err == (
-        "error: sweep needs 1500000000 splits from an endpoint, more than its budget 48: "
+        "error: sweep needs 1500000000 splits from an endpoint, more than its budget 97: "
         "the apex is too close to the near plane\n"
     )
 

@@ -8,11 +8,10 @@ sector by scanning k upward from minus the cap with triangle and segment
 tests.  The cap, 8·(extent + 2)·scale + 8, grows with the body's
 coordinates; when the answer lies outside it, the scan fails with one of
 the two messages in ``CAP_ONLY``.  The closed form has no such cap but a
-budget on the sweep's length, measured from the endpoint, and may refuse
-by that budget where the scan sweeps or hits its cap.  At the default
-seed 199 of the 200 configurations give a sequence (198 equal to the
-reference's, 1 where only the reference hits its cap) and 1 is refused
-by the budget (the reference hits its cap there too).
+budget on the sweep's length: the number of lines in the window [−cap,
+cap], with the extent measured from the endpoint.  A refusal by that
+budget passes only where the scan hits its cap.  At the default seed all 200 configurations give a sequence, 198 equal
+to the reference's and 2 where only the reference hits its cap.
 """
 
 from fractions import Fraction
@@ -211,9 +210,19 @@ def test_sweep_matches_the_scan_on_unimodular_images():
         try:
             got = sweep_sequence_2d(image, split, point)
         except GeometryError as exc:
-            assert "more than its budget" in str(exc)
+            assert want is None and "more than its budget" in str(exc)
             refused += 1
             continue
         assert want is None or got == want
         swept += 1
     assert swept >= 190
+
+
+def test_budget_admits_what_the_scan_completes():
+    # 73 splits from the endpoint (7, -1): past 8·(extent + 2)·scale + 8 = 56
+    # there, but inside the scan's window, where the scan completes
+    q = convex_hull([(3, -1), (F(9, 2), -2), (F(23, 4), F(-5, 6)), (7, -1)])
+    chv, apex = Split.make((0, 1), -1), (F(115, 24), F(-35, 36))
+    got = sweep_sequence_2d(q, chv, apex)
+    assert len(got.splits) == 122
+    assert got == ref_sweep(q, chv, apex)
