@@ -354,7 +354,7 @@ def sweep_sequence_2d(q: Polyhedron, chv: Split, p: Sequence) -> SplitSequence:
                 "sweep hypothesis failed: endpoint facet split does not intersect the segment"
             )
         ks = _sweep_sector(qbar.rows, a0, u, d, apex)
-        # the lines k in [-cap, cap] of the old scan, cap = 8·(extent + 2)·scale + 8
+        # the lines in the reference scan's window [-cap, cap], cap = 8·(extent + 2)·scale + 8
         extent = max(abs(c - a0[i]) for v in (*qbar.vertices, pp) for i, c in enumerate(v))
         budget = 16 * (ceil(extent) + 2) * max(*map(abs, a), *map(abs, u)) + 17
         if len(ks) > budget:
