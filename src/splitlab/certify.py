@@ -6,15 +6,16 @@ disjunction.  A lattice-free polytope has the 2-hyperplane property when
 every face of its integer hull not contained in one of its facets is
 2-partitionable; the laboratory uses this as the finite-split-rank
 criterion and, in dimension 2, pairs it with the classification of
-maximal lattice-free sets.  The faces of the integer hull and the integer
-points on each come from one integer incidence of the lattice points
-with the hull's rows, so the check enumerates lattice points once.
+maximal lattice-free sets.  A face of the integer hull is a record read
+off one integer incidence of the lattice points with the hull's rows, with
+no conversion pass per face, so the check enumerates lattice points once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from math import lcm
 from typing import Optional, Sequence
 
 from .cuts import CornerModel, boundary_hull, rays_into_corners
@@ -32,7 +33,7 @@ from .geometry import (
     lattice_points,
     require_lattice_free,
 )
-from .linalg import _echelon, dot, scale_primitive
+from .linalg import _echelon, dot, rank, scale_primitive
 from .splits import Split
 
 
@@ -47,8 +48,20 @@ class PartitionCertificate:
 
 
 @dataclass(frozen=True)
+class Face:
+    """A face's sorted vertices, affine dimension and sorted integer points."""
+
+    vertices: tuple[Point, ...]
+    dimension: int
+    points: tuple[IntVec, ...]
+
+    def affine_dim(self) -> int:
+        return self.dimension
+
+
+@dataclass(frozen=True)
 class FaceEntry:
-    face: Polyhedron
+    face: Face
     contained_in_facet: bool
     certificate: Optional[PartitionCertificate]
 
@@ -65,7 +78,7 @@ class Classification2D:
     integer_points_on_boundary: tuple[Point, ...]
 
 
-def _faces(p: Polyhedron, points: Sequence[IntVec]) -> list[tuple[Polyhedron, int]]:
+def _faces(p: Polyhedron, points: Sequence[IntVec]) -> list[tuple[Face, int]]:
     """The nonempty faces of a polytope p, sorted by affine dimension and
     then vertices, each with the bitmask of the homogeneous integer
     ``points`` (n, t) on it (bit i is points[i]).  The points must lie in
@@ -74,26 +87,36 @@ def _faces(p: Polyhedron, points: Sequence[IntVec]) -> list[tuple[Polyhedron, in
     A face's points are those tight on some of p's kept rows, so with one
     integer incidence of the points with the rows, the faces' point sets
     are the closure of the rows' tight sets under intersection, starting
-    from all points.  Each face is the hull of p's vertices in its set.
+    from all points.  A face is read off its set with no conversion pass:
+    its generators (numbered by place in ``p.vertices``, so faces sort on
+    integers), their rank, and its members with t = 1.
     """
     if p.is_empty:
         return []
     if not p.is_bounded:
         raise GeometryError("face enumeration needs a bounded polyhedron")
-    vertices = set(p.gens)
-    corners = [(1 << i, h) for i, h in enumerate(points) if h in vertices]
+    # p.vertices: the generators over a common denominator, sorted
+    t = lcm(*(g[-1] for g in p.gens))
+    order = sorted(p.gens, key=lambda g: [c * (t // g[-1]) for c in g[:-1]])
+    corners = sorted((order.index(h), 1 << i) for i, h in enumerate(points) if h in p.gens)
     sets = {(1 << len(points)) - 1}
     for r in p.rows:
-        t = sum(1 << i for i, h in enumerate(points) if dot(r, h) == 0)
-        sets |= {s & t for s in sets if s & t}
-    out = [(_from_homogeneous(p.dim, [h for bit, h in corners if s & bit]), s) for s in sets]
-    out.sort(key=lambda e: (e[0].affine_dim(), e[0].vertices))
-    return out
+        tight = sum(1 << i for i, h in enumerate(points) if dot(r, h) == 0)
+        sets |= {s & tight for s in sets if s & tight}
+    out = []
+    for s in sets:
+        ks = [k for k, bit in corners if s & bit]
+        # no three vertices of a polytope are collinear
+        d = len(ks) - 1 if len(ks) < 4 else rank([order[k] for k in ks], p.dim + 1) - 1
+        pts = tuple(h[:-1] for i, h in enumerate(points) if s >> i & 1 and h[-1] == 1)
+        out.append((d, ks, pts, s))
+    return [(Face(tuple(p.vertices[k] for k in ks), d, pts), s) for d, ks, pts, s in sorted(out)]
 
 
-def faces(p: Polyhedron) -> list[Polyhedron]:
+def faces(p: Polyhedron) -> list[Face]:
     """All nonempty faces of a polytope, including p itself."""
-    return [f for f, _ in _faces(p, p.gens)]
+    pts = [q + (1,) for q in _iter_lattice_points(p)]
+    return [f for f, _ in _faces(p, pts + [g for g in p.gens if g[-1] > 1])]
 
 
 def is_2partitionable(points: Sequence[Sequence]) -> PartitionCertificate:
@@ -167,15 +190,11 @@ def has_2hyperplane_property(l: Polyhedron) -> TwoHPReport:
         for a, b in l.facet_inequalities()
     ]
     homog = [q + (1,) for q in pts]
-    entries = []
-    overall = True
+    entries, overall = [], True
     for face, s in _faces(_from_homogeneous(l.dim, homog), homog):
         contained = any(s & m == s for m in on_facet)
-        cert = None
-        if not contained:
-            cert = is_2partitionable([q for i, q in enumerate(pts) if s >> i & 1])
-            if cert.outcome == "not_partitionable":
-                overall = False
+        cert = None if contained else is_2partitionable(face.points)
+        overall &= cert is None or cert.outcome != "not_partitionable"
         entries.append(FaceEntry(face, contained, cert))
     return TwoHPReport(tuple(entries), overall)
 
@@ -202,13 +221,10 @@ def classify_2d(l: Polyhedron) -> Classification2D:
         partner = (tuple(-x for x in a), -(b - 1))
         if b.denominator == 1 and partner in facet_set:
             return Classification2D("split", pts)
-    relint_counts = []
-    for a, b in facets:
-        endpoints = [v for v in l.vertices if dot(a, v) == b]
-        count = sum(
-            1 for q in pts if dot(a, q) == b and q not in endpoints
-        )
-        relint_counts.append(count)
+    # a point on a facet is in its relative interior iff it is no vertex
+    relint_counts = [
+        sum(1 for q in pts if dot(a, q) == b and q not in l.vertices) for a, b in facets
+    ]
     if any(c == 0 for c in relint_counts):
         return Classification2D("non_maximal", pts)
     if len(facets) == 3:

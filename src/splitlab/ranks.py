@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import ceil, floor as math_floor
 from typing import Optional, Sequence, Union
 
-from .certify import faces, has_2hyperplane_property
+from .certify import Face, faces, has_2hyperplane_property
 from .cuts import CornerModel, boundary_point
 from .geometry import (
     GeometryError,
@@ -235,23 +235,19 @@ def probe_rounds(
     return ProbeReport(rounds_done, tuple(profiles), verdict, q_round, seq)
 
 
-def necessity_witness(l: Polyhedron) -> Optional[tuple[Polyhedron, Point]]:
+def necessity_witness(l: Polyhedron) -> Optional[tuple[Face, Point]]:
     """A face blocking every finite split program, with a relint point.
 
     Returns the first face of the integer hull that lies in no facet of
-    l and is not 2-partitionable, together with the centroid of its
-    integer points, or None when l has the 2-hyperplane property.
+    l and is not 2-partitionable, with the centroid of its ``points``, or
+    None when l has the 2-hyperplane property.
     """
     report = has_2hyperplane_property(l)
     for entry in report.entries:
         cert = entry.certificate
         if cert is not None and cert.outcome == "not_partitionable":
-            pts = lattice_points(entry.face)
-            n = len(pts)
-            centroid = tuple(
-                sum(p[i] for p in pts) / n for i in range(l.dim)
-            )
-            return entry.face, centroid
+            pts = entry.face.points
+            return entry.face, tuple(Fraction(sum(c), len(pts)) for c in zip(*pts))
     return None
 
 
@@ -359,7 +355,8 @@ def _point_polytope_distance_sq(p: Point, qx: Polyhedron) -> Fraction:
             )
         else:
             proj = v0
-        if not face.contains(proj):
+        # proj lies in aff(F), and aff(F) meets qx in F
+        if not qx.contains(proj):
             continue
         diff = [p[i] - proj[i] for i in range(len(p))]
         d_sq = Fraction(dot(diff, diff))

@@ -99,7 +99,7 @@ def test_criterion_1_tetrahedra():
             and e.certificate.outcome == "not_partitionable"
         ]
         assert len(bad) == 1
-        assert set(lattice_points(bad[0].face)) == {
+        assert set(bad[0].face.points) == {
             tuple(map(F, p)) for p in T0_POINTS
         }
 

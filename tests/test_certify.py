@@ -6,6 +6,7 @@ from itertools import combinations, product
 import pytest
 
 import splitlab.certify
+import splitlab.geometry
 from splitlab.certify import (
     PartitionCertificate,
     classify_2d,
@@ -18,6 +19,7 @@ from splitlab.cuts import CornerModel
 from splitlab.geometry import (
     GeometryError,
     Polyhedron,
+    _from_homogeneous,
     as_point,
     convex_hull,
     integer_solve,
@@ -39,6 +41,11 @@ TYPE1_MODEL = CornerModel.make(
 T1_POINTS = [(0, 0, 1), (1, 0, 1), (0, 1, 1)]
 T0_POINTS = [(0, 0, 0), (1, 0, 0), (2, 0, 0), (0, 1, 0), (1, 1, 0), (0, 2, 0)]
 
+# 0 <= 7x + 11y <= 1, |x| <= 200: lattice-free, 73 integer points
+STRIP = Polyhedron.from_inequalities(
+    [((7, 11), 1), ((-7, -11), 0), ((1, 0), 200), ((-1, 0), 200)], 2
+)
+
 # tetrahedron over the big triangle with apex p = (1/4, 1/4, 3/2)
 L_P = convex_hull(
     [
@@ -59,6 +66,10 @@ L_PRIME = convex_hull(
         (0, F(1, 2), F(3, 2)),
     ]
 )
+
+# the 3D bodies of the ROADMAP: T3 holds one lattice point, N3 lacks the property
+T3 = convex_hull([(0, F(3, 2), F(1, 2)), (1, 2, 0), (F(3, 2), F(5, 2), -1), (3, 0, F(-3, 2))])
+N3 = convex_hull([(F(-1, 2), F(-3, 2), 2), (4, 0, 3), (4, F(5, 2), F(1, 2)), (4, 3, -1)])
 
 
 def partition_oracle(points, bound=3):
@@ -183,17 +194,30 @@ def test_solve_budget_per_search(monkeypatch, rng):
 
 
 def test_strip_beyond_twenty_points():
-    # 0 <= 7x + 11y <= 1, |x| <= 200: lattice-free, 73 integer points
-    strip = Polyhedron.from_inequalities(
-        [((7, 11), 1), ((-7, -11), 0), ((1, 0), 200), ((-1, 0), 200)], 2
-    )
-    report = has_2hyperplane_property(strip)
+    report = has_2hyperplane_property(STRIP)
     assert report.overall
     assert any(e.certificate is not None for e in report.entries)
-    assert max(len(lattice_points(e.face)) for e in report.entries) > 20
+    assert max(len(e.face.points) for e in report.entries) > 20
     for e in report.entries:
         if e.certificate is not None and e.certificate.outcome == "partitionable":
-            _check_certificate(e.certificate, lattice_points(e.face))
+            _check_certificate(e.certificate, e.face.points)
+
+
+def test_2hp_check_converts_only_the_hull(monkeypatch):
+    """Faces are read off the incidence: the check's one V->H pass is
+    the integer hull's."""
+    calls = []
+
+    def counting(dim, gens):
+        calls.append(gens)
+        return _from_homogeneous(dim, gens)
+
+    monkeypatch.setattr(splitlab.certify, "_from_homogeneous", counting)
+    monkeypatch.setattr(splitlab.geometry, "_from_homogeneous", counting)
+    for l in (L_P, L_PRIME, T3, N3, STRIP):
+        calls.clear()
+        report = has_2hyperplane_property(l)
+        assert len(calls) == 1 and report.entries, l
 
 
 def test_integer_hull():
@@ -202,8 +226,8 @@ def test_integer_hull():
     assert lattice_points(thin) == []
     hull = convex_hull(lattice_points(L_P))
     assert len(lattice_points(hull)) == 9
-    assert convex_hull(T1_POINTS) in faces(hull)
-    assert convex_hull(T0_POINTS) in faces(hull)
+    assert convex_hull(T1_POINTS).vertices in [f.vertices for f in faces(hull)]
+    assert convex_hull(T0_POINTS).vertices in [f.vertices for f in faces(hull)]
 
 
 def test_faces_counts():
@@ -213,8 +237,8 @@ def test_faces_counts():
 
 
 def _entry(l, points):
-    face = convex_hull(points)
-    return next(e for e in has_2hyperplane_property(l).entries if e.face == face)
+    vertices = convex_hull(points).vertices
+    return next(e for e in has_2hyperplane_property(l).entries if e.face.vertices == vertices)
 
 
 def test_face_contained_in_facet():
@@ -278,7 +302,7 @@ def test_2hp_tetrahedron_instances():
         if e.certificate is not None and e.certificate.outcome == "not_partitionable"
     ]
     assert len(bad) == 1
-    assert set(lattice_points(bad[0].face)) == {
+    assert set(bad[0].face.points) == {
         tuple(map(F, p)) for p in T0_POINTS
     }
     assert not has_2hyperplane_property(TYPE1_T).overall

@@ -27,7 +27,10 @@ def test_all_resolves_without_duplicates():
 NO_CALLER_NEEDED = {
     "__version__": "package metadata",
     "necessity_witness": "the 3D catalogue of ROADMAP item 4 builds on it",
-    "region_bound_check": "bench/tests pins splitlab.ranks.mat_rank, whose only user it is",
+    "region_bound_check": (
+        "bench/tests pins splitlab.ranks.mat_rank, whose only user it is; "
+        "it goes with that pin (ROADMAP item 9)"
+    ),
 }
 
 

@@ -209,7 +209,11 @@ def test_executor_refuses_splits_outside_x_space():
 def test_necessity_witness():
     face, point = necessity_witness(TYPE1_T)
     assert set(face.vertices) == set(TYPE1_T.vertices)
-    assert face.relint_contains(point)
+    assert convex_hull(face.vertices).relint_contains(point)
+    n3 = convex_hull([(F(-1, 2), F(-3, 2), 2), (4, 0, 3), (4, F(5, 2), F(1, 2)), (4, 3, -1)])
+    face, point = necessity_witness(n3)
+    assert face.affine_dim() == 3 and point == (F(10, 3), F(7, 6), F(7, 6))
+    assert convex_hull(face.vertices).relint_contains(point)
     lp = convex_hull(
         [
             (F(1, 4), F(1, 4), F(3, 2)),
