@@ -2,7 +2,9 @@
 
 One binary with subcommands; every command reads JSON inputs, runs the
 exact-arithmetic computation and writes a deterministic report.  Exit
-code 0 on success, 2 on any validation error in the inputs.
+code 0 on success, 2 on any validation error in the inputs.  ``main(argv)``
+may be called repeatedly in one process: the argument parser is built on
+the first call and reused, and nothing else carries over between calls.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import cache
 from typing import Optional
 
 from . import serialize
@@ -201,9 +204,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser ``main`` uses in this process; parsing leaves it
+    unchanged, so each call starts from the same state."""
+    return build_parser()
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         _write(args.func(args), args.out)
     except NotLatticeFreeError as exc:

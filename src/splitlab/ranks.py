@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor as math_floor
+from functools import cached_property
+from math import ceil, floor as math_floor, lcm
 from typing import Optional, Sequence, Union
 
 from .certify import Face, faces, has_2hyperplane_property
@@ -83,13 +84,20 @@ def _nonempty(items: Sequence) -> Sequence:
 
 @dataclass(frozen=True)
 class EnumerateStrategy:
-    """Every enumerated split touching the box, in every round."""
+    """Every enumerated split touching the box, in every round.
+
+    The splits are enumerated once per strategy and kept as a tuple.
+    """
 
     bound: int
     box: tuple[tuple[Fraction, Fraction], ...]
 
-    def splits_for_round(self, r: int) -> list[Split]:
-        return _nonempty(enumerate_splits(self.bound, self.box))
+    @cached_property
+    def _splits(self) -> tuple[Split, ...]:
+        return tuple(enumerate_splits(self.bound, self.box))
+
+    def splits_for_round(self, r: int) -> tuple[Split, ...]:
+        return _nonempty(self._splits)
 
 
 @dataclass(frozen=True)
@@ -145,42 +153,50 @@ def lift(
 def height_at(q: Polyhedron, x: Sequence) -> Optional[Fraction]:
     """max{z : (x, z) in q}, or None when the fiber is empty.
 
-    One-variable exact maximization over the inequality representation;
-    the result is finite for truncated lifts since the floor bounds z
-    below and the apex bounds it above.
+    One-variable exact maximization over the integer rows a·x + c·z + e·t
+    <= 0 of q, with x = n/d over a common denominator d: row r gives
+    s = a·n + e·d, and a row with c = r[-2] = 0 needs s <= 0, while one
+    with c > 0 bounds z above by −s/(c·d).  The least bound is the height
+    unless a row with c < 0 cuts it off.  The result is finite for
+    truncated lifts since the floor bounds z below and the apex bounds it
+    above.
     """
     xp = as_point(x)
     if len(xp) != q.dim - 1:
         raise GeometryError("witness point must live in the x-space of q")
     if q.is_empty:
         return None
-    best: Optional[Fraction] = None
-    for a, b in q.inequalities:
-        c = a[-1]
-        partial = dot(a[:-1], xp)
-        if c == 0:
-            if partial > b:
-                return None
-        elif c > 0:
-            cand = (b - partial) / c
-            if best is None or cand < best:
-                best = cand
-    if best is None:
+    d = lcm(*(c.denominator for c in xp))
+    n = [c.numerator * (d // c.denominator) for c in xp]
+    # the homogenizing row −t <= 0 has c = 0 and s = −d, so it always holds
+    rows = [(r[-2], dot(r[:-2], n) + r[-1] * d) for r in q.rows]
+    if any(c == 0 and s > 0 for c, s in rows):
+        return None
+    bounds = [(-s, c * d) for c, s in rows if c > 0]
+    if not bounds:
         raise GeometryError("height is unbounded above at this point")
+    num, den = bounds[0]
+    for a, b in bounds[1:]:
+        if a * den < num * b:
+            num, den = a, b
     # the fiber may still be empty if the floor-side constraints conflict
-    for a, b in q.inequalities:
-        if a[-1] < 0 and dot(a[:-1], xp) + a[-1] * best > b:
-            return None
-    return best
+    if any(c < 0 and s * den + c * num * d > 0 for c, s in rows):
+        return None
+    return Fraction(num, den)
 
 
 def max_height(q: Polyhedron) -> Optional[Fraction]:
-    """Maximum z over q; None encodes the empty polyhedron."""
+    """Maximum z over q, the largest n_z/t over its vertices (n, t);
+    None encodes the empty polyhedron."""
     if q.is_empty:
         return None
-    if any(r[-1] > 0 for r in q.rays):
+    if any(g[-2] > 0 and not g[-1] for g in q.gens):
         raise GeometryError("polyhedron is unbounded in the z direction")
-    return max(v[-1] for v in q.vertices)
+    num, den = 0, 0
+    for g in q.gens:
+        if g[-1] and (den == 0 or g[-2] * den > num * g[-1]):
+            num, den = g[-2], g[-1]
+    return Fraction(num, den)
 
 
 def _profile(q: Polyhedron, witnesses: Sequence[Point]) -> HeightProfile:
@@ -207,7 +223,10 @@ def probe_rounds(
     round's set (one split per round for an explicit sequence), each a
     split of the cone's x-space.  A round at which the maximum height
     becomes nonpositive certifies that many rounds as an upper bound on
-    the split rank of the cut.
+    the split rank of the floor-truncated set only: the truncation can
+    lower heights, so the untruncated cone may still be positive there
+    (T3 reaches height 0 at round 5 with floor 2 but is about 0.1094
+    without the floor).
     """
     if budget < 1:
         raise GeometryError("budget must be a positive number of rounds")
@@ -226,7 +245,7 @@ def probe_rounds(
         applied.extend(splits)
         rounds_done = r
         profiles.append(_profile(q, wit))
-        top = max_height(q)
+        top = profiles[-1].global_max
         if top is None or top <= 0:
             verdict = "height_nonpositive_at_round_q"
             q_round = r
@@ -305,7 +324,7 @@ def execute_finite_rank(
         tags.append("user")
         rounds_done += 1
         profiles.append(_profile(q, witnesses))
-        top = max_height(q)
+        top = profiles[-1].global_max
         if top is None or top <= 0:
             verdict = "height_nonpositive_at_round_q"
             q_final = len(applied)

@@ -5,7 +5,10 @@ from time import perf_counter
 
 import pytest
 
+from splitlab import cli
 from splitlab.cli import main
+
+from test_golden import CASES, GOLDEN
 
 MODEL = {
     "f": ["1/2", "1/2"],
@@ -321,3 +324,50 @@ def test_check2hp_empty_document(files, capsys):
     data = json.loads(out)
     assert data["overall"] is True
     assert data["faces"] == []
+
+
+# -- repeated in-process calls share the parser and nothing else
+
+
+def test_main_builds_one_parser(monkeypatch, files, capsys):
+    built, build = [], cli.build_parser
+
+    def counting():
+        built.append(1)
+        return build()
+
+    cli._parser.cache_clear()
+    monkeypatch.setattr(cli, "build_parser", counting)
+    try:
+        l = files("l.json", BODY)
+        assert run(capsys, "check2hp", l)[0] == 0
+        assert run(capsys, "check2hp", l, "--format", "text")[0] == 0
+        assert run(capsys, "check2hp", "/nonexistent/file.json")[0] == 2
+        with pytest.raises(SystemExit):
+            main(["check2hp"])
+        assert run(capsys, "cut", files("m.json", MODEL), l)[0] == 0
+        assert len(built) == 1
+    finally:
+        cli._parser.cache_clear()
+
+
+def test_witnesses_do_not_carry_over(files, capsys):
+    m, l = files("m.json", MODEL), files("l.json", BODY)
+    argv = ["probe", m, l, "--floor", "4", "--bound", "1", "--rounds", "1"]
+    cli._parser.cache_clear()
+    fresh = run(capsys, *argv)
+    assert fresh[0] == 0
+    code, out, _ = run(capsys, *argv, "--witness", "1/2,1/2", "--witness", "1/4,1/4")
+    assert code == 0 and out != fresh[1]
+    assert run(capsys, *argv) == fresh
+
+
+def test_refusal_then_valid_command_gives_golden_bytes(capsys):
+    for bad in (["probe", "--bound"], ["nosuchcommand"], ["check2hp", "--format", "xml"]):
+        with pytest.raises(SystemExit) as exc:
+            main(bad)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("usage: splitlab")
+        code, out, _ = run(capsys, *CASES["probe"], "--format", "text")
+        assert code == 0
+        assert out.encode() == (GOLDEN / "probe.text").read_bytes()

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from splitlab import ranks
 from splitlab.cuts import CornerModel
 from splitlab.geometry import (
     GeometryError,
@@ -144,12 +145,131 @@ def test_strategy_splits_for_round():
     explicit = ExplicitStrategy(SplitSequence.make([s1, s2]))
     assert [explicit.splits_for_round(r) for r in (1, 2, 3)] == [[s1], [s2], []]
     enum = EnumerateStrategy(1, PROBE_BOX)
-    assert enum.splits_for_round(1) == enum.splits_for_round(5) != []
+    assert enum.splits_for_round(1) is enum.splits_for_round(5) != ()
     # a box of the wrong size gives splits outside the cone's x-space
     cone = lift(TYPE1_MODEL, TYPE1_T, floor=4)
     for box in (PROBE_BOX[:1], PROBE_BOX + ((F(0), F(1)),)):
         with pytest.raises(GeometryError, match="do not fit"):
             probe_rounds(cone, EnumerateStrategy(1, box), 1, [TYPE1_MODEL.f])
+
+
+def test_probe_enumerates_splits_once_per_strategy(monkeypatch):
+    calls = []
+    enumerate_splits = ranks.enumerate_splits
+
+    def counting(*args):
+        calls.append(args)
+        return enumerate_splits(*args)
+
+    monkeypatch.setattr(ranks, "enumerate_splits", counting)
+    cone = lift(TYPE1_MODEL, TYPE1_T, floor=4)
+    for n in (1, 2):
+        report = probe_rounds(cone, EnumerateStrategy(1, PROBE_BOX), 3, [TYPE1_MODEL.f])
+        assert report.rounds_applied == 3
+        assert len(calls) == n
+
+
+# -- heights read off the integer rows and generators, against the views
+
+
+def ref_height_at(q, x):
+    """max z over the fiber at x, over the Fraction inequality view."""
+    xp = tuple(F(c) for c in x)
+    if q.is_empty:
+        return None
+    best = None
+    for a, b in q.inequalities:
+        c, partial = a[-1], dot(a[:-1], xp)
+        if c == 0 and partial > b:
+            return None
+        if c > 0 and (best is None or (b - partial) / c < best):
+            best = (b - partial) / c
+    if best is None:
+        raise GeometryError("height is unbounded above at this point")
+    if any(a[-1] < 0 and dot(a[:-1], xp) + a[-1] * best > b for a, b in q.inequalities):
+        return None
+    return best
+
+
+def ref_max_height(q):
+    """Largest z over the Fraction vertex view."""
+    if q.is_empty:
+        return None
+    if any(r[-1] > 0 for r in q.rays):
+        raise GeometryError("polyhedron is unbounded in the z direction")
+    return max(v[-1] for v in q.vertices)
+
+
+def outcome(f, *args):
+    try:
+        return f(*args)
+    except GeometryError as exc:
+        return "refused", str(exc)
+
+
+def assert_heights_match(q, witnesses):
+    assert outcome(max_height, q) == outcome(ref_max_height, q)
+    for x in witnesses:
+        assert outcome(height_at, q, x) == outcome(ref_height_at, q, x), (q, x)
+
+
+def _rational(rng, span=4):
+    return F(rng.randint(-span * 3, span * 3), rng.randint(1, 3))
+
+
+def _seeded_polyhedra(rng, dim):
+    """Random hulls in dimension dim: full-dimensional, on a hyperplane
+    through z (equality rows with a z-coefficient), on a hyperplane
+    x1 = const (empty fibers off it), a point, and with rays."""
+    up = (0,) * (dim - 1) + (1,)
+    down = (0,) * (dim - 1) + (-1,)
+    slant = (1,) + (0,) * (dim - 2) + (-2,)
+    for _ in range(6):
+        pts = [tuple(_rational(rng) for _ in range(dim)) for _ in range(dim + rng.randint(1, 3))]
+        yield convex_hull(pts)
+        yield convex_hull([p[:-1] + (sum(p[:-1]) / 2 + 1,) for p in pts])
+        yield convex_hull([(F(1, 3),) + p[1:] for p in pts])
+        yield convex_hull(pts[:1])
+        yield convex_hull(pts, [down])
+        yield convex_hull(pts, [slant, down])
+        yield convex_hull(pts, [up])
+    yield Polyhedron.empty(dim)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_heights_match_fraction_reference(dim):
+    rng = make_rng()
+    for q in _seeded_polyhedra(rng, dim):
+        witnesses = [tuple(_rational(rng, 5) for _ in range(dim - 1)) for _ in range(8)]
+        witnesses += [v[:-1] for v in q.vertices]
+        witnesses.append((F(1, 3),) + witnesses[0][1:])
+        assert_heights_match(q, witnesses)
+    with pytest.raises(GeometryError, match="x-space"):
+        height_at(convex_hull([(0,) * dim]), (0,) * dim)
+
+
+def test_heights_match_reference_on_probe_rounds():
+    # the heights of acceptance criterion 3, round by round
+    cone = lift(TYPE1_MODEL, TYPE1_T, floor=4)
+    strategy = EnumerateStrategy(2, PROBE_BOX)
+    q = cone.poly
+    expected = zip([1, F(1, 3), F(1, 5), F(1, 11)], [1, F(1, 2), F(1, 4), F(1, 8)])
+    for r, (height, top) in enumerate(expected):
+        if r:
+            q = apply_round(q, strategy.splits_for_round(r))
+        assert height_at(q, TYPE1_MODEL.f) == ref_height_at(q, TYPE1_MODEL.f) == height
+        assert max_height(q) == ref_max_height(q) == top
+        assert_heights_match(q, [(0, 0), (1, 1), (F(1, 4), F(3, 4)), (3, 0), (-1, 1)])
+    # the 4D lifted cone over L_P, before and after one round
+    body = convex_hull([(F(1, 4), F(1, 4), F(3, 2)), (F(-1, 2), F(-1, 2), 0),
+                        (F(5, 2), F(-1, 2), 0), (F(-1, 2), F(5, 2), 0)])
+    f = (F(1, 2), F(1, 2), F(1, 2))
+    cone = lift(CornerModel.make(f, [(1, 0, 0), (0, 1, 0), (0, 0, 1)]), body, floor=1)
+    box = tuple((lo - 1, hi + 1) for lo, hi in body.bounding_box())
+    witnesses = [f, (0, 0, 0), (1, 0, 1), (F(1, 4), F(1, 4), F(3, 2)), (2, 2, 2)]
+    assert_heights_match(cone.poly, witnesses)
+    q = apply_round(cone.poly, EnumerateStrategy(1, box).splits_for_round(1))
+    assert_heights_match(q, witnesses)
 
 
 def test_executor_slab():
