@@ -8,14 +8,18 @@ every face of its integer hull not contained in one of its facets is
 criterion and, in dimension 2, pairs it with the classification of
 maximal lattice-free sets.  A face of the integer hull is a record read
 off one integer incidence of the lattice points with the hull's rows, with
-no conversion pass per face, so the check enumerates lattice points once.
+no conversion pass per face.  The check scans the lattice points twice:
+``require_lattice_free`` scans them up to an interior one, and the faces
+are built from a second enumeration.  Facet tests, labelings and the 2D
+classification run on the integer rows and points; ``Fraction`` appears
+only in the results.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from math import lcm
+from math import gcd, lcm
 from typing import Optional, Sequence
 
 from .cuts import CornerModel, boundary_hull, rays_into_corners
@@ -30,7 +34,6 @@ from .geometry import (
     as_point,
     cone_rays,
     integer_solve,
-    lattice_points,
     require_lattice_free,
 )
 from .linalg import _echelon, dot, rank, scale_primitive
@@ -125,14 +128,17 @@ def is_2partitionable(points: Sequence[Sequence]) -> PartitionCertificate:
     A split's value pi·q - c is affine on S, so its {0,1} labels on an
     affine basis B of S fix its values on all of S.  One integer
     elimination of the differences q - q0 yields B (q0 and the pivot
-    points) and every point's affine coordinates over it.  Of the at most
-    2^(m+1) labelings of B, those that are {0,1}-valued and nonconstant
-    on S are the candidate bipartitions; they are tried by size of the
-    first class, then lexicographically (the order of a scan over all
-    subsets), and the first one an integer split realizes is returned.
-    The witness split is automatically coprime: its values on the two
-    classes are consecutive integers.  S is a set, so a repeated point
-    counts once.
+    points) and every point's affine coordinates over it.  Flipping every
+    label maps each value v to 1 - v, so only the at most 2^m labelings
+    with q0 labelled 0 are evaluated, each giving its complement too;
+    those that are {0,1}-valued and nonconstant on S are the candidate
+    bipartitions.  They are tried by size of the first class, then
+    lexicographically (the order of a scan over all subsets), and the
+    first one an integer split realizes is returned.  The witness split
+    is automatically coprime: its values on the two classes are
+    consecutive integers.  S is a set, so a repeated point counts once;
+    int coordinates are read as they are, and any other number must be
+    integral.
     """
     try:
         ints = sorted({tuple(map(_integer, q)) for q in points})
@@ -146,19 +152,21 @@ def is_2partitionable(points: Sequence[Sequence]) -> PartitionCertificate:
     m = len(ints[0])
     diffs = [[q[k] - ints[0][k] for q in ints] for k in range(m)]
     ech, pivots, D, _ = _echelon(diffs, n)
+    # point i sits at cols[i][r] / D on pivot r
+    cols = list(zip(*ech))
     candidates = []
-    for l0, *labels in product((0, 1), repeat=len(pivots) + 1):
-        # D times each point's value: point i sits at ech[r][i] / D on pivot r
-        vals = [l0 * D + sum(row[i] * (l - l0) for row, l in zip(ech, labels)) for i in range(n)]
+    for labels in product((0, 1), repeat=len(pivots)):
+        # D times each point's value with q0 labelled 0; the complement
+        # labelling (q0 labelled 1) has the values D - v
+        vals = [dot(c, labels) for c in cols]
         if set(vals) == {0, D}:
             candidates.append(tuple(i for i, v in enumerate(vals) if v == 0))
+            candidates.append(tuple(i for i, v in enumerate(vals) if v == D))
+    # unknowns (pi, c): pi.q - c = 0 on S1 and = 1 on S2
+    lhs = [q + (-1,) for q in ints]
     for combo in sorted(candidates, key=lambda c: (len(c), c)):
         chosen = set(combo)
-        rows = []
-        for i, q in enumerate(ints):
-            # unknowns (pi, c): pi.q - c = 0 on S1 and = 1 on S2
-            rows.append((q + (-1,), 0 if i in chosen else 1))
-        sol = integer_solve(rows)
+        sol = integer_solve([(a, 0 if i in chosen else 1) for i, a in enumerate(lhs)])
         if sol is None:
             continue
         split = Split(sol[:m], sol[m])
@@ -177,19 +185,23 @@ def has_2hyperplane_property(l: Polyhedron) -> TwoHPReport:
 
     The faces and the integer points on each come from one incidence of
     l's integer points with the hull's rows; a face lies in a facet of l
-    iff that facet is tight on all of its points.
+    iff that facet is tight on all of its points.  The facets are l's
+    integer rows that are not equalities (``Polyhedron._equalities``): an
+    equality row is tight on every point, so counting it would put every
+    face of a lower-dimensional l in a facet.
     """
     if not l.is_bounded:
         raise GeometryError("the 2-hyperplane check needs a bounded polyhedron")
     require_lattice_free(l)
-    pts = list(_iter_lattice_points(l))
-    if not pts:
+    homog = [q + (1,) for q in _iter_lattice_points(l)]
+    if not homog:
         return TwoHPReport((), True)
+    eq = l._equalities
     on_facet = [
-        sum(1 << i for i, q in enumerate(pts) if dot(a, q) == b)
-        for a, b in l.facet_inequalities()
+        sum(1 << i for i, h in enumerate(homog) if dot(r, h) == 0)
+        for k, r in enumerate(l.rows[:-1])
+        if not eq >> k & 1
     ]
-    homog = [q + (1,) for q in pts]
     entries, overall = [], True
     for face, s in _faces(_from_homogeneous(l.dim, homog), homog):
         contained = any(s & m == s for m in on_facet)
@@ -214,21 +226,26 @@ def classify_2d(l: Polyhedron) -> Classification2D:
     if l.is_empty or l.affine_dim() != 2:
         raise GeometryError("classification needs a full-dimensional polytope")
     require_lattice_free(l)
-    pts = tuple(lattice_points(l))
-    facets = l.facet_inequalities()
-    facet_set = set(facets)
-    for a, b in facets:
-        partner = (tuple(-x for x in a), -(b - 1))
-        if b.denominator == 1 and partner in facet_set:
+    homog = [q + (1,) for q in _iter_lattice_points(l)]
+    pts = tuple(as_point(h[:-1]) for h in homog)
+    # l is full-dimensional: its facets are its rows a·x + c <= 0, a·x <= -c
+    # has an integer right-hand side iff a is coprime (the row is), and the
+    # facet at the next integer level, -a·x <= c + 1, is the row (-a, -c - 1)
+    facets = l.rows[:-1]
+    for r in facets:
+        partner = (*(-x for x in r[:-1]), -r[-1] - 1)
+        if gcd(*r[:-1]) == 1 and partner in facets:
             return Classification2D("split", pts)
-    # a point on a facet is in its relative interior iff it is no vertex
+    # a point on a facet is in its relative interior iff it is no vertex,
+    # and the integer vertices are the generators with t = 1
+    corners = {g for g in l.gens if g[-1] == 1}
     relint_counts = [
-        sum(1 for q in pts if dot(a, q) == b and q not in l.vertices) for a, b in facets
+        sum(1 for h in homog if dot(r, h) == 0 and h not in corners) for r in facets
     ]
     if any(c == 0 for c in relint_counts):
         return Classification2D("non_maximal", pts)
     if len(facets) == 3:
-        if all(c.denominator == 1 for v in l.vertices for c in v):
+        if len(corners) == 3:
             return Classification2D("triangle_type1", pts)
         if any(c >= 2 for c in relint_counts):
             return Classification2D("triangle_type2", pts)

@@ -10,12 +10,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .geometry import (
     GeometryError,
     Point,
     Polyhedron,
+    _over_denominator,
     as_point,
     convex_hull,
     require_lattice_free,
@@ -67,21 +68,27 @@ def _check_gauge_input(l: Polyhedron, f: Point, r: Point) -> None:
 def gauge(l: Polyhedron, f: Sequence, r: Sequence) -> Fraction:
     """psi(r) = 1/max{lambda >= 0 : f + lambda r in L}.
 
-    Computed by exact ray-facet intersection: the exit step is the least
-    positive crossing parameter over facets the ray moves toward.
+    Computed by exact ray-facet intersection on L's integer rows a·x + c
+    <= 0: the exit step is the least positive crossing parameter over the
+    rows the ray moves toward, so psi is the largest reciprocal.  With
+    f = F/d and r = R/e over common denominators, a row with a·R > 0
+    gives psi = d·(a·R) / (−e·(a·F + c·d)), whose denominator is positive
+    since f is interior; the largest is kept by cross-multiplying.
     """
     fp, rp = as_point(f), as_point(r)
     _check_gauge_input(l, fp, rp)
-    lam: Optional[Fraction] = None
-    for a, b in l.inequalities:
-        slope = dot(a, rp)
+    (F, d), (R, e) = _over_denominator(fp), _over_denominator(rp)
+    h = (*F, d)
+    num, den = 0, 1
+    for row in l.rows:
+        slope = dot(row[:-1], R)
         if slope > 0:
-            cand = (b - dot(a, fp)) / slope
-            if lam is None or cand < lam:
-                lam = cand
-    if lam is None:
+            top, bottom = d * slope, -e * dot(row, h)
+            if top * den > num * bottom:
+                num, den = top, bottom
+    if not num:
         raise GeometryError("ray never exits the set; input is unbounded")
-    return 1 / lam
+    return Fraction(num, den)
 
 
 def boundary_point(l: Polyhedron, f: Sequence, r: Sequence) -> Point:

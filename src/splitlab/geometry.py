@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, reduce
-from math import gcd
+from math import gcd, lcm
 from operator import and_
 from typing import Iterator, Optional, Sequence
 
@@ -72,8 +72,19 @@ def as_point(coords: Sequence) -> Point:
     return tuple(Fraction(c) for c in coords)
 
 
+def _over_denominator(v: Sequence) -> tuple[IntVec, int]:
+    """(n, d) with v = n/d: the rational vector v over its least common
+    denominator d >= 1, so that signs of integer row products with (n, d)
+    are the signs with (v, 1)."""
+    v = [x if type(x) is int or type(x) is Fraction else Fraction(x) for x in v]
+    d = lcm(*(x.denominator for x in v))
+    return tuple(x.numerator * (d // x.denominator) for x in v), d
+
+
 def _integer(x) -> int:
     """x as an int, refusing a non-integral value rather than truncating it."""
+    if type(x) is int:
+        return x
     if Fraction(x).denominator != 1:
         raise GeometryError(f"not an integer: {x!r}")
     return int(x)
@@ -499,13 +510,15 @@ class Polyhedron:
 
     def relint_contains(self, point: Sequence) -> bool:
         """Membership in the relative interior: on every equality row and
-        strictly inside every other row."""
-        p = as_point(point)
-        if len(p) != self.dim:
+        strictly inside every other row.  The test runs in integers, on the
+        point n/d over its common denominator d: a row r holds at it with
+        the sign of r·(n, d)."""
+        n, d = _over_denominator(point)
+        if len(n) != self.dim:
             raise GeometryError("point dimension mismatch")
         if self.is_empty:
             return False
-        h, eq = p + (1,), self._equalities
+        h, eq = (*n, d), self._equalities
         return all(
             dot(r, h) == 0 if eq >> k & 1 else dot(r, h) < 0 for k, r in enumerate(self.rows[:-1])
         )

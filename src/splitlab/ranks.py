@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import ceil, floor as math_floor, lcm
+from math import ceil, floor as math_floor
 from typing import Optional, Sequence, Union
 
 from .certify import Face, faces, has_2hyperplane_property
@@ -24,6 +24,7 @@ from .geometry import (
     Hyperplane,
     Point,
     Polyhedron,
+    _over_denominator,
     as_point,
     convex_hull,
     lattice_points,
@@ -125,7 +126,8 @@ def lift(
     The cone has vertex (f, 1) and rays dropping to the z = 0 slice:
     through the vertices of l for kind "P^L", through the ray boundary
     points for kind "P^L(x,z)".  Truncation at z = -floor turns it into
-    a polytope so split application by hulls stays exact.
+    a polytope so split application by hulls stays exact.  The base is
+    the hull of the anchors: l itself for kind "P^L".
     """
     if kind not in ("P^L", "P^L(x,z)"):
         raise GeometryError(f"unknown lift kind {kind!r}")
@@ -146,7 +148,8 @@ def lift(
     cone = Polyhedron.from_generators([apex], rays)
     zfloor = (0,) * model.dim + (-1,)
     truncated = cone.intersect_halfspace(zfloor, Fraction(floor))
-    base = convex_hull(anchors)
+    # l is a full-dimensional polytope, the hull of its own vertices
+    base = l if kind == "P^L" else convex_hull(anchors)
     return LiftedCone(truncated, apex, floor, kind, base)
 
 
@@ -161,13 +164,11 @@ def height_at(q: Polyhedron, x: Sequence) -> Optional[Fraction]:
     truncated lifts since the floor bounds z below and the apex bounds it
     above.
     """
-    xp = as_point(x)
-    if len(xp) != q.dim - 1:
+    n, d = _over_denominator(x)
+    if len(n) != q.dim - 1:
         raise GeometryError("witness point must live in the x-space of q")
     if q.is_empty:
         return None
-    d = lcm(*(c.denominator for c in xp))
-    n = [c.numerator * (d // c.denominator) for c in xp]
     # the homogenizing row −t <= 0 has c = 0 and s = −d, so it always holds
     rows = [(r[-2], dot(r[:-2], n) + r[-1] * d) for r in q.rows]
     if any(c == 0 and s > 0 for c, s in rows):

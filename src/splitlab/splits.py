@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import product
-from math import ceil, floor
+from math import ceil
 from operator import and_
 from typing import Optional, Sequence
 
@@ -36,6 +36,7 @@ from .geometry import (
     as_point,
     _from_homogeneous,
     _integer,
+    _over_denominator,
     _join_rows,
     _pointed_cone_rays,
 )
@@ -242,24 +243,24 @@ def enumerate_splits(bound: int, box: Sequence[tuple[Fraction, Fraction]]) -> li
     ``bound`` touching ``box``.
 
     The identification (pi, pi0) ~ (-pi, -pi0-1) is resolved by keeping
-    the representative whose leading nonzero entry is positive.
+    the representative whose leading nonzero entry is positive.  Each
+    direction's range of pi0 is read in integers, over the box's common
+    denominator.
     """
     if bound < 1:
         return []
     dim = len(box)
+    # the box over a common denominator d: pi·x ranges over [lo/d, hi/d]
+    ends, d = _over_denominator([c for lo, hi in box for c in (lo, hi)])
+    lows, highs = ends[0::2], ends[1::2]
     out: list[Split] = []
     for pi in product(range(-bound, bound + 1), repeat=dim):
         if not any(pi) or vec_gcd(pi) != 1 or next(x for x in pi if x) < 0:
             continue
-        minv = sum(
-            min(pi[i] * Fraction(box[i][0]), pi[i] * Fraction(box[i][1]))
-            for i in range(dim)
-        )
-        maxv = sum(
-            max(pi[i] * Fraction(box[i][0]), pi[i] * Fraction(box[i][1]))
-            for i in range(dim)
-        )
-        for pi0 in range(ceil(minv) - 1, floor(maxv) + 1):
+        terms = [(p * a, p * b) for p, a, b in zip(pi, lows, highs)]
+        lo = sum(map(min, terms))
+        hi = sum(map(max, terms))
+        for pi0 in range(-(-lo // d) - 1, hi // d + 1):
             out.append(Split(pi, pi0))
     return out
 

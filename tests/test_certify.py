@@ -20,12 +20,13 @@ from splitlab.geometry import (
     GeometryError,
     Polyhedron,
     _from_homogeneous,
+    _integer,
     as_point,
     convex_hull,
     integer_solve,
     lattice_points,
 )
-from splitlab.linalg import dot
+from splitlab.linalg import _echelon, dot
 from splitlab.splits import Split
 
 from conftest import make_rng
@@ -156,6 +157,80 @@ def test_labeling_matches_scan_reference(rng):
     # every family shows up, and both verdicts occur
     assert len(kinds) == 5
     assert {"partitionable", "not_partitionable"} <= set().union(*kinds.values())
+
+
+def _full_labeling_reference(points):
+    """The labeling search over all 2^(r+1) {0,1} labelings of the affine
+    basis q0 and the pivot points, q0's label included, with every
+    coordinate read through a Fraction."""
+    if any(F(c).denominator != 1 for q in points for c in q):
+        raise GeometryError("2-partitionability is defined for integer points")
+    ints = sorted({tuple(int(c) for c in q) for q in points})
+    if len({len(q) for q in ints}) > 1:
+        raise GeometryError("points have mismatched dimensions")
+    pts = [as_point(q) for q in ints]
+    if len(pts) <= 1:
+        return PartitionCertificate("trivially_partitionable", None, tuple(pts), ())
+    n, m = len(ints), len(ints[0])
+    ech, pivots, D, _ = _echelon([[q[k] - ints[0][k] for q in ints] for k in range(m)], n)
+    candidates = []
+    for l0, *labels in product((0, 1), repeat=len(pivots) + 1):
+        vals = [l0 * D + sum(row[i] * (l - l0) for row, l in zip(ech, labels)) for i in range(n)]
+        if set(vals) == {0, D}:
+            candidates.append(tuple(i for i, v in enumerate(vals) if v == 0))
+    for combo in sorted(candidates, key=lambda c: (len(c), c)):
+        rows = [(q + (-1,), 0 if i in combo else 1) for i, q in enumerate(ints)]
+        sol = integer_solve(rows)
+        if sol is not None:
+            s1 = tuple(pts[i] for i in combo)
+            s2 = tuple(pts[i] for i in range(n) if i not in combo)
+            return PartitionCertificate("partitionable", Split.make(sol[:m], sol[m]), s1, s2)
+    return PartitionCertificate("not_partitionable", None, (), ())
+
+
+def test_half_the_labelings_match_the_full_labeling_reference(rng):
+    """Fixing q0's label and taking each labeling's complement finds the
+    candidates, and so the certificate, of the full scan: seeded sets in
+    dimensions 1-4 as ints and as integral Fractions, with repeats, one or
+    two points, two planes and lattice width 2; refusals keep their text."""
+    seen = {}
+    for case in range(600):
+        kind = ("planted", "width2", "random", "tiny", "repeats", "lowdim")[case % 6]
+        if kind == "tiny":
+            m = rng.randint(1, 4)
+            pts = [tuple(rng.randint(-3, 3) for _ in range(m)) for _ in range(rng.randint(1, 2))]
+        else:
+            pts, _ = _partition_case(rng)
+            if kind == "planted":
+                pts = [(rng.randint(0, 1),) + q[1:] for q in pts]
+            elif kind == "width2":
+                pts = [q[:-1] + (rng.randint(0, 2),) for q in pts]
+            elif kind == "repeats":
+                pts = pts + pts[: rng.randint(1, len(pts))]
+        if case % 2:
+            pts = [tuple(F(c) for c in q) for q in pts]
+        want = _full_labeling_reference(pts)
+        assert repr(is_2partitionable(pts)) == repr(want), (kind, pts)
+        seen.setdefault(want.outcome, set()).add(kind)
+    # both verdicts on the multi-point families, and the trivial one on tiny sets
+    assert seen["partitionable"] >= {"planted", "width2", "random", "repeats", "lowdim"}
+    assert "not_partitionable" in seen and "tiny" in seen["trivially_partitionable"]
+    for bad, message in (
+        ([(F(1, 2), 0), (1, 1)], "^2-partitionability is defined for integer points$"),
+        ([(0, 0), (True, F(5, 3))], "^2-partitionability is defined for integer points$"),
+        ([(0, 0), (1,)], "^points have mismatched dimensions$"),
+    ):
+        for search in (is_2partitionable, _full_labeling_reference):
+            with pytest.raises(GeometryError, match=message):
+                search(bad)
+
+
+def test_integer_reads_ints_as_they_are():
+    assert _integer(7) == 7 and type(_integer(7)) is int
+    assert _integer(True) == 1 and type(_integer(True)) is int
+    assert _integer(F(3)) == 3 and type(_integer(F(3))) is int
+    with pytest.raises(GeometryError, match="not an integer"):
+        _integer(F(1, 2))
 
 
 def _check_certificate(cert, points):

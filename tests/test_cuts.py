@@ -12,7 +12,14 @@ from splitlab.cuts import (
     intersection_cut,
     rays_into_corners,
 )
-from splitlab.geometry import GeometryError, NotLatticeFreeError, convex_hull
+from splitlab.geometry import (
+    GeometryError,
+    NotLatticeFreeError,
+    Polyhedron,
+    convex_hull,
+    interior_integer_point,
+)
+from splitlab.linalg import dot
 
 from conftest import make_rng
 
@@ -49,10 +56,18 @@ def test_gauge_slab():
 
 def test_gauge_errors():
     f = (F(1, 2), F(1, 2))
-    with pytest.raises(GeometryError):
+    interior = "reference point must lie in the interior"
+    with pytest.raises(GeometryError, match=interior):
         gauge(TYPE1_T, (5, 5), (1, 0))  # outside
-    with pytest.raises(GeometryError):
-        gauge(TYPE1_T, f, (0, 0))  # zero ray
+    with pytest.raises(GeometryError, match=interior):
+        gauge(TYPE1_T, (1, 1), (1, 0))  # on the boundary
+    with pytest.raises(GeometryError, match=interior):
+        boundary_point(convex_hull([(0, 0), (2, 0)]), (1, 0), (1, 0))  # relative interior
+    with pytest.raises(GeometryError, match="gauge of the zero ray is undefined"):
+        gauge(TYPE1_T, f, (0, F(0, 3)))
+    cone = Polyhedron.from_generators([(0, 0)], [(1, 0), (0, 1)])
+    with pytest.raises(GeometryError, match="gauge requires a bounded set"):
+        gauge(cone, f, (1, 1))
 
 
 def test_intersection_cut_type1():
@@ -97,3 +112,51 @@ def test_gauge_homogeneity_and_sublinearity_randomized():
         s = tuple(x + y for x, y in zip(r1, r2))
         assert gauge(body, f, s) <= gauge(body, f, r1) + gauge(body, f, r2)
         done += 1
+
+
+def _ref_gauge(l, f, r):
+    """psi on the Fraction view: the least exit step over the inequalities
+    a·x <= b that r moves toward, inverted."""
+    steps = [(b - dot(a, f)) / dot(a, r) for a, b in l.inequalities if dot(a, r) > 0]
+    return 1 / min(steps)
+
+
+def _fraction(rng, den, reach):
+    return F(rng.randint(-reach * den, reach * den), den)
+
+
+def test_gauge_on_integer_rows_matches_fraction_reference():
+    """gauge, boundary_point and intersection_cut against the Fraction
+    computation over l.inequalities, in dimensions 1-3, with f and the
+    rays on different denominators (ints among them)."""
+    rng = make_rng()
+    done = cuts = 0
+    while done < 300:
+        dim = 1 + done % 3
+        den, reach = rng.choice((1, 2, 3, 5)), rng.choice((1, 2, 6))
+        l = convex_hull([[_fraction(rng, den, reach) for _ in range(dim)] for _ in range(dim + 2)])
+        if l.affine_dim() < dim:
+            continue
+        # a point strictly inside: the centroid, nudged on a fresh denominator
+        c = [sum(v[i] for v in l.vertices) / len(l.vertices) for i in range(dim)]
+        f = tuple(x + F(rng.randint(-1, 1), 7 * rng.randint(5, 9)) for x in c)
+        if not l.interior_contains(f):
+            continue
+        rays = []
+        while len(rays) < 3:
+            e = rng.choice((1, 4, 6, 11))
+            r = tuple(F(rng.randint(-5, 5), e) if e > 1 else rng.randint(-5, 5) for _ in range(dim))
+            if any(r):
+                rays.append(r)
+        for r in rays:
+            psi = gauge(l, f, r)
+            assert type(psi) is F and psi == _ref_gauge(l, f, r), (l, f, r)
+            lam = 1 / _ref_gauge(l, f, r)
+            assert boundary_point(l, f, r) == tuple(x + lam * y for x, y in zip(f, r))
+        if any(x.denominator > 1 for x in f) and interior_integer_point(l) is None:
+            model = CornerModel.make(f, rays)
+            assert intersection_cut(model, l).psi == tuple(_ref_gauge(l, f, r) for r in rays)
+            cuts += 1
+        done += 1
+    assert cuts >= 20
+

@@ -16,6 +16,8 @@ orthogonal complement of their nullspace.  The 2-hyperplane check is
 compared with the face-by-face procedure that one incidence replaced:
 faces from the facets' tight vertex sets, each a fresh hull, facet
 containment by Fraction dot products and a lattice-point scan per face.
+The 2D classification is compared with the one on the Fraction views of
+the facets and vertices that the integer rows and corners replaced.
 """
 
 from fractions import Fraction
@@ -27,6 +29,7 @@ import pytest
 from splitlab.certify import (
     FaceEntry,
     TwoHPReport,
+    classify_2d,
     faces,
     has_2hyperplane_property,
     is_2partitionable,
@@ -846,3 +849,56 @@ def test_faces_match_reference():
         lower += p.affine_dim() < d
         assert_same_faces(faces(p), ref_faces(p), pts)
     assert lower >= 20
+
+
+def ref_classify_2d(l):
+    """The 2D classification on the Fraction views: facets as inequalities
+    (a, b), the slab partner (-a, 1 - b), and the vertices as points."""
+    pts = tuple(lattice_points(l))
+    facets = l.facet_inequalities()
+    for a, b in facets:
+        if b.denominator == 1 and (tuple(-x for x in a), 1 - b) in facets:
+            return "split", pts
+    counts = [sum(1 for q in pts if dot(a, q) == b and q not in l.vertices) for a, b in facets]
+    if 0 in counts:
+        return "non_maximal", pts
+    if len(facets) == 3:
+        if all(c.denominator == 1 for v in l.vertices for c in v):
+            return "triangle_type1", pts
+        return ("triangle_type2" if max(counts) >= 2 else "triangle_type3"), pts
+    return ("quadrilateral" if len(facets) == 4 else "other"), pts
+
+
+# a slab, a type-2 and a type-3 triangle, and a strip -2/3 <= x <= -1/3
+# whose parallel facets 3x + 1 <= 0 and -3x - 2 <= 0 are no split
+BODIES_2D = [
+    [(0, -1), (1, -1), (0, 2), (1, 2)],
+    [(0, F(-1, 2)), (0, F(3, 2)), (2, F(1, 2))],
+    [(F(1, 3), F(-2, 3)), (F(4, 3), F(1, 3)), (F(-2, 3), F(4, 3))],
+    [(F(-2, 3), -1), (F(-1, 3), -1), (F(-2, 3), 1), (F(-1, 3), 1)],
+]
+
+
+def test_classify_2d_matches_reference():
+    """classify_2d on integer rows, points and corners against the
+    classification on the Fraction views, on seeded lattice-free bodies
+    of full dimension: images of maximal ones, slab and random hulls."""
+    rng = make_rng()
+    kinds = {}
+    for case in range(150):
+        kind = ("image", "slab", "random")[case % 3]
+        if kind == "image" and case % 2:
+            l = convex_hull(_unimodular_image(rng, rng.choice(BODIES_2D)))
+        else:
+            l = _lattice_free_body(rng, 2, kind)
+        if l.affine_dim() < 2:
+            continue
+        got = classify_2d(l)
+        want = ref_classify_2d(l)
+        assert (got.kind, got.integer_points_on_boundary) == want, l
+        assert all(type(c) is Fraction for q in got.integer_points_on_boundary for c in q)
+        kinds[got.kind] = kinds.get(got.kind, 0) + 1
+    assert set(kinds) >= {
+        "split", "non_maximal", "triangle_type1", "triangle_type2", "triangle_type3",
+        "quadrilateral",
+    }, kinds

@@ -208,6 +208,42 @@ def test_lattice_points_and_interior_point_vs_box_scan():
     assert with_interior >= 10
 
 
+def test_relint_contains_in_integers_matches_reference(rng):
+    """relint_contains on integer rows against the Fraction oracle, on
+    full- and lower-dimensional polytopes in dimensions 1-4, at points on
+    other denominators than the body's: vertices, midpoints of vertex
+    pairs and the centroid moved a little, as ints or Fractions."""
+    lower = inside = 0
+    for case in range(200):
+        dim = case % 4 + 1
+        den = rng.choice((1, 2, 3))
+        k = rng.randint(1, dim + 2)
+        base = [F(rng.randint(-4 * den, 4 * den), den) for _ in range(dim)]
+        pts = [
+            tuple(b + F(rng.randint(-3, 3), den) for b in base) for _ in range(k)
+        ]
+        p = convex_hull(pts)
+        lower += p.affine_dim() < dim
+        vs = p.vertices
+        centroid = tuple(sum(c) / len(vs) for c in zip(*vs))
+        probes = list(vs) + [centroid]
+        probes += [tuple((x + y) / 2 for x, y in zip(u, v)) for u in vs for v in vs]
+        probes += [
+            tuple(c + F(rng.randint(-1, 1), rng.choice((5, 7, 11))) for c in centroid)
+            for _ in range(4)
+        ]
+        for q in probes:
+            if all(c.denominator == 1 for c in q) and case % 2:
+                q = tuple(int(c) for c in q)
+            assert p.relint_contains(q) == reference_relint(p, q), (pts, q)
+            inside += p.relint_contains(q)
+    assert lower >= 30 and inside >= 200
+    with pytest.raises(GeometryError, match="point dimension mismatch"):
+        TYPE1_T.relint_contains((F(1, 2),))
+    assert not Polyhedron.empty(2).relint_contains((0, 0))
+    assert convex_hull([(0, 0), (2, 0)]).relint_contains(("1/2", 0))
+
+
 def test_hull_round_trip_randomized():
     rng = make_rng()
     checked = 0

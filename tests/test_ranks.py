@@ -61,6 +61,24 @@ def test_lift_heights():
     assert other.poly == cone.poly
 
 
+def test_lift_base_is_the_body():
+    """Kind "P^L" anchors at l's vertices, so its base is l itself; kind
+    "P^L(x,z)" keeps the hull of the ray boundary points."""
+    for model, l in ((TYPE1_MODEL, TYPE1_T), (SQ_MODEL, UNIT_SQ), (T2_MODEL, T2)):
+        cone = lift(model, l, floor=3)
+        assert cone.base is l
+        assert cone.base == convex_hull(l.vertices)
+    corners = CornerModel.make(
+        (F(1, 2), F(1, 2)), [(F(3, 2), F(-1, 2)), (F(-1, 2), F(3, 2)), (-1, -1)]
+    )
+    other = lift(corners, TYPE1_T, kind="P^L(x,z)", floor=3)
+    assert other.base == convex_hull([(2, 0), (0, 2), (0, 0)])
+    narrow = CornerModel.make((F(1, 2), F(1, 2)), [(1, 0), (0, 1), (-1, -1)])
+    other = lift(narrow, TYPE1_T, kind="P^L(x,z)", floor=3)
+    assert other.base == convex_hull([(F(3, 2), F(1, 2)), (F(1, 2), F(3, 2)), (0, 0)])
+    assert other.base != TYPE1_T
+
+
 def test_height_concavity_randomized():
     rng = make_rng()
     cone = lift(TYPE1_MODEL, TYPE1_T, floor=4)

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 from functools import reduce
+from itertools import product
 from math import ceil, floor
 from time import perf_counter
 
@@ -277,6 +278,35 @@ def test_enumerate_splits_counts():
         key = (s.pi, s.pi0)
         assert key not in seen
         seen.add(key)
+
+
+def _ref_enumerate_splits(bound, box):
+    """Each direction's pi0 range from Fraction products with the box."""
+    out = []
+    for pi in product(range(-bound, bound + 1), repeat=len(box)):
+        if not any(pi) or vec_gcd(pi) != 1 or next(x for x in pi if x) < 0:
+            continue
+        lo = sum(min(p * F(a), p * F(b)) for p, (a, b) in zip(pi, box))
+        hi = sum(max(p * F(a), p * F(b)) for p, (a, b) in zip(pi, box))
+        out += [Split(pi, pi0) for pi0 in range(ceil(lo) - 1, floor(hi) + 1)]
+    return out
+
+
+def test_enumerate_splits_in_integers_matches_reference(rng):
+    """The pi0 ranges read over the box's common denominator against the
+    Fraction ranges, on seeded boxes in dimensions 1-3: mixed
+    denominators, int and Fraction ends, integer ends, reversed sides."""
+    for case in range(300):
+        dim = 1 + case % 3
+        box = []
+        for _ in range(dim):
+            den = rng.choice((1, 2, 3, 4, 7))
+            a, b = (F(rng.randint(-9 * den, 9 * den), den) for _ in range(2))
+            if case % 4 == 0:
+                a, b = int(a), int(b)
+            box.append((a, b) if case % 5 else (b, a))
+        bound = rng.randint(0, 3)
+        assert enumerate_splits(bound, box) == _ref_enumerate_splits(bound, box), box
 
 
 def test_sweep_sequence():
