@@ -12,8 +12,9 @@ tight sets no other generator or row contains.  Rank-deficient input,
 such as the generators of a lower-dimensional face, takes the same pass:
 the lines no row cuts span the lineality space, and integer elimination
 puts them and the rays in canonical form.  Intersecting with further
-rows, and slicing for a split, are DD steps from the stored state; a
-batch of rows, such as a whole round of split hulls, is one step.  The
+rows is a DD step from the stored state, and a batch of rows, such as a
+whole round of split hulls, is one step; a split's slices are DD steps
+read off the stored edge list (``Polyhedron._edges``).  The
 facet rows of the hull of a full-dimensional polyhedron and further
 generators (``_join_rows``) come from the same step in the polar: the
 seed rays are its facet rows, its generators the rows, and each new
@@ -502,6 +503,32 @@ class Polyhedron:
         (bit k for rows[k]): the equality rows, in opposite pairs.  Only
         for a nonempty polyhedron."""
         return reduce(and_, self.masks)
+
+    @cached_property
+    def _edges(self) -> list[tuple[int, int, int]]:
+        """The adjacent pairs (i, j, common) of generators, i < j, with
+        common the mask of the rows tight on both: the pairs that pass a
+        double-description step's combinatorial test, at least dim − 1
+        common rows (the homogenizing one included) and no third generator
+        tight on all of them."""
+        masks, need = self.masks, self.dim - 1
+        cols = _transpose(masks, len(self.rows))
+        every = (1 << len(masks)) - 1
+        out = []
+        for i, mi in enumerate(masks):
+            for j in range(i + 1, len(masks)):
+                common = mi & masks[j]
+                if common.bit_count() < need:
+                    continue
+                # the generators tight on every common row, i and j among them
+                pair, on, m = 1 << i | 1 << j, every, common
+                while m and on != pair:
+                    low = m & -m
+                    on &= cols[low.bit_length() - 1]
+                    m ^= low
+                if on == pair:
+                    out.append((i, j, common))
+        return out
 
     def affine_dim(self) -> int:
         if self.is_empty:

@@ -18,15 +18,17 @@ from math import ceil, floor as math_floor
 from typing import Optional, Sequence, Union
 
 from .certify import Face, faces, has_2hyperplane_property
-from .cuts import CornerModel, boundary_point
+from .cuts import CornerModel, boundary_hull
 from .geometry import (
     GeometryError,
     Hyperplane,
     Point,
     Polyhedron,
+    _canonical,
+    _integer,
     _over_denominator,
+    _primitive,
     as_point,
-    convex_hull,
     lattice_points,
     require_lattice_free,
 )
@@ -47,7 +49,8 @@ DEFAULT_FLOOR = 64
 
 @dataclass(frozen=True)
 class LiftedCone:
-    """A floor-truncated cone over a lattice-free body in (x, z)-space."""
+    """A cone over a lattice-free body in (x, z)-space, cut by the floor
+    z >= -floor: a relaxation of the cone, which can lower heights."""
 
     poly: Polyhedron
     apex: Point
@@ -125,32 +128,38 @@ def lift(
 
     The cone has vertex (f, 1) and rays dropping to the z = 0 slice:
     through the vertices of l for kind "P^L", through the ray boundary
-    points for kind "P^L(x,z)".  Truncation at z = -floor turns it into
-    a polytope so split application by hulls stays exact.  The base is
-    the hull of the anchors: l itself for kind "P^L".
+    points for kind "P^L(x,z)".  The base is the hull of the anchors: l
+    itself for kind "P^L".  The floor z >= -floor is a relaxation that
+    makes the cone a polytope; it can lower heights (see probe_rounds).
+
+    The double description is read off the base's, in integers, with
+    f = nf/df: a base row (a, c) gives the cone row (df·a, −c·df − a·nf,
+    c·df), the floor adds −z − floor·t <= 0, and the generators are the
+    apex (nf, df, df) and, for each base vertex (n, t), its image on the
+    floor ((floor + 1)·n·df − floor·nf·t, −floor·t·df, t·df).
     """
     if kind not in ("P^L", "P^L(x,z)"):
         raise GeometryError(f"unknown lift kind {kind!r}")
+    floor = _integer(floor)
     if floor < 1:
         raise GeometryError("floor must be a positive integer")
     require_lattice_free(l)
     if not l.interior_contains(model.f):
         raise GeometryError("reference point must lie in the interior")
-    if kind == "P^L":
-        anchors = list(l.vertices)
-    else:
-        anchors = [boundary_point(l, model.f, r) for r in model.rays]
-    apex = tuple(model.f) + (Fraction(1),)
-    rays = [
-        tuple(v[i] - model.f[i] for i in range(model.dim)) + (Fraction(-1),)
-        for v in anchors
+    base = l if kind == "P^L" else boundary_hull(model, l)
+    nf, df = _over_denominator(model.f)
+    m, up = model.dim, (floor + 1) * df
+    rows = [
+        _primitive((*(df * x for x in a), -c * df - dot(a, nf), c * df), 1) for *a, c in base.rows
     ]
-    cone = Polyhedron.from_generators([apex], rays)
-    zfloor = (0,) * model.dim + (-1,)
-    truncated = cone.intersect_halfspace(zfloor, Fraction(floor))
-    # l is a full-dimensional polytope, the hull of its own vertices
-    base = l if kind == "P^L" else convex_hull(anchors)
-    return LiftedCone(truncated, apex, floor, kind, base)
+    rows += [(0,) * m + (-1, -floor), (0,) * (m + 1) + (-1,)]
+    gens = [(*nf, df, df)] + [
+        _primitive((*(up * x - floor * y * t for x, y in zip(n, nf)), -floor * t * df, t * df), 1)
+        for *n, t in base.gens
+    ]
+    masks = [sum(1 << k for k, r in enumerate(rows) if dot(r, g) == 0) for g in gens]
+    apex = tuple(model.f) + (Fraction(1),)
+    return LiftedCone(_canonical(m + 1, rows, gens, masks), apex, floor, kind, base)
 
 
 def height_at(q: Polyhedron, x: Sequence) -> Optional[Fraction]:

@@ -5,9 +5,12 @@ integer data and coprime pi.  A split acts on the leading coordinates of
 the space it meets, so a split of x-space applies as it is to a cone
 lifted into (x, z); where q lies along a split is read from q's
 generators once (``_extent``).  A round of splits cuts a polyhedron by the
-convex hulls of each split's two clipped pieces, in integers: each piece
-is one double-description (DD) step from the polyhedron's stored state, and
-a hull's facet rows come from a seeded DD step in the polar, since the
+convex hulls of each split's two clipped pieces, in integers.  Each split
+direction's values over the generators are computed once per round
+(``_levels``); they tell which splits leave the polyhedron unchanged and
+give both pieces' row values.  Each piece is a double-description (DD)
+step read off the polyhedron's edge list, built once per round, and a
+hull's facet rows come from a seeded DD step in the polar, since the
 polar of a hull is the intersection of the polars.  It starts from a
 full-dimensional piece, whose facet rows are the rays, and adds the other
 piece's generators as rows; only two lower-dimensional pieces take a
@@ -35,10 +38,10 @@ from .geometry import (
     Polyhedron,
     as_point,
     _from_homogeneous,
+    _combine,
     _integer,
     _over_denominator,
     _join_rows,
-    _pointed_cone_rays,
 )
 from .linalg import dot, integer_solve_rows, scale_primitive, vec_gcd
 
@@ -114,49 +117,54 @@ def _extent(q: Polyhedron, a: IntVec) -> tuple[Optional[Fraction], Optional[Frac
     return least, greatest
 
 
-def _vertex_between(q: Polyhedron, a: IntVec, pi0: int) -> bool:
-    """True iff a vertex of q lies strictly between a·x = pi0 and pi0 + 1; a
-    split with none leaves q unchanged, as every generator lies in a piece."""
-    return any(pi0 * g[-1] < dot(a, g[:-1]) < (pi0 + 1) * g[-1] for g in q.gens)
+def _levels(q: Polyhedron, a: IntVec) -> tuple[list[int], set[int]]:
+    """a·n for each generator (n, t) of q, and the levels k with a vertex of q
+    strictly between a·x = k and k + 1.  A split off these levels leaves q
+    unchanged, as every generator lies in one of its pieces."""
+    vals = [dot(a, g[:-1]) for g in q.gens]
+    return vals, {v // g[-1] for v, g in zip(vals, q.gens) if g[-1] and v % g[-1]}
 
 
-def _halfspace_generators(
-    q: Polyhedron, a: IntVec, b: int
-) -> tuple[Sequence[IntVec], Sequence[IntVec], Sequence[int]]:
-    """The double description (generators, rows, masks) of q intersected
-    with {x : a.x <= b}, in the form of q's fields.
+def _piece(q: Polyhedron, w: Sequence[int]) -> tuple[list[IntVec], list[int]]:
+    """The generators and masks of q cut by one more row, whose value on
+    each generator is w and whose bit follows q's rows.
 
-    One double-description step from q's state: it keeps the generators
-    that satisfy the row and creates the ones on the plane a.x = b.  A row
-    that q already has is not appended again, so the rows stay distinct.
+    A double-description step read off q's edge list: the generators with
+    w <= 0 stay, tight on the row where w = 0, and each edge whose ends
+    lie on opposite sides gives the generator where it crosses the plane.
     """
-    row = a + (-b,)
-    if row in q.rows:
-        return q.gens, q.rows, q.masks
-    rows = [*q.rows, row]
-    _, out, out_masks = _pointed_cone_rays(rows, q.dim + 1, (len(q.rows), q.gens, q.masks))
-    return out, rows, out_masks
+    bit = 1 << len(q.rows)
+    gens = [g for g, x in zip(q.gens, w) if x <= 0]
+    masks = [m | bit if x == 0 else m for m, x in zip(q.masks, w) if x <= 0]
+    for i, j, common in q._edges:
+        if w[i] * w[j] < 0:
+            p, n = (i, j) if w[i] > 0 else (j, i)
+            gens.append(_combine(w[p], q.gens[n], w[n], q.gens[p]))
+            masks.append(common | bit)
+    return gens, masks
 
 
-def _split_rows(q: Polyhedron, s: Split) -> Optional[Sequence[IntVec]]:
+def _split_rows(
+    q: Polyhedron, a: IntVec, vals: Sequence[int], lo: int
+) -> Optional[Sequence[IntVec]]:
     """The homogeneous rows of the convex hull of the two pieces of q cut
-    out by the disjunction s: none when s leaves q unchanged, and None when
-    both pieces are empty (no point, as in ``_homog_rows``).
+    out by the split a·x <= lo or a·x >= lo + 1, with vals = a·n over q's
+    generators (n, t) and a vertex of q strictly between the planes; None
+    when both pieces are empty (no point, as in ``_homog_rows``).
 
     With one nonempty piece these are its slice rows.  Two pieces give the
     rays of one double-description step in the polar, seeded from a
     full-dimensional piece (``_join_rows``); two lower-dimensional pieces
     take a fresh V->H pass.
     """
-    a, lo, hi = embed_normal(s.pi, q.dim), s.pi0, s.pi0 + 1
-    if not _vertex_between(q, a, lo):
-        return []
-    neg_a = tuple(-x for x in a)
-    pieces = [
-        piece
-        for piece in (_halfspace_generators(q, a, lo), _halfspace_generators(q, neg_a, -hi))
-        if any(g[-1] for g in piece[0])
-    ]
+    pieces = []
+    for row, w in (
+        ((*a, -lo), [v - lo * g[-1] for v, g in zip(vals, q.gens)]),
+        ((*(-x for x in a), lo + 1), [(lo + 1) * g[-1] - v for v, g in zip(vals, q.gens)]),
+    ):
+        gens, masks = _piece(q, w)
+        if any(g[-1] for g in gens):
+            pieces.append((gens, (*q.rows, row), masks))
     if not pieces:
         return None
     if len(pieces) == 1:
@@ -191,7 +199,7 @@ def classify_split(q: Polyhedron, s: Split) -> SplitClass:
     chvatal = (greatest is not None and greatest < s.pi0 + 1) or (
         least is not None and least > s.pi0
     )
-    return SplitClass(not chvatal, not _vertex_between(q, a, s.pi0), chvatal)
+    return SplitClass(not chvatal, s.pi0 not in _levels(q, a)[1], chvatal)
 
 
 def split_confines(q: Polyhedron, s: Split) -> bool:
@@ -224,14 +232,20 @@ def apply_round(q: Polyhedron, splits: Sequence[Split]) -> Polyhedron:
 
     Each split acts on q's leading coordinates (``embed_normal``), so a
     round of x-space splits applies to a cone lifted into (x, z) as it is.
-    The distinct hull rows of every split, in lexmin order (ascending
-    tuples), cut q in one seeded double-description step, and the result
-    is put in canonical form once; q itself comes back when no split
-    changes it, and the empty polyhedron when some split leaves no point.
+    The distinct hull rows of every split with a vertex of q strictly
+    between its planes (``_levels``), in lexmin order (ascending tuples),
+    cut q in one seeded double-description step, and the result is put
+    in canonical form once; q itself comes back when no split changes it,
+    and the empty polyhedron when some split leaves no point.
     """
     rows: set[IntVec] = set()
+    by_dir: dict[IntVec, tuple[list[int], set[int]]] = {}
     for s in splits:
-        hull = _split_rows(q, s)
+        a = embed_normal(s.pi, q.dim)
+        vals, levels = by_dir[a] if a in by_dir else by_dir.setdefault(a, _levels(q, a))
+        if s.pi0 not in levels:
+            continue
+        hull = _split_rows(q, a, vals, s.pi0)
         if hull is None:
             return Polyhedron.empty(q.dim)
         rows.update(hull)

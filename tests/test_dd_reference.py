@@ -46,7 +46,7 @@ from splitlab.geometry import (
     lattice_points,
     require_lattice_free,
 )
-from splitlab.cuts import CornerModel
+from splitlab.cuts import CornerModel, boundary_point
 from splitlab.linalg import _echelon, dot, rank, scale_primitive
 from splitlab.ranks import EnumerateStrategy, height_at, lift, max_height
 from splitlab.splits import Split, apply_round, apply_split, embed_normal
@@ -532,7 +532,6 @@ def test_hull_paths_match_reference(monkeypatch):
     for two lower-dimensional pieces, and the slice rows of the one
     nonempty piece when the other is empty."""
     import splitlab.splits as splits
-    from splitlab.geometry import _canonical
 
     seen = dict.fromkeys(("seed_lo", "seed_hi", "fallback", "empty", "dup_row", "rays"), 0)
     current = {}
@@ -588,19 +587,132 @@ def test_hull_paths_match_reference(monkeypatch):
         assert got == _outcome(ref_apply_split, p, s), (pts, rays, s)
         if p.affine_dim() < d:
             continue
-        # a cut row that p already has: the slice keeps p's own rows, and
-        # a split whose plane carries a facet englobes p
+        # a cut row that p already has: the slice keeps p's own generators,
+        # tight on the new row where they are on its copy, and a split whose
+        # plane carries a facet englobes p
         a, b = rng.choice(p.facet_inequalities())
         if b.denominator == 1:
             assert apply_split(p, Split(a, int(b))) is p
             assert apply_split(p, Split(a, int(b)).partner()) is p
         row = scale_primitive(a + (-b,))
-        assert row in p.rows
-        gens, rows, masks = splits._halfspace_generators(p, row[:-1], -row[-1])
-        assert rows == p.rows
-        assert _canonical(d, rows, gens, masks) == p
+        k = p.rows.index(row)
+        gens, masks = splits._piece(p, [dot(row, g) for g in p.gens])
+        assert gens == list(p.gens)
+        assert masks == [m | (m >> k & 1) << len(p.rows) for m in p.masks]
         seen["dup_row"] += 1
     assert min(seen.values()) >= 20, seen
+
+
+def test_pieces_match_seeded_step():
+    """Each piece read off the edge list against one seeded double-
+    description step from the same state, compared as sets of (generator,
+    mask), on the slab bodies in dimensions 1-4, unbounded and lower-
+    dimensional ones included."""
+    import splitlab.splits as splits
+
+    rng = make_rng()
+    seen = dict.fromkeys(("rays", "lower", "created"), 0)
+    kinds = ("cross", "touch_lo", "touch_hi", "slab", "miss")
+    for case in range(HULL_CASES):
+        d = 1 + case % 4
+        pts, rays, s = _slab_body(rng, d, kinds[case // 4 % len(kinds)])
+        if d > 1 and case % 5 == 0:
+            # points on a proper affine subspace through the one between
+            # the planes: a polygon in 3D has pairs of vertices that share
+            # the equality rows but no edge
+            dirs = [tuple(rng.randint(-2, 2) for _ in range(d)) for _ in range(d - 1)]
+            pts = [_on_span(rng, pts[-1], dirs) for _ in range(rng.randint(3, 7))] + [pts[-1]]
+        try:
+            p = Polyhedron.from_generators(pts, rays)
+        except LinealityError:
+            continue
+        seen["rays"] += bool(p.rays)
+        seen["lower"] += p.affine_dim() < d
+        a = embed_normal(s.pi, d)
+        for row in (a + (-s.pi0,), tuple(-x for x in a) + (s.pi0 + 1,)):
+            gens, masks = splits._piece(p, [dot(row, g) for g in p.gens])
+            _, want, want_masks = _pointed_cone_rays(
+                [*p.rows, row], d + 1, (len(p.rows), p.gens, p.masks)
+            )
+            assert len(gens) == len(want)
+            assert set(zip(gens, masks)) == set(zip(want, want_masks)), (pts, rays, row)
+            seen["created"] += len(set(gens) - set(p.gens))
+    assert min(seen.values()) >= 20, seen
+
+
+def test_levels_match_vertex_scan():
+    """A split is skipped by its level exactly when the scan of q's
+    generators finds no vertex strictly between its planes, for every
+    enumerated split touching the box of seeded polyhedra in dims 1-4."""
+    from splitlab.splits import _levels, enumerate_splits
+
+    rng = make_rng()
+    seen = dict.fromkeys(("between", "skipped", "rays"), 0)
+    for case in range(120):
+        d = 1 + case % 4
+        try:
+            p = Polyhedron.from_generators(*_generators(rng, d))
+        except LinealityError:
+            continue
+        seen["rays"] += bool(p.rays)
+        vs = p.vertices
+        box = [(min(v[i] for v in vs) - 1, max(v[i] for v in vs) + 1) for i in range(d)]
+        levels = {}
+        for s in enumerate_splits(1 if d > 2 else 2, box):
+            a = embed_normal(s.pi, d)
+            if a not in levels:
+                levels[a] = _levels(p, a)[1]
+            between = any(
+                s.pi0 * g[-1] < dot(a, g[:-1]) < (s.pi0 + 1) * g[-1] for g in p.gens
+            )
+            assert (s.pi0 in levels[a]) == between, (p, s)
+            seen["between" if between else "skipped"] += 1
+    assert min(seen.values()) >= 20, seen
+
+
+def ref_lift(model, l, kind, floor):
+    """The lifted cone as the hull of its apex and the rays through the
+    anchors, cut by the floor."""
+    if kind == "P^L":
+        anchors = list(l.vertices)
+    else:
+        anchors = [boundary_point(l, model.f, r) for r in model.rays]
+    apex = tuple(model.f) + (F(1),)
+    rays = [tuple(v[i] - model.f[i] for i in range(model.dim)) + (F(-1),) for v in anchors]
+    cone = Polyhedron.from_generators([apex], rays)
+    return cone.intersect_halfspace((0,) * model.dim + (-1,), F(floor))
+
+
+def test_lift_matches_hull_reference():
+    """The lift read off the base's double description against the hull
+    of the apex and the rays cut by the floor, in generators, rows and
+    masks: seeded lattice-free bodies in 2D and 3D, both kinds, floors 1,
+    2, 4 and 64, and a P^L(x,z) model whose base is a segment."""
+    rng = make_rng()
+    # the type-1 triangle with rays to two of its edges: the base is the
+    # segment from (0, 1/2) to (1/2, 0)
+    cases = [(convex_hull(TYPE1_T), CornerModel.make((F(1, 2), F(1, 2)), [(-1, 0), (0, -1)]))]
+    kinds = ("image", "slab", "random")
+    while len(cases) < 60:
+        d = 2 + len(cases) % 2
+        l = _lattice_free_body(rng, d, kinds[len(cases) % 3])
+        if l.affine_dim() < d:
+            continue
+        f = tuple(sum(c) / len(l.vertices) for c in zip(*l.vertices))
+        rays = [tuple(rng.randint(-2, 2) for _ in range(d)) for _ in range(rng.randint(1, d + 2))]
+        rays = [r for r in rays if any(r)] or [tuple(F(c) - x for c, x in zip(l.vertices[0], f))]
+        cases.append((l, CornerModel.make(f, rays)))
+    lower = 0
+    for l, model in cases:
+        for kind in ("P^L", "P^L(x,z)"):
+            for floor in (1, 2, 4, 64):
+                got = lift(model, l, kind, floor)
+                want = ref_lift(model, l, kind, floor)
+                assert (got.poly.gens, got.poly.rows, got.poly.masks) == (
+                    want.gens, want.rows, want.masks
+                ), (l, model, kind, floor)
+                lower += got.base.affine_dim() < l.dim
+    assert lower >= 20
 
 
 def _round_splits(rng, p, d):

@@ -89,20 +89,20 @@ def test_no_unused_imports(path):
 
 # the integer kernel: elimination, primitive scaling, the double description
 # with its incidence bitmasks and both conversion directions, the stored
-# state of a polyhedron, its cuts and containment test, its equality rows,
-# lattice-point enumeration, the hull of a split's two pieces, the start
-# line and apex sector of the 2D sweep, the face incidence of the
-# 2-hyperplane check and the affine-basis labeling of the
-# 2-partitionability search
+# state of a polyhedron, its cuts and containment test, its equality rows
+# and edge list, lattice-point enumeration, a split direction's levels, the
+# pieces and hull of a split, the start line and apex sector of the 2D
+# sweep, the face incidence of the 2-hyperplane check and the affine-basis
+# labeling of the 2-partitionability search
 INTEGER_ONLY = {
     "linalg.py": ("_integer_rows", "_echelon", "scale_primitive"),
     "geometry.py": (
         "_pointed_cone_rays", "_combine", "_primitive", "cone_rays", "_h_to_v", "_v_to_h",
         "_transpose", "_unrivalled", "_facets", "_incidence", "_polyhedron", "_canonical",
         "_join_rows", "_from_homogeneous", "Polyhedron._cut", "Polyhedron.contains_polyhedron",
-        "Polyhedron._equalities", "_iter_lattice_points",
+        "Polyhedron._equalities", "Polyhedron._edges", "_iter_lattice_points",
     ),
-    "splits.py": ("_halfspace_generators", "_split_rows", "_sweep_sector"),
+    "splits.py": ("_levels", "_piece", "_split_rows", "_sweep_sector"),
     "certify.py": ("_faces", "is_2partitionable"),
 }
 

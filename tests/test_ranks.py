@@ -79,6 +79,20 @@ def test_lift_base_is_the_body():
     assert other.base != TYPE1_T
 
 
+def test_lift_floor_is_an_integer():
+    """A non-integral floor is refused rather than carried into the exact
+    arithmetic; an integral value of another type is stored as an int."""
+    for floor in (F(5, 2), 2.5, 1.1):
+        with pytest.raises(GeometryError, match="not an integer"):
+            lift(TYPE1_MODEL, TYPE1_T, floor=floor)
+    for floor, want in ((2.0, 2), (F(4), 4), (True, 1)):
+        cone = lift(TYPE1_MODEL, TYPE1_T, floor=floor)
+        assert type(cone.floor) is int and cone.floor == want
+        assert cone.poly == lift(TYPE1_MODEL, TYPE1_T, floor=want).poly
+    with pytest.raises(GeometryError, match="positive"):
+        lift(TYPE1_MODEL, TYPE1_T, floor=0)
+
+
 def test_height_concavity_randomized():
     rng = make_rng()
     cone = lift(TYPE1_MODEL, TYPE1_T, floor=4)
