@@ -58,9 +58,6 @@ class Face:
     dimension: int
     points: tuple[IntVec, ...]
 
-    def affine_dim(self) -> int:
-        return self.dimension
-
 
 @dataclass(frozen=True)
 class FaceEntry:
@@ -114,12 +111,6 @@ def _faces(p: Polyhedron, points: Sequence[IntVec]) -> list[tuple[Face, int]]:
         pts = tuple(h[:-1] for i, h in enumerate(points) if s >> i & 1 and h[-1] == 1)
         out.append((d, ks, pts, s))
     return [(Face(tuple(p.vertices[k] for k in ks), d, pts), s) for d, ks, pts, s in sorted(out)]
-
-
-def faces(p: Polyhedron) -> list[Face]:
-    """All nonempty faces of a polytope, including p itself."""
-    pts = [q + (1,) for q in _iter_lattice_points(p)]
-    return [f for f, _ in _faces(p, pts + [g for g in p.gens if g[-1] > 1])]
 
 
 def is_2partitionable(points: Sequence[Sequence]) -> PartitionCertificate:

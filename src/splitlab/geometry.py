@@ -11,14 +11,17 @@ leaves: the extreme generators and the facet rows are the ones whose
 tight sets no other generator or row contains.  Rank-deficient input,
 such as the generators of a lower-dimensional face, takes the same pass:
 the lines no row cuts span the lineality space, and integer elimination
-puts them and the rays in canonical form.  Intersecting with further
-rows is a DD step from the stored state, and a batch of rows, such as a
-whole round of split hulls, is one step; a split's slices are DD steps
-read off the stored edge list (``Polyhedron._edges``).  The
-facet rows of the hull of a full-dimensional polyhedron and further
-generators (``_join_rows``) come from the same step in the polar: the
-seed rays are its facet rows, its generators the rows, and each new
-generator one more row.  All arithmetic is integer or
+puts them and the rays in canonical form.  One function, ``_dd_step``,
+cuts a double description by one more row, combining the generator pairs
+that one combinatorial test, ``_adjacent``, finds adjacent; conversions,
+cuts and split pieces all run it.  Intersecting with further rows runs
+it from the stored state, a batch of rows, such as a whole round of split
+hulls, in one pass; a split's slices run it over the stored edge list
+(``Polyhedron._edges``).  The facet rows of the hull of a
+full-dimensional polyhedron and further generators (``_join_rows``) come
+from the same steps in the polar: the seed rays are its facet rows, its
+generators the rows, and each new generator one more row.  All
+arithmetic is integer or
 :class:`fractions.Fraction`, never floating point; containment and split
 tests compare integers only, and so do lattice-point enumeration and the
 relative-interior test, which read the box off the generators and the
@@ -35,7 +38,7 @@ from fractions import Fraction
 from functools import cached_property, reduce
 from math import gcd, lcm
 from operator import and_
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .linalg import (
     _echelon,
@@ -83,10 +86,11 @@ def _over_denominator(v: Sequence) -> tuple[IntVec, int]:
 
 
 def _integer(x) -> int:
-    """x as an int, refusing a non-integral value rather than truncating it."""
+    """x as an int, refusing a non-integral value rather than truncating it,
+    and a bool rather than reading it as 0 or 1."""
     if type(x) is int:
         return x
-    if Fraction(x).denominator != 1:
+    if isinstance(x, bool) or Fraction(x).denominator != 1:
         raise GeometryError(f"not an integer: {x!r}")
     return int(x)
 
@@ -107,6 +111,42 @@ def _combine(s: int, u: IntVec, t: int, v: IntVec) -> IntVec:
     return tuple(c // g for c in w)
 
 
+def _adjacent(masks: Sequence[int], i: int, j: int, common: int) -> bool:
+    """The combinatorial adjacency test of generators i and j, whose tight
+    masks share the rows ``common``: no third generator is tight on all
+    of them."""
+    return not any(
+        k != i and k != j and common & masks[k] == common for k in range(len(masks))
+    )
+
+
+def _dd_step(
+    gens: Sequence[IntVec],
+    masks: Sequence[int],
+    w: Sequence[int],
+    bit: int,
+    pairs: Iterable[tuple[int, int, int]],
+) -> tuple[list[IntVec], list[int]]:
+    """One double-description step: the generators and tight masks of the
+    cone over ``gens`` cut by one more row, whose value on each generator
+    is w and whose mask bit is ``bit``.
+
+    The generators with w <= 0 stay, tight on the row where w = 0, and
+    each adjacent pair (i, j, common) of ``pairs`` whose ends lie on
+    opposite sides gives the generator where its edge crosses the row's
+    hyperplane, tight exactly where both ends are and on the row.
+    """
+    keep = [k for k, x in enumerate(w) if x <= 0]
+    out = [gens[k] for k in keep]
+    out_masks = [masks[k] | bit if w[k] == 0 else masks[k] for k in keep]
+    for i, j, common in pairs:
+        if w[i] * w[j] < 0:
+            p, n = (i, j) if w[i] > 0 else (j, i)
+            out.append(_combine(w[p], gens[n], w[n], gens[p]))
+            out_masks.append(common | bit)
+    return out, out_masks
+
+
 def _pointed_cone_rays(
     rows: list[IntVec], d: int, seed: Optional[tuple[int, list[IntVec], list[int]]] = None
 ) -> tuple[list[IntVec], list[IntVec], list[int]]:
@@ -121,8 +161,9 @@ def _pointed_cone_rays(
     hyperplane; the lines that no row cuts are returned.  ``seed = (k,
     rays, masks)`` is the double description of the pointed cone cut out
     by rows[:k]; only rows[k:] are then processed, and no line comes out.
-    Every other row is a double-description step over the pointed part,
-    with the combinatorial adjacency test.
+    Every other row is one ``_dd_step`` over the pointed part, whose pairs
+    are the positive × negative ones that share at least (pointed
+    dimension − 2) tight rows and pass ``_adjacent``.
     """
     if seed is None:
         start, rays, masks = 0, [], []
@@ -142,29 +183,17 @@ def _pointed_cone_rays(
             masks = [m | bit for m in masks] + [bit - 1]
             continue
         vals = [dot(a, r) for r in rays]
-        if any(v > 0 for v in vals):
-            pos = [i for i, v in enumerate(vals) if v > 0]
-            neg = [i for i, v in enumerate(vals) if v < 0]
-            created: dict[IntVec, int] = {}
-            for i in pos:
-                for j in neg:
-                    common = masks[i] & masks[j]
-                    if common.bit_count() < d - len(lines) - 2:
-                        continue
-                    if any(
-                        k != i and k != j and common & masks[k] == common
-                        for k in range(len(rays))
-                    ):
-                        continue
-                    # a positive combination is tight exactly where both are
-                    created[_combine(vals[i], rays[j], vals[j], rays[i])] = common | bit
-            keep = [i for i, v in enumerate(vals) if v <= 0]
-            rays = [rays[i] for i in keep] + list(created)
-            masks = [
-                masks[i] | (bit if vals[i] == 0 else 0) for i in keep
-            ] + list(created.values())
-        else:
-            masks = [m | (bit if v == 0 else 0) for m, v in zip(masks, vals)]
+        need = d - len(lines) - 2
+        pos = [i for i, v in enumerate(vals) if v > 0]
+        neg = [j for j, v in enumerate(vals) if v < 0]
+        pairs = [
+            (i, j, common)
+            for i in pos
+            for j in neg
+            if (common := masks[i] & masks[j]).bit_count() >= need
+            and _adjacent(masks, i, j, common)
+        ]
+        rays, masks = _dd_step(rays, masks, vals, bit, pairs)
     return lines, rays, masks
 
 
@@ -507,28 +536,16 @@ class Polyhedron:
     @cached_property
     def _edges(self) -> list[tuple[int, int, int]]:
         """The adjacent pairs (i, j, common) of generators, i < j, with
-        common the mask of the rows tight on both: the pairs that pass a
-        double-description step's combinatorial test, at least dim − 1
-        common rows (the homogenizing one included) and no third generator
-        tight on all of them."""
+        common the mask of the rows tight on both: the pairs with at least
+        dim − 1 common rows (the homogenizing one included) that pass
+        ``_adjacent``."""
         masks, need = self.masks, self.dim - 1
-        cols = _transpose(masks, len(self.rows))
-        every = (1 << len(masks)) - 1
-        out = []
-        for i, mi in enumerate(masks):
-            for j in range(i + 1, len(masks)):
-                common = mi & masks[j]
-                if common.bit_count() < need:
-                    continue
-                # the generators tight on every common row, i and j among them
-                pair, on, m = 1 << i | 1 << j, every, common
-                while m and on != pair:
-                    low = m & -m
-                    on &= cols[low.bit_length() - 1]
-                    m ^= low
-                if on == pair:
-                    out.append((i, j, common))
-        return out
+        return [
+            (i, j, common)
+            for i, mi in enumerate(masks)
+            for j in range(i + 1, len(masks))
+            if (common := mi & masks[j]).bit_count() >= need and _adjacent(masks, i, j, common)
+        ]
 
     def affine_dim(self) -> int:
         if self.is_empty:

@@ -15,7 +15,6 @@ from math import gcd, lcm, prod
 from operator import mul
 from typing import Iterable, Optional, Sequence
 
-Vector = tuple[Fraction, ...]
 IntVector = tuple[int, ...]
 
 
@@ -98,25 +97,6 @@ def rank(rows: Sequence[Sequence], ncols: Optional[int] = None) -> int:
     if ncols is None:
         ncols = len(rows[0])
     return len(_echelon(rows, ncols)[1])
-
-
-def solve(rows: Sequence[Sequence], rhs: Sequence) -> Optional[Vector]:
-    """One rational solution of row·x = rhs_i, or None if inconsistent.
-
-    Free variables are set to zero.
-    """
-    if not rows:
-        return None
-    n = len(rows[0])
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    ech, pivots, D, _ = _echelon(aug, n + 1)
-    if n in pivots:
-        return None
-    x = [Fraction(0)] * n
-    # rows are in reduced form, so each pivot variable reads off directly
-    for prow, pcol in zip(ech, pivots):
-        x[pcol] = Fraction(prow[n], D)
-    return tuple(x)
 
 
 def det(rows: Sequence[Sequence]) -> Fraction:

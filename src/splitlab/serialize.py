@@ -181,7 +181,7 @@ def sequence_from_dict(data: dict) -> SplitSequence:
 
 
 def _face_description(entry: FaceEntry) -> str:
-    d = entry.face.affine_dim()
+    d = entry.face.dimension
     verts = ", ".join(
         "(" + ", ".join(emit_rational(c) for c in v) + ")" for v in entry.face.vertices
     )
@@ -204,7 +204,7 @@ def twohp_report_to_dict(report: TwoHPReport) -> dict:
         "faces": [
             {
                 "description": _face_description(entry),
-                "dim": entry.face.affine_dim(),
+                "dim": entry.face.dimension,
                 "vertices": [emit_point(v) for v in entry.face.vertices],
                 "contained_in_facet": entry.contained_in_facet,
                 "certificate": (

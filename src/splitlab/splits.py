@@ -38,7 +38,7 @@ from .geometry import (
     Polyhedron,
     as_point,
     _from_homogeneous,
-    _combine,
+    _dd_step,
     _integer,
     _over_denominator,
     _join_rows,
@@ -127,21 +127,9 @@ def _levels(q: Polyhedron, a: IntVec) -> tuple[list[int], set[int]]:
 
 def _piece(q: Polyhedron, w: Sequence[int]) -> tuple[list[IntVec], list[int]]:
     """The generators and masks of q cut by one more row, whose value on
-    each generator is w and whose bit follows q's rows.
-
-    A double-description step read off q's edge list: the generators with
-    w <= 0 stay, tight on the row where w = 0, and each edge whose ends
-    lie on opposite sides gives the generator where it crosses the plane.
-    """
-    bit = 1 << len(q.rows)
-    gens = [g for g, x in zip(q.gens, w) if x <= 0]
-    masks = [m | bit if x == 0 else m for m, x in zip(q.masks, w) if x <= 0]
-    for i, j, common in q._edges:
-        if w[i] * w[j] < 0:
-            p, n = (i, j) if w[i] > 0 else (j, i)
-            gens.append(_combine(w[p], q.gens[n], w[n], q.gens[p]))
-            masks.append(common | bit)
-    return gens, masks
+    each generator is w and whose bit follows q's rows: one ``_dd_step``
+    over q's edge list."""
+    return _dd_step(q.gens, q.masks, w, 1 << len(q.rows), q._edges)
 
 
 def _split_rows(

@@ -4,6 +4,9 @@ from fractions import Fraction
 
 import pytest
 
+from splitlab.certify import _faces
+from splitlab.geometry import _iter_lattice_points
+
 DEFAULT_SEED = 1729
 
 
@@ -15,6 +18,14 @@ def make_rng() -> random.Random:
 @pytest.fixture
 def rng() -> random.Random:
     return make_rng()
+
+
+def all_faces(p):
+    """Every nonempty face record of a polytope p, p itself included: the
+    faces ``certify._faces`` reads off p's lattice points together with its
+    generators off the lattice (t > 1)."""
+    pts = [q + (1,) for q in _iter_lattice_points(p)]
+    return [f for f, _ in _faces(p, pts + [g for g in p.gens if g[-1] > 1])]
 
 
 def _reference_echelon(rows, ncols):

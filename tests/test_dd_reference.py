@@ -30,7 +30,6 @@ from splitlab.certify import (
     FaceEntry,
     TwoHPReport,
     classify_2d,
-    faces,
     has_2hyperplane_property,
     is_2partitionable,
 )
@@ -51,7 +50,7 @@ from splitlab.linalg import _echelon, dot, rank, scale_primitive
 from splitlab.ranks import EnumerateStrategy, height_at, lift, max_height
 from splitlab.splits import Split, apply_round, apply_split, embed_normal
 
-from conftest import _reference_nullspace, make_rng
+from conftest import _reference_nullspace, all_faces, make_rng
 
 F = Fraction
 
@@ -832,7 +831,7 @@ def ref_faces(p):
 def assert_same_faces(got, want, context):
     """Face records against reference faces, in order: the same vertices,
     dimension and integer points."""
-    assert [(f.vertices, f.affine_dim(), list(f.points)) for f in got] == [
+    assert [(f.vertices, f.dimension, list(f.points)) for f in got] == [
         (f.vertices, _ref_affine_dim(f), lattice_points(f)) for f in want
     ], context
 
@@ -949,9 +948,10 @@ FACES_CASES = 200
 
 
 def test_faces_match_reference():
-    """faces() against the face-by-face reference on seeded polytopes in
-    dimensions 1-4, lower-dimensional ones included: each record's
-    vertices, dimension and integer points, in the reference's order."""
+    """The face records of ``certify._faces`` (``all_faces``) against the
+    face-by-face reference on seeded polytopes in dimensions 1-4,
+    lower-dimensional ones included: each record's vertices, dimension and
+    integer points, in the reference's order."""
     rng = make_rng()
     lower = 0
     for case in range(FACES_CASES):
@@ -959,7 +959,7 @@ def test_faces_match_reference():
         pts, _ = _generators(rng, d)
         p = convex_hull(pts)
         lower += p.affine_dim() < d
-        assert_same_faces(faces(p), ref_faces(p), pts)
+        assert_same_faces(all_faces(p), ref_faces(p), pts)
     assert lower >= 20
 
 

@@ -9,7 +9,6 @@ from splitlab.linalg import (
     integer_solve_rows,
     rank,
     scale_primitive,
-    solve,
     vec_gcd,
 )
 
@@ -30,14 +29,6 @@ def test_rank_and_det():
     assert rank([]) == 0
     assert det([[2, 0], [0, 3]]) == 6
     assert det([[1, 2], [2, 4]]) == 0
-
-
-def test_solve():
-    assert solve([[1, 1], [1, -1]], [2, 0]) == (1, 1)
-    assert solve([[1, 1], [2, 2]], [1, 3]) is None
-    # underdetermined: free variables pinned to zero
-    sol = solve([[1, 1, 1]], [3])
-    assert sol is not None and sum(sol) == 3
 
 
 def test_integer_solve_rows():
@@ -70,17 +61,6 @@ def test_integer_solve_vs_brute_force():
         if brute is not None:
             # solvable over the window => the solver must find something
             assert sol is not None
-
-
-def _reference_solve(rows, rhs):
-    n = len(rows[0])
-    ech, pivots = _reference_echelon([list(r) + [b] for r, b in zip(rows, rhs)], n + 1)
-    if n in pivots:
-        return None
-    x = [Fraction(0)] * n
-    for prow, pcol in zip(ech, pivots):
-        x[pcol] = prow[n]
-    return tuple(x)
 
 
 def _reference_det(rows):
@@ -123,10 +103,6 @@ def test_fraction_free_kernel_matches_rational_reference(rng):
         if case % 4 == 3:
             rows = [[sum(x) for x in zip(r, rows[0])] for r in rows] + [rows[-1]]
         assert rank(rows, d) == len(_reference_echelon(rows, d)[1])
-        rhs = [entry() for _ in rows]
-        sol = solve(rows, rhs)
-        assert sol == _reference_solve(rows, rhs)
-        assert sol is None or all(type(x) is Fraction for x in sol)
         square = [[entry() for _ in range(d)] for _ in range(d)]
         if case % 3 == 0:
             square[-1] = [2 * x for x in square[0]]

@@ -16,7 +16,7 @@ from splitlab.geometry import (
     lattice_points,
     require_lattice_free,
 )
-from splitlab.linalg import dot, solve
+from splitlab.linalg import dot, integer_solve_rows
 from splitlab.ranks import (
     EnumerateStrategy,
     execute_finite_rank,
@@ -68,15 +68,12 @@ def random_unimodular(rng, dim):
 
 
 def invert_unimodular(u):
+    """A unimodular matrix has an integer inverse: column j solves u·x = e_j."""
     dim = len(u)
-    cols = []
-    for j in range(dim):
-        e = [F(1) if i == j else F(0) for i in range(dim)]
-        col = solve([list(row) for row in u], e)
-        cols.append(col)
-    return tuple(
-        tuple(int(cols[j][i]) for j in range(dim)) for i in range(dim)
-    )
+    cols = [
+        integer_solve_rows([(row, int(i == j)) for i, row in enumerate(u)]) for j in range(dim)
+    ]
+    return tuple(tuple(cols[j][i] for j in range(dim)) for i in range(dim))
 
 
 def transport_split(s: Split, u_inv, shift) -> Split:

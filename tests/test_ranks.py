@@ -23,7 +23,6 @@ from splitlab.ranks import (
     max_height,
     necessity_witness,
     probe_rounds,
-    region_bound_check,
     rotate_facet,
 )
 from splitlab.splits import Split, SplitSequence, apply_round, facet_splits
@@ -80,12 +79,13 @@ def test_lift_base_is_the_body():
 
 
 def test_lift_floor_is_an_integer():
-    """A non-integral floor is refused rather than carried into the exact
-    arithmetic; an integral value of another type is stored as an int."""
-    for floor in (F(5, 2), 2.5, 1.1):
+    """A non-integral floor and a bool are refused rather than carried into
+    the exact arithmetic; an integral value of another type is stored as an
+    int."""
+    for floor in (F(5, 2), 2.5, 1.1, True):
         with pytest.raises(GeometryError, match="not an integer"):
             lift(TYPE1_MODEL, TYPE1_T, floor=floor)
-    for floor, want in ((2.0, 2), (F(4), 4), (True, 1)):
+    for floor, want in ((2.0, 2), (F(4), 4)):
         cone = lift(TYPE1_MODEL, TYPE1_T, floor=floor)
         assert type(cone.floor) is int and cone.floor == want
         assert cone.poly == lift(TYPE1_MODEL, TYPE1_T, floor=want).poly
@@ -364,7 +364,7 @@ def test_necessity_witness():
     assert convex_hull(face.vertices).relint_contains(point)
     n3 = convex_hull([(F(-1, 2), F(-3, 2), 2), (4, 0, 3), (4, F(5, 2), F(1, 2)), (4, 3, -1)])
     face, point = necessity_witness(n3)
-    assert face.affine_dim() == 3 and point == (F(10, 3), F(7, 6), F(7, 6))
+    assert face.dimension == 3 and point == (F(10, 3), F(7, 6), F(7, 6))
     assert convex_hull(face.vertices).relint_contains(point)
     lp = convex_hull(
         [
@@ -375,15 +375,6 @@ def test_necessity_witness():
         ]
     )
     assert necessity_witness(lp) is None
-
-
-def test_region_bound_check():
-    cone = lift(TYPE1_MODEL, TYPE1_T, floor=4)
-    assert region_bound_check(cone.poly, TYPE1_T, 1, 0)
-    assert region_bound_check(cone.poly, TYPE1_T, 1, F(1, 2))
-    assert not region_bound_check(cone.poly, TYPE1_T, F(1, 2), 0)
-    with pytest.raises(GeometryError):
-        region_bound_check(cone.poly, TYPE1_T, 0, 0)
 
 
 def test_rotate_facet_example():
