@@ -50,8 +50,11 @@ def test_split_validation():
     s = Split.make((1, 1), 2)
     assert s.partner() == Split.make((-1, -1), -3)
     assert s.partner().canonical() == s
-    # non-integral data is refused rather than truncated; integral Fractions pass
-    for pi, pi0 in (((F(3, 2),), 0), ((1, 0), F(1, 2)), ((1.5, 1), 0)):
+    # non-integral data and bools are refused rather than truncated or read
+    # as 0 and 1; integral Fractions pass
+    for pi, pi0 in (
+        ((F(3, 2),), 0), ((1, 0), F(1, 2)), ((1.5, 1), 0), ((True, 0), 0), ((1, 0), False)
+    ):
         with pytest.raises(GeometryError, match="not an integer"):
             Split.make(pi, pi0)
     assert Split.make((F(2, 2), F(0)), F(4, 2)) == Split((1, 0), 2)
