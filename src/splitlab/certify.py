@@ -8,9 +8,11 @@ every face of its integer hull not contained in one of its facets is
 criterion and, in dimension 2, pairs it with the classification of
 maximal lattice-free sets.  A face of the integer hull is a record read
 off one integer incidence of the lattice points with the hull's rows, with
-no conversion pass per face.  The check scans the lattice points twice:
-``require_lattice_free`` scans them up to an interior one, and the faces
-are built from a second enumeration.  Facet tests, labelings and the 2D
+no conversion pass per face; a face's dimension is read off the face
+lattice.  A body's lattice points are scanned once: the lattice-free test
+keeps its finished scan on the body (``Polyhedron._lattice_points``), and
+the faces, the 2D classification and the 2-hyperplane cross-check of the
+infinite-rank predicate read that list.  Facet tests, labelings and the 2D
 classification run on the integer rows and points; ``Fraction`` appears
 only in the results.
 """
@@ -22,7 +24,7 @@ from itertools import product
 from math import gcd, lcm
 from typing import Optional, Sequence
 
-from .cuts import CornerModel, boundary_hull, rays_into_corners
+from .cuts import CornerModel, boundary_hull
 from .geometry import (
     GeometryError,
     IntVec,
@@ -30,13 +32,12 @@ from .geometry import (
     Polyhedron,
     _from_homogeneous,
     _integer,
-    _iter_lattice_points,
     as_point,
     cone_rays,
     integer_solve,
     require_lattice_free,
 )
-from .linalg import _echelon, dot, rank, scale_primitive
+from .linalg import _echelon, dot, scale_primitive
 from .splits import Split
 
 
@@ -89,7 +90,10 @@ def _faces(p: Polyhedron, points: Sequence[IntVec]) -> list[tuple[Face, int]]:
     are the closure of the rows' tight sets under intersection, starting
     from all points.  A face is read off its set with no conversion pass:
     its generators (numbered by place in ``p.vertices``, so faces sort on
-    integers), their rank, and its members with t = 1.
+    integers) and its members with t = 1.  The face lattice is graded, so
+    taking the sets by size, a face's dimension is one more than the
+    largest of its proper subfaces' (each has fewer points), and 0 for a
+    vertex, which has none.
     """
     if p.is_empty:
         return []
@@ -103,11 +107,10 @@ def _faces(p: Polyhedron, points: Sequence[IntVec]) -> list[tuple[Face, int]]:
     for r in p.rows:
         tight = sum(1 << i for i, h in enumerate(points) if dot(r, h) == 0)
         sets |= {s & tight for s in sets if s & tight}
-    out = []
-    for s in sets:
+    out, dims = [], {}
+    for s in sorted(sets, key=int.bit_count):
         ks = [k for k, bit in corners if s & bit]
-        # no three vertices of a polytope are collinear
-        d = len(ks) - 1 if len(ks) < 4 else rank([order[k] for k in ks], p.dim + 1) - 1
+        d = dims[s] = max((e + 1 for t, e in dims.items() if t & s == t), default=0)
         pts = tuple(h[:-1] for i, h in enumerate(points) if s >> i & 1 and h[-1] == 1)
         out.append((d, ks, pts, s))
     return [(Face(tuple(p.vertices[k] for k in ks), d, pts), s) for d, ks, pts, s in sorted(out)]
@@ -184,7 +187,7 @@ def has_2hyperplane_property(l: Polyhedron) -> TwoHPReport:
     if not l.is_bounded:
         raise GeometryError("the 2-hyperplane check needs a bounded polyhedron")
     require_lattice_free(l)
-    homog = [q + (1,) for q in _iter_lattice_points(l)]
+    homog = [q + (1,) for q in l._lattice_points]
     if not homog:
         return TwoHPReport((), True)
     eq = l._equalities
@@ -217,7 +220,7 @@ def classify_2d(l: Polyhedron) -> Classification2D:
     if l.is_empty or l.affine_dim() != 2:
         raise GeometryError("classification needs a full-dimensional polytope")
     require_lattice_free(l)
-    homog = [q + (1,) for q in _iter_lattice_points(l)]
+    homog = [q + (1,) for q in l._lattice_points]
     pts = tuple(as_point(h[:-1]) for h in homog)
     # l is full-dimensional: its facets are its rows a·x + c <= 0, a·x <= -c
     # has an integer right-hand side iff a is coprime (the row is), and the
@@ -249,9 +252,13 @@ def classify_2d(l: Polyhedron) -> Classification2D:
 def infinite_rank_2d(model: CornerModel, l: Polyhedron) -> bool:
     """Infinite-rank predicate for the cut generated by a 2D model.
 
-    True iff the hull of the ray boundary points is a type-1 triangle
-    with every corner hit by a ray; cross-checked against the negation
-    of the 2-hyperplane property of that hull.
+    True iff the hull of the ray boundary points is a type-1 triangle;
+    cross-checked against the negation of the 2-hyperplane property of
+    that hull.  Every corner of the hull is then hit by a ray: its
+    vertices are boundary points, and each boundary point lies in the
+    hull, which lies in l, so the ray's exit point from the hull is the
+    same point.  The hull is l itself when the rays hit l's corners
+    (``boundary_hull``), and both checks then read l's one lattice scan.
     """
     if model.dim != 2 or l.dim != 2:
         raise GeometryError("the predicate is only defined in dimension 2")
@@ -263,7 +270,7 @@ def infinite_rank_2d(model: CornerModel, l: Polyhedron) -> bool:
         raise GeometryError("model rays must positively span the plane")
     hull = boundary_hull(model, l)
     cls = classify_2d(hull)
-    verdict = cls.kind == "triangle_type1" and rays_into_corners(model, hull)
+    verdict = cls.kind == "triangle_type1"
     report = has_2hyperplane_property(hull)
     if verdict != (not report.overall):
         raise GeometryError(

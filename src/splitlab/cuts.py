@@ -104,16 +104,24 @@ def intersection_cut(model: CornerModel, l: Polyhedron) -> CutCoefficients:
     return CutCoefficients(tuple(gauge(l, model.f, r) for r in model.rays))
 
 
-def rays_into_corners(model: CornerModel, l: Polyhedron) -> bool:
-    """True iff every vertex of L is hit by the boundary point of some ray."""
+def _boundary_points(model: CornerModel, l: Polyhedron) -> list[Point]:
+    """The boundary point of L on each ray of the model, in ray order."""
     if not l.interior_contains(model.f):
         raise GeometryError("reference point must lie in the interior")
-    hit = {boundary_point(l, model.f, r) for r in model.rays}
-    return all(v in hit for v in l.vertices)
+    return [boundary_point(l, model.f, r) for r in model.rays]
+
+
+def rays_into_corners(model: CornerModel, l: Polyhedron) -> bool:
+    """True iff every vertex of L is hit by the boundary point of some ray."""
+    return set(_boundary_points(model, l)) >= set(l.vertices)
 
 
 def boundary_hull(model: CornerModel, l: Polyhedron) -> Polyhedron:
-    """Convex hull of the ray boundary points of L."""
-    if not l.interior_contains(model.f):
-        raise GeometryError("reference point must lie in the interior")
-    return convex_hull([boundary_point(l, model.f, r) for r in model.rays])
+    """Convex hull of the ray boundary points of L; L itself when it is.
+
+    The points lie in L, so their hull is L exactly when they include
+    every vertex of L.  L is then returned as it is, without a conversion
+    pass, and it keeps its cached views, such as its lattice scan.
+    """
+    pts = _boundary_points(model, l)
+    return l if set(pts) >= set(l.vertices) else convex_hull(pts)

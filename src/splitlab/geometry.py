@@ -25,7 +25,8 @@ arithmetic is integer or
 :class:`fractions.Fraction`, never floating point; containment and split
 tests compare integers only, and so do lattice-point enumeration and the
 relative-interior test, which read the box off the generators and the
-equality rows off the incidence.
+equality rows off the incidence.  A bounded polyhedron keeps its one full
+lattice scan as a cached view (``Polyhedron._lattice_points``).
 
 Ambient dimension is capped at 4: three geometric coordinates plus one
 lifted coordinate cover every object handled here.
@@ -547,6 +548,14 @@ class Polyhedron:
             if (common := mi & masks[j]).bit_count() >= need and _adjacent(masks, i, j, common)
         ]
 
+    @cached_property
+    def _lattice_points(self) -> tuple[IntVec, ...]:
+        """The integer points of a bounded polyhedron as int tuples, in
+        lexicographic order: the body's one full lattice scan, which every
+        certificate reads.  ``interior_integer_point`` fills it when its
+        scan runs to the end without finding an interior point."""
+        return tuple(_iter_lattice_points(self))
+
     def affine_dim(self) -> int:
         if self.is_empty:
             return -1
@@ -633,9 +642,10 @@ def convex_hull(points: Sequence[Sequence], rays: Sequence[Sequence] = ()) -> Po
 def lattice_points(p: Polyhedron) -> list[Point]:
     """All integer points of a bounded polyhedron, sorted lexicographically.
 
-    The enumeration reads only the integer double description; the points
-    become ``Fraction`` tuples on the way out."""
-    return [as_point(q) for q in _iter_lattice_points(p)]
+    The points are p's cached scan (``Polyhedron._lattice_points``), which
+    reads only the integer double description; they become ``Fraction``
+    tuples on the way out."""
+    return [as_point(q) for q in p._lattice_points]
 
 
 def _iter_lattice_points(p: Polyhedron) -> Iterator[IntVec]:
@@ -718,15 +728,25 @@ def interior_integer_point(p: Polyhedron) -> Optional[Point]:
     The test runs in integers on the enumerated points, which satisfy
     every row: a point is in the relative interior iff it is strictly
     inside every row that is not an equality (``Polyhedron._equalities``).
+    It reads p's cached scan if there is one.  Otherwise it scans, and a
+    scan that finds no interior point has listed every integer point of p,
+    so it becomes the cached scan; a scan that stops early is not kept.
     """
     if p.is_empty:
         return None
     eq = p._equalities
     strict = [r for k, r in enumerate(p.rows[:-1]) if not eq >> k & 1]
-    for q in _iter_lattice_points(p):
+    cached = "_lattice_points" in p.__dict__
+    scanned: list[IntVec] = []
+    for q in p._lattice_points if cached else _iter_lattice_points(p):
         h = q + (1,)
         if all(dot(r, h) < 0 for r in strict):
             return as_point(q)
+        scanned.append(q)
+    if not cached:
+        # what cached_property would store: the frozen dataclass keeps its
+        # cached views in the instance dict
+        p.__dict__["_lattice_points"] = tuple(scanned)
     return None
 
 

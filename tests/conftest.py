@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import splitlab.geometry
 from splitlab.certify import _faces
 from splitlab.geometry import _iter_lattice_points
 
@@ -18,6 +19,22 @@ def make_rng() -> random.Random:
 @pytest.fixture
 def rng() -> random.Random:
     return make_rng()
+
+
+@pytest.fixture
+def lattice_scans(monkeypatch) -> list[int]:
+    """Counts the lattice enumerations: one entry per scan started, the
+    number of points that scan yielded so far."""
+    scans: list[int] = []
+
+    def counting(p):
+        scans.append(0)
+        for q in _iter_lattice_points(p):
+            scans[-1] += 1
+            yield q
+
+    monkeypatch.setattr(splitlab.geometry, "_iter_lattice_points", counting)
+    return scans
 
 
 def all_faces(p):

@@ -6,9 +6,11 @@ from itertools import combinations, product
 import pytest
 
 import splitlab.certify
+import splitlab.cuts
 import splitlab.geometry
 from splitlab.certify import (
     PartitionCertificate,
+    _faces,
     classify_2d,
     has_2hyperplane_property,
     infinite_rank_2d,
@@ -25,7 +27,7 @@ from splitlab.geometry import (
     integer_solve,
     lattice_points,
 )
-from splitlab.linalg import _echelon, dot
+from splitlab.linalg import _echelon, dot, rank
 from splitlab.splits import Split
 
 from conftest import all_faces, make_rng
@@ -292,6 +294,68 @@ def test_2hp_check_converts_only_the_hull(monkeypatch):
         calls.clear()
         report = has_2hyperplane_property(l)
         assert len(calls) == 1 and report.entries, l
+
+
+def _fresh(l):
+    """The same polyhedron as a new object, without l's cached views."""
+    return Polyhedron(l.dim, l.gens, l.rows, l.masks)
+
+
+def test_2hp_check_scans_once(lattice_scans):
+    """The lattice-free test's finished scan is the one the faces read."""
+    for l in (L_P, L_PRIME, T3, N3, STRIP, TYPE1_T):
+        lattice_scans.clear()
+        report = has_2hyperplane_property(_fresh(l))
+        assert len(lattice_scans) == 1 and report.entries, l
+
+
+def test_classification_and_predicate_scan_once(lattice_scans, monkeypatch):
+    """l is its own boundary hull when the rays hit its corners, so the
+    classification, the predicate and its cross-check read one scan; the
+    predicate tests no corners."""
+
+    def refuse(*args):
+        raise AssertionError("rays_into_corners called")
+
+    monkeypatch.setattr(splitlab.cuts, "rays_into_corners", refuse)
+    l = _fresh(TYPE1_T)
+    assert classify_2d(l).kind == "triangle_type1"
+    assert infinite_rank_2d(TYPE1_MODEL, l)
+    assert lattice_scans == [6]
+
+
+def _rank_dimension(vertices):
+    """The affine dimension of a point set by rank elimination: the rank
+    of the homogeneous points, less one."""
+    return rank([v + (1,) for v in vertices]) - 1
+
+
+def test_face_dimensions_match_rank_reference():
+    """The dimensions ``_faces`` reads off the face lattice against rank
+    elimination on each face's vertices, on seeded polytopes in dimensions
+    1-4: lower-dimensional ones, and point lists that hold integer points
+    which are no vertices besides the generators."""
+    rng = make_rng()
+    lower = extra = 0
+    for case in range(160):
+        d = case % 4 + 1
+        den = rng.choice((1, 2, 3))
+        k = rng.randint(1, d + 1) if case % 3 == 0 else rng.randint(d + 1, d + 4)
+        base = [
+            tuple(F(rng.randint(-3 * den, 3 * den), den) for _ in range(d)) for _ in range(k)
+        ]
+        p = convex_hull(base)
+        homog = [q + (1,) for q in lattice_points(p)]
+        pts = [tuple(map(int, h)) for h in homog]
+        pts += [g for g in p.gens if g not in pts]
+        faces = [f for f, _ in _faces(p, pts)]
+        assert faces[-1].vertices == p.vertices
+        assert faces[-1].dimension == p.affine_dim()
+        for f in faces:
+            assert f.dimension == _rank_dimension(f.vertices), (base, f)
+        lower += p.affine_dim() < d
+        extra += len(pts) > len(p.gens)
+    assert lower >= 30 and extra >= 30, (lower, extra)
 
 
 def test_integer_hull():

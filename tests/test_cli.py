@@ -371,3 +371,16 @@ def test_refusal_then_valid_command_gives_golden_bytes(capsys):
         code, out, _ = run(capsys, *CASES["probe"], "--format", "text")
         assert code == 0
         assert out.encode() == (GOLDEN / "probe.text").read_bytes()
+
+
+@pytest.mark.parametrize("command", ["classify2d", "check2hp"])
+def test_one_lattice_scan_per_command(command, lattice_scans, capsys):
+    """classify2d classifies the body, and its predicate classifies and
+    checks the boundary hull, which is the body itself here; check2hp
+    tests lattice-freeness and builds the faces.  Each reads one scan."""
+    for fmt in ("json", "csv", "text"):
+        lattice_scans.clear()
+        code, out, _ = run(capsys, *CASES[command], "--format", fmt)
+        assert code == 0
+        assert out.encode() == (GOLDEN / f"{command}.{fmt}").read_bytes()
+        assert len(lattice_scans) == 1, fmt

@@ -16,10 +16,11 @@ from splitlab.geometry import (
     GeometryError,
     NotLatticeFreeError,
     Polyhedron,
+    cone_rays,
     convex_hull,
     interior_integer_point,
 )
-from splitlab.linalg import dot
+from splitlab.linalg import dot, scale_primitive
 
 from conftest import make_rng
 
@@ -160,3 +161,40 @@ def test_gauge_on_integer_rows_matches_fraction_reference():
         done += 1
     assert cuts >= 20
 
+
+
+def test_boundary_hull_corners_are_hit_by_the_rays():
+    """On seeded 2D models whose rays positively span the plane, the rays
+    hit every corner of the boundary hull, and the hull is l itself, the
+    same object, exactly when they hit every corner of l."""
+    rng = make_rng()
+    done = same = 0
+    while done < 200:
+        den = rng.choice((1, 2, 3))
+        k = rng.randint(3, 6)
+        l = convex_hull([[_fraction(rng, den, 3) for _ in range(2)] for _ in range(k)])
+        if l.affine_dim() < 2:
+            continue
+        c = [sum(v[i] for v in l.vertices) / len(l.vertices) for i in range(2)]
+        f = tuple(x + F(rng.randint(-1, 1), 7 * rng.randint(5, 9)) for x in c)
+        if not l.interior_contains(f) or all(x.denominator == 1 for x in f):
+            continue
+        if rng.random() < 0.5:
+            # one ray to each corner, and maybe more
+            rays = [tuple(x - y for x, y in zip(v, f)) for v in l.vertices]
+        else:
+            rays = []
+        while len(rays) < 3 or rng.random() < 0.3:
+            r = (rng.randint(-4, 4), rng.randint(-4, 4))
+            if any(r):
+                rays.append(r)
+        if cone_rays([scale_primitive(r) for r in rays], 2) != ([], []):
+            continue
+        model = CornerModel.make(f, rays)
+        hull = boundary_hull(model, l)
+        assert rays_into_corners(model, hull), (l, model)
+        assert (hull is l) == rays_into_corners(model, l), (l, model)
+        assert hull == convex_hull([boundary_point(l, f, r) for r in rays])
+        same += hull is l
+        done += 1
+    assert 50 <= same <= 150, same

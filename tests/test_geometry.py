@@ -12,6 +12,7 @@ from splitlab.geometry import (
     LinealityError,
     NotLatticeFreeError,
     Polyhedron,
+    _iter_lattice_points,
     apply_unimodular,
     cone_rays,
     convex_hull,
@@ -366,6 +367,60 @@ def test_interior_integer_point():
     fat = convex_hull([(0, 0), (3, 0), (0, 3)])
     w = interior_integer_point(fat)
     assert w is not None and fat.interior_contains(w)
+
+
+def test_refusal_stops_early_and_keeps_no_partial_scan(lattice_scans):
+    """A refusal stops at its first interior point, and that partial scan
+    is not cached: the points come from a second, full scan."""
+    side = 60
+    tri = convex_hull([(0, 0), (side, 0), (0, side)])
+    full = [(x, y) for x in range(side + 1) for y in range(side + 1 - x)]
+    with pytest.raises(NotLatticeFreeError):
+        require_lattice_free(tri)
+    assert len(lattice_scans) == 1 and lattice_scans[0] < len(full)
+    assert lattice_points(tri) == [tuple(map(F, q)) for q in full]
+    assert lattice_scans[1:] == [len(full)]
+    # the full scan is kept now: the refusal reads it
+    with pytest.raises(NotLatticeFreeError):
+        require_lattice_free(tri)
+    assert len(lattice_scans) == 2
+
+
+def test_lattice_free_scan_is_cached_once(lattice_scans):
+    """A scan that finds no interior point is the body's cached scan, and
+    lattice_points then reads it without scanning again."""
+    lp = convex_hull([(F(1, 4), F(1, 4), F(3, 2)), (F(-1, 2), F(-1, 2), 0),
+                      (F(5, 2), F(-1, 2), 0), (F(-1, 2), F(5, 2), 0)])
+    require_lattice_free(lp)
+    assert interior_integer_point(lp) is None
+    assert len(lattice_points(lp)) == 9
+    assert lattice_scans == [9]
+
+
+def test_cached_scan_matches_a_fresh_enumeration():
+    """On seeded bodies in dimensions 1-4, lower-dimensional ones included:
+    after the lattice-free test, a body has a cached scan iff it has no
+    interior integer point, and the scan equals a fresh enumeration."""
+    rng = make_rng()
+    cached = lower = 0
+    for case in range(120):
+        dim = case % 4 + 1
+        reach = (6, 4, 3, 2)[dim - 1]
+        den = rng.choice((1, 2, 3))
+        k = rng.randint(1, dim + 2)
+        pts = [
+            tuple(F(rng.randint(-reach * den, reach * den), den) for _ in range(dim))
+            for _ in range(k)
+        ]
+        p = convex_hull(pts)
+        fresh = tuple(_iter_lattice_points(p))
+        witness = interior_integer_point(p)
+        assert ("_lattice_points" in p.__dict__) == (witness is None), pts
+        cached += witness is None
+        lower += p.affine_dim() < dim
+        assert p._lattice_points == fresh, pts
+        assert lattice_points(p) == [tuple(map(F, q)) for q in fresh]
+    assert 20 <= cached <= 100 and lower >= 20, (cached, lower)
 
 
 def test_tetrahedron_lattice_points():

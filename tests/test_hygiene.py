@@ -28,6 +28,8 @@ def test_all_resolves_without_duplicates():
 NO_CALLER_NEEDED = {
     "__version__": "package metadata",
     "necessity_witness": "the 3D catalogue of ROADMAP item 4 builds on it",
+    "rays_into_corners": "the corner condition of the 2D criterion; boundary_hull "
+    "tests it on the points it already has",
 }
 
 
@@ -89,7 +91,7 @@ def test_no_unused_imports(path):
 # with its one step, its adjacency test, its incidence bitmasks and both
 # conversion directions, the stored state of a polyhedron, its cuts and
 # containment test, its equality rows and edge list, lattice-point
-# enumeration, a split direction's levels, the pieces and hull of a split,
+# enumeration and its cached scan, a split direction's levels, the pieces and hull of a split,
 # the start line and apex sector of the 2D sweep, the face incidence of the
 # 2-hyperplane check and the affine-basis labeling of the
 # 2-partitionability search
@@ -100,7 +102,7 @@ INTEGER_ONLY = {
         "_h_to_v", "_v_to_h", "_transpose", "_unrivalled", "_facets", "_incidence",
         "_polyhedron", "_canonical", "_join_rows", "_from_homogeneous", "Polyhedron._cut",
         "Polyhedron.contains_polyhedron", "Polyhedron._equalities", "Polyhedron._edges",
-        "_iter_lattice_points",
+        "Polyhedron._lattice_points", "_iter_lattice_points",
     ),
     "splits.py": ("_levels", "_piece", "_split_rows", "_sweep_sector"),
     "certify.py": ("_faces", "is_2partitionable"),
