@@ -182,7 +182,9 @@ def has_2hyperplane_property(l: Polyhedron) -> TwoHPReport:
     iff that facet is tight on all of its points.  The facets are l's
     integer rows that are not equalities (``Polyhedron._equalities``): an
     equality row is tight on every point, so counting it would put every
-    face of a lower-dimensional l in a facet.
+    face of a lower-dimensional l in a facet.  An integral l, every vertex
+    an integer point, is its own integer hull, so only a fractional vertex
+    costs a V->H pass.
     """
     if not l.is_bounded:
         raise GeometryError("the 2-hyperplane check needs a bounded polyhedron")
@@ -196,8 +198,9 @@ def has_2hyperplane_property(l: Polyhedron) -> TwoHPReport:
         for k, r in enumerate(l.rows[:-1])
         if not eq >> k & 1
     ]
+    hull = l if all(g[-1] == 1 for g in l.gens) else _from_homogeneous(l.dim, homog)
     entries, overall = [], True
-    for face, s in _faces(_from_homogeneous(l.dim, homog), homog):
+    for face, s in _faces(hull, homog):
         contained = any(s & m == s for m in on_facet)
         cert = None if contained else is_2partitionable(face.points)
         overall &= cert is None or cert.outcome != "not_partitionable"

@@ -18,10 +18,12 @@ cuts and split pieces all run it.  Intersecting with further rows runs
 it from the stored state, a batch of rows, such as a whole round of split
 hulls, in one pass; a split's slices run it over the stored edge list
 (``Polyhedron._edges``).  The facet rows of the hull of a
-full-dimensional polyhedron and further generators (``_join_rows``) come
-from the same steps in the polar: the seed rays are its facet rows, its
-generators the rows, and each new generator one more row.  All
-arithmetic is integer or
+full-dimensional polyhedron and further generators (``_join_rows``), for
+a split a piece and the other piece's section by its plane, come from
+the same steps in the polar: the seed rays are its facet rows, its
+generators the rows, and each new generator one more row.  A row that
+cuts no ray only marks the rays it is tight on.  All arithmetic is
+integer or
 :class:`fractions.Fraction`, never floating point; containment and split
 tests compare integers only, and so do lattice-point enumeration and the
 relative-interior test, which read the box off the generators and the
@@ -38,7 +40,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, reduce
 from math import gcd, lcm
-from operator import and_
+from operator import and_, mul
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .linalg import (
@@ -107,18 +109,16 @@ def _check_dim(dim: int) -> None:
 
 def _combine(s: int, u: IntVec, t: int, v: IntVec) -> IntVec:
     """The primitive form of the nonzero integer vector s·u − t·v."""
-    w = tuple(s * x - t * y for x, y in zip(u, v))
+    w = [s * x - t * y for x, y in zip(u, v)]
     g = gcd(*w)
-    return tuple(c // g for c in w)
+    return tuple(w) if g == 1 else tuple([c // g for c in w])
 
 
-def _adjacent(masks: Sequence[int], i: int, j: int, common: int) -> bool:
-    """The combinatorial adjacency test of generators i and j, whose tight
-    masks share the rows ``common``: no third generator is tight on all
-    of them."""
-    return not any(
-        k != i and k != j and common & masks[k] == common for k in range(len(masks))
-    )
+def _adjacent(masks: Sequence[int], common: int) -> bool:
+    """The combinatorial adjacency test of two generators whose tight masks
+    share the rows ``common``: no third generator is tight on all of them,
+    so exactly the two are."""
+    return [common & m for m in masks].count(common) == 2
 
 
 def _dd_step(
@@ -162,9 +162,10 @@ def _pointed_cone_rays(
     hyperplane; the lines that no row cuts are returned.  ``seed = (k,
     rays, masks)`` is the double description of the pointed cone cut out
     by rows[:k]; only rows[k:] are then processed, and no line comes out.
-    Every other row is one ``_dd_step`` over the pointed part, whose pairs
-    are the positive × negative ones that share at least (pointed
-    dimension − 2) tight rows and pass ``_adjacent``.
+    A row that cuts no ray only marks the rays it is tight on.  Every
+    other row is one ``_dd_step`` over the pointed part, whose pairs are
+    the positive × negative ones that share at least (pointed dimension −
+    2) tight rows and pass ``_adjacent``.
     """
     if seed is None:
         start, rays, masks = 0, [], []
@@ -173,7 +174,7 @@ def _pointed_cone_rays(
         (start, rays, masks), lines = seed, []
     for idx in range(start, len(rows)):
         a, bit = rows[idx], 1 << idx
-        lvals = [dot(a, l) for l in lines]
+        lvals = [sum(map(mul, a, l)) for l in lines]
         cut = next((i for i, v in enumerate(lvals) if v != 0), None)
         if cut is not None:
             l, al = lines.pop(cut), lvals.pop(cut)
@@ -183,16 +184,18 @@ def _pointed_cone_rays(
             rays.append(tuple(-sgn * y for y in l))
             masks = [m | bit for m in masks] + [bit - 1]
             continue
-        vals = [dot(a, r) for r in rays]
-        need = d - len(lines) - 2
+        vals = [sum(map(mul, a, r)) for r in rays]
         pos = [i for i, v in enumerate(vals) if v > 0]
+        if not pos:
+            masks = [m | bit if v == 0 else m for m, v in zip(masks, vals)]
+            continue
+        need = d - len(lines) - 2
         neg = [j for j, v in enumerate(vals) if v < 0]
         pairs = [
             (i, j, common)
             for i in pos
             for j in neg
-            if (common := masks[i] & masks[j]).bit_count() >= need
-            and _adjacent(masks, i, j, common)
+            if (common := masks[i] & masks[j]).bit_count() >= need and _adjacent(masks, common)
         ]
         rays, masks = _dd_step(rays, masks, vals, bit, pairs)
     return lines, rays, masks
@@ -376,7 +379,8 @@ def _join_rows(
 ) -> list[IntVec]:
     """The facet rows of the convex hull of a full-dimensional polyhedron,
     given by its pointed double description ``seed`` = (generators,
-    distinct rows, masks), and the homogeneous generators ``other_gens``.
+    distinct rows, masks), and the homogeneous generators ``other_gens``,
+    such as a split's other piece's section by its plane.
 
     The polar of a hull is the intersection of the polars, so this is a
     double-description step in the polar from the seed's state: its rays
@@ -545,7 +549,7 @@ class Polyhedron:
             (i, j, common)
             for i, mi in enumerate(masks)
             for j in range(i + 1, len(masks))
-            if (common := mi & masks[j]).bit_count() >= need and _adjacent(masks, i, j, common)
+            if (common := mi & masks[j]).bit_count() >= need and _adjacent(masks, common)
         ]
 
     @cached_property

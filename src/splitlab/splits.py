@@ -8,14 +8,16 @@ generators once (``_extent``).  A round of splits cuts a polyhedron by the
 convex hulls of each split's two clipped pieces, in integers.  Each split
 direction's values over the generators are computed once per round
 (``_levels``); they tell which splits leave the polyhedron unchanged and
-give both pieces' row values.  Each piece is a double-description (DD)
-step read off the polyhedron's edge list, built once per round, and a
-hull's facet rows come from a seeded DD step in the polar, since the
-polar of a hull is the intersection of the polars.  It starts from a
-full-dimensional piece, whose facet rows are the rays, and adds the other
-piece's generators as rows; only two lower-dimensional pieces take a
-fresh conversion.  The round's distinct hull rows, in lexmin order, then
-cut the polyhedron in one more DD step; one split is a round of one.
+give both pieces' row values, which also tell whether a piece is empty.
+A piece is a double-description (DD) step read off the polyhedron's edge
+list, built once per round, and a hull's facet rows come from a seeded
+DD step in the polar, since the polar of a hull is the intersection of
+the polars.  It starts from a full-dimensional piece, whose facet rows
+are the rays, and adds the other piece's section by its plane as rows,
+read off the same edge list (``_section``); the plane's row is then
+dropped.  Only two lower-dimensional pieces take a fresh conversion.  The
+round's distinct hull rows, in lexmin order, then cut the polyhedron in
+one more DD step; one split is a round of one.
 
 The 2D sweep finds its start line and apex sector in closed form, in
 integers (``_sweep_sector``), so its cost does not depend on where the
@@ -25,10 +27,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 from itertools import product
 from math import ceil
-from operator import and_
 from typing import Optional, Sequence
 
 from .geometry import (
@@ -37,6 +37,7 @@ from .geometry import (
     Point,
     Polyhedron,
     as_point,
+    _combine,
     _from_homogeneous,
     _dd_step,
     _integer,
@@ -132,39 +133,65 @@ def _piece(q: Polyhedron, w: Sequence[int]) -> tuple[list[IntVec], list[int]]:
     return _dd_step(q.gens, q.masks, w, 1 << len(q.rows), q._edges)
 
 
+def _section(q: Polyhedron, w: Sequence[int]) -> list[IntVec]:
+    """The homogeneous generators of q's section by the hyperplane of a
+    row whose value on each generator is w: the generators on it, and one
+    crossing point per edge of q (``Polyhedron._edges``) whose ends lie
+    on opposite sides, as in ``_dd_step``."""
+    gens = q.gens
+    out = [g for g, x in zip(gens, w) if x == 0]
+    for i, j, _ in q._edges:
+        if w[i] * w[j] < 0:
+            p, n = (i, j) if w[i] > 0 else (j, i)
+            out.append(_combine(w[p], gens[n], w[n], gens[p]))
+    return out
+
+
 def _split_rows(
     q: Polyhedron, a: IntVec, vals: Sequence[int], lo: int
 ) -> Optional[Sequence[IntVec]]:
-    """The homogeneous rows of the convex hull of the two pieces of q cut
+    """The homogeneous rows of the convex hull H of the two pieces of q cut
     out by the split a·x <= lo or a·x >= lo + 1, with vals = a·n over q's
     generators (n, t) and a vertex of q strictly between the planes; None
     when both pieces are empty (no point, as in ``_homog_rows``).
 
-    With one nonempty piece these are its slice rows.  Two pieces give the
-    rays of one double-description step in the polar, seeded from a
-    full-dimensional piece (``_join_rows``); two lower-dimensional pieces
-    take a fresh V->H pass.
+    A piece has a point iff some vertex of q lies on its side or some ray
+    of q points into it, so with one nonempty piece these are its slice
+    rows, with no DD step.  With two, the piece P1 of one side, taken
+    full-dimensional (the lo piece first), seeds one double-description
+    step in the polar (``_join_rows``), and the other piece enters only by
+    its section F2 by its plane (``_section``): a point of H on P1's side
+    of that plane lies on a segment from P1 to the other piece, which
+    crosses the plane inside q, so H cut by the plane's row is conv(P1 ∪
+    F2).  Every row of H that is not a row of q reaches that side of the
+    plane, so the join's rows other than the plane's are the rows of H
+    that cut q.  Two lower-dimensional pieces take a fresh V->H pass of
+    both.
     """
-    pieces = []
-    for row, w in (
+    sides = (
         ((*a, -lo), [v - lo * g[-1] for v, g in zip(vals, q.gens)]),
         ((*(-x for x in a), lo + 1), [(lo + 1) * g[-1] - v for v, g in zip(vals, q.gens)]),
-    ):
-        gens, masks = _piece(q, w)
-        if any(g[-1] for g in gens):
-            pieces.append((gens, (*q.rows, row), masks))
-    if not pieces:
+    )
+    live = [
+        row for row, w in sides if any(x < 0 or x == 0 and g[-1] for x, g in zip(w, q.gens))
+    ]
+    if not live:
         return None
-    if len(pieces) == 1:
-        return pieces[0][1]  # the other piece is empty
-    # seed from a full-dimensional piece (no row is tight on all of its
-    # generators), the one with more generators when both are, so that the
-    # fewest generators enter as new polar rows
-    pieces.sort(key=lambda piece: -len(piece[0]))
-    for k, seed in enumerate(pieces):
-        if not reduce(and_, seed[2]):
-            return _join_rows(q.dim, seed, pieces[1 - k][0])
-    return _from_homogeneous(q.dim, list(dict.fromkeys((*pieces[0][0], *pieces[1][0])))).rows
+    if len(live) == 1:
+        return (*q.rows, live[0])  # the other piece is empty
+    # a piece of a full-dimensional q is full-dimensional iff some
+    # generator lies strictly on its side
+    if not q._equalities:
+        for k, (row, w) in enumerate(sides):
+            if min(w) < 0:
+                gens, masks = _piece(q, w)
+                other_row, other_w = sides[1 - k]
+                rows = _join_rows(q.dim, (gens, (*q.rows, row), masks), _section(q, other_w))
+                # the other plane's row from this side: a·x <= lo + 1 or a·x >= lo
+                plane = tuple(-x for x in other_row)
+                return [r for r in rows if r != plane]
+    pieces = [_piece(q, w)[0] for _, w in sides]
+    return _from_homogeneous(q.dim, list(dict.fromkeys((*pieces[0], *pieces[1])))).rows
 
 
 def apply_split(q: Polyhedron, s: Split) -> Polyhedron:

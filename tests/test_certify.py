@@ -22,6 +22,7 @@ from splitlab.geometry import (
     Polyhedron,
     _from_homogeneous,
     _integer,
+    apply_unimodular,
     as_point,
     convex_hull,
     integer_solve,
@@ -299,6 +300,48 @@ def test_2hp_check_converts_only_the_hull(monkeypatch):
 def _fresh(l):
     """The same polyhedron as a new object, without l's cached views."""
     return Polyhedron(l.dim, l.gens, l.rows, l.masks)
+
+
+def _integral_body(rng, d):
+    """A lattice-free polytope with integer vertices: the hull of two or
+    more vertices of the unit cube (each a vertex of the hull, so in no
+    relative interior), lower-dimensional when they are, moved by a
+    unimodular map and an integer shift."""
+    corners = list(product((0, 1), repeat=d))
+    pts = rng.sample(corners, rng.randint(2, len(corners)))
+    u = [[int(i == j) for j in range(d)] for i in range(d)]
+    for _ in range(3 * d):
+        i, j = rng.sample(range(d), 2) if d > 1 else (0, 0)
+        c = rng.randint(-2, 2) if i != j else 0
+        u[i] = [x + c * y for x, y in zip(u[i], u[j])]
+    shift = [rng.randint(-3, 3) for _ in range(d)]
+    return apply_unimodular(convex_hull(pts), u, shift)
+
+
+def test_integral_body_is_its_own_integer_hull(monkeypatch):
+    """An integral l is its own integer hull: the check runs no V->H pass,
+    the hull rebuilt from l's integer points equals l (masks included),
+    and the report equals the one built on that rebuilt hull, on seeded
+    integral bodies in dimensions 1-4, lower-dimensional ones included."""
+    calls = []
+    monkeypatch.setattr(
+        splitlab.certify, "_from_homogeneous", lambda *args: calls.append(args) or _from_homogeneous(*args)
+    )
+    rng = make_rng()
+    lower = 0
+    for case in range(200):
+        l = _integral_body(rng, 1 + case % 4)
+        calls.clear()
+        report = has_2hyperplane_property(l)
+        assert calls == [] and report.entries, l
+        homog = [q + (1,) for q in l._lattice_points]
+        hull = _from_homogeneous(l.dim, homog)
+        assert (hull.gens, hull.rows, hull.masks) == (l.gens, l.rows, l.masks), l
+        with monkeypatch.context() as m:
+            m.setattr(splitlab.certify, "_faces", lambda p, pts: _faces(_from_homogeneous(p.dim, pts), pts))
+            assert has_2hyperplane_property(_fresh(l)) == report, l
+        lower += l.affine_dim() < l.dim
+    assert lower >= 20, lower
 
 
 def test_2hp_check_scans_once(lattice_scans):

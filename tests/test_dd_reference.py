@@ -639,6 +639,75 @@ def test_pieces_match_seeded_step():
     assert min(seen.values()) >= 20, seen
 
 
+def test_section_join_matches_reference(monkeypatch):
+    """A split's hull rows from one piece joined with the other piece's
+    section by its plane, against the from-scratch reference, on the slab
+    bodies in dimensions 1-4, unbounded and lower-dimensional ones
+    included: q cut by the rows equals the reference hull, the join's
+    plane row is dropped and stays out of the result when the other piece
+    reaches past its plane, and each split runs one piece step (two in the
+    fallback for two lower-dimensional pieces, none with one nonempty
+    piece)."""
+    import splitlab.splits as splits
+
+    pieces, joins = [], []
+    piece, join = splits._piece, splits._join_rows
+    monkeypatch.setattr(splits, "_piece", lambda *args: pieces.append(args) or piece(*args))
+    monkeypatch.setattr(splits, "_join_rows", lambda *args: joins.append(args) or join(*args))
+    rng = make_rng()
+    seen = dict.fromkeys(("rays", "lower", "one", "join_lo", "join_hi", "fallback", "past"), 0)
+    kinds = ("cross", "touch_lo", "touch_hi", "slab", "miss")
+    for case in range(HULL_CASES):
+        d = 1 + case % 4
+        pts, rays, s = _slab_body(rng, d, kinds[case // 4 % len(kinds)])
+        if d > 1 and case % 3 == 0:
+            dirs = [tuple(rng.randint(-2, 2) for _ in range(d)) for _ in range(d - 1)]
+            pts = [_on_span(rng, pts[-1], dirs) for _ in range(rng.randint(3, 7))] + [pts[-1]]
+        try:
+            p = Polyhedron.from_generators(pts, rays)
+        except LinealityError:
+            continue
+        a = embed_normal(s.pi, d)
+        vals = [dot(a, g[:-1]) for g in p.gens]
+        if s.pi0 not in splits._levels(p, a)[1]:
+            continue
+        pieces.clear()
+        joins.clear()
+        rows = splits._split_rows(p, a, vals, s.pi0)
+        got = _outcome(Polyhedron.empty, d) if rows is None else _outcome(p._cut, sorted(rows))
+        assert got == _outcome(ref_apply_split, p, s), (pts, rays, s)
+        seen["rays"] += bool(p.rays)
+        seen["lower"] += p.affine_dim() < d
+        lo_row, hi_row = a + (-s.pi0,), tuple(-x for x in a) + (s.pi0 + 1,)
+        lo_live, hi_live = (
+            any(dot(r, g) < 0 or dot(r, g) == 0 and g[-1] for g in p.gens)
+            for r in (lo_row, hi_row)
+        )
+        if not (lo_live and hi_live):
+            assert pieces == [] and (rows is None) == (not (lo_live or hi_live)), (pts, rays, s)
+            seen["one"] += lo_live or hi_live
+            continue
+        if not joins:
+            assert len(pieces) == 2, (pts, rays, s)
+            seen["fallback"] += 1
+            continue
+        assert len(pieces) == 1 and len(joins) == 1, (pts, rays, s)
+        (_, (_, seed_rows, _), section), = joins
+        # the lo piece seeds whenever it is full-dimensional
+        lo_seed = seed_rows[-1] == lo_row
+        assert lo_seed == any(dot(lo_row, g) < 0 for g in p.gens), (pts, rays, s)
+        seen["join_lo" if lo_seed else "join_hi"] += 1
+        other = hi_row if lo_seed else lo_row
+        assert section and all(dot(other, g) == 0 for g in section), (pts, rays, s)
+        # the join's plane row: a·x <= lo + 1 from the lo side, a·x >= lo
+        # from the hi side
+        plane = tuple(-x for x in other)
+        if any(dot(other, g) < 0 for g in p.gens):
+            assert plane not in rows and plane not in p._cut(sorted(rows)).rows, (pts, rays, s)
+            seen["past"] += 1
+    assert min(seen.values()) >= 20, seen
+
+
 def test_levels_match_vertex_scan():
     """A split is skipped by its level exactly when the scan of q's
     generators finds no vertex strictly between its planes, for every

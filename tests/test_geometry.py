@@ -12,7 +12,9 @@ from splitlab.geometry import (
     LinealityError,
     NotLatticeFreeError,
     Polyhedron,
+    _adjacent,
     _iter_lattice_points,
+    _pointed_cone_rays,
     apply_unimodular,
     cone_rays,
     convex_hull,
@@ -350,6 +352,74 @@ def test_cone_rays_randomized(rng):
             tight = [r for r in rows if dot(r, ray) == 0]
             assert rank(tight + lines, d) == d - 1
     assert 60 <= pointed <= 180
+
+
+def _old_adjacent(masks, i, j, common):
+    """The adjacency test as a scan for a third generator tight on every
+    row of ``common``."""
+    return not any(k != i and k != j and common & masks[k] == common for k in range(len(masks)))
+
+
+def test_adjacent_counts_like_the_scan(rng):
+    seen = {True: 0, False: 0}
+    for _ in range(600):
+        masks = [rng.getrandbits(rng.randint(1, 8)) for _ in range(rng.randint(2, 12))]
+        if rng.random() < 0.2:
+            masks.append(rng.choice(masks))
+        i, j = rng.sample(range(len(masks)), 2)
+        common = masks[i] & masks[j]
+        got = _adjacent(masks, common)
+        assert got == _old_adjacent(masks, i, j, common), (masks, i, j)
+        seen[got] += 1
+    assert min(seen.values()) >= 20, seen
+
+
+def _check_dd(rows, lines, rays, masks):
+    """Lines on every row's hyperplane; each ray on the feasible side of
+    every row, with bit k of its mask set iff rows[k] is tight on it."""
+    assert len(masks) == len(rays)
+    for l in lines:
+        assert all(dot(r, l) == 0 for r in rows)
+    for ray, m in zip(rays, masks):
+        assert all(dot(r, ray) <= 0 for r in rows), (rows, ray)
+        assert m == sum(1 << k for k, r in enumerate(rows) if dot(r, ray) == 0), (rows, ray)
+
+
+def test_dd_masks_and_rows_that_cut_no_ray(rng, monkeypatch):
+    """_pointed_cone_rays on seeded row sets in d = 2-5: every mask is the
+    tight set by dot products and every ray satisfies every row, also
+    after a seeded pass over a row that is tight on some rays but cuts
+    none (a positive combination of two rows tight on a common ray); such
+    a row only marks its tight rays and runs no DD step."""
+    import splitlab.geometry as geometry
+
+    steps = []
+    step = geometry._dd_step
+    monkeypatch.setattr(geometry, "_dd_step", lambda *args: steps.append(args) or step(*args))
+    no_cut = 0
+    for case in range(240):
+        d = 2 + case % 4
+        rows = [tuple(rng.randint(-3, 3) for _ in range(d)) for _ in range(rng.randint(d, d + 5))]
+        lines, rays, masks = _pointed_cone_rays(rows, d)
+        _check_dd(rows, lines, rays, masks)
+        if lines or not rays:
+            continue
+        k = rng.randrange(len(rays))
+        tight = [i for i in range(len(rows)) if masks[k] >> i & 1]
+        if len(tight) < 2:
+            continue
+        i, j = rng.sample(tight, 2)
+        c, e = rng.randint(1, 3), rng.randint(1, 3)
+        extra = tuple(c * x + e * y for x, y in zip(rows[i], rows[j]))
+        if not any(extra) or extra in rows:
+            continue
+        steps.clear()
+        _, out, out_masks = _pointed_cone_rays([*rows, extra], d, (len(rows), rays, masks))
+        assert steps == [] and out == rays
+        _check_dd([*rows, extra], [], out, out_masks)
+        assert out_masks[k] >> len(rows) & 1
+        no_cut += 1
+    assert no_cut >= 20, no_cut
 
 
 def test_lattice_free():
