@@ -13,20 +13,13 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm, prod
 from operator import mul
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 IntVector = tuple[int, ...]
 
 
 def dot(a: Sequence, b: Sequence):
     return sum(map(mul, a, b))
-
-
-def vec_gcd(values: Iterable[int]) -> int:
-    g = 0
-    for v in values:
-        g = gcd(g, abs(v))
-    return g
 
 
 def _row_scale(row: Sequence) -> int:
@@ -107,64 +100,37 @@ def det(rows: Sequence[Sequence]) -> Fraction:
     return Fraction(sign * D, prod(map(_row_scale, rows)))
 
 
-def _column_echelon(matrix: list[list[int]], m: int):
+def _column_echelon(matrix: Sequence[Sequence[int]], m: int):
     """Column Hermite reduction.
 
     Returns (H, U, pivots) with ``matrix @ U == H`` for a unimodular U.
     Row i of H has its pivot at pivots[i] (or None) and zeros to the
-    right of the pivot.
+    right of the pivot.  Each column of [matrix; I] is one list, so a
+    column operation on H and U together is one list operation.
     """
     n = len(matrix)
-    H = [list(row) for row in matrix]
-    U = [[int(i == j) for j in range(m)] for i in range(m)]
-
-    def colop_sub(dst, src, q):
-        # column dst -= q * column src
-        for i in range(n):
-            H[i][dst] -= q * H[i][src]
-        for i in range(m):
-            U[i][dst] -= q * U[i][src]
-
-    def colswap(a, b):
-        for i in range(n):
-            H[i][a], H[i][b] = H[i][b], H[i][a]
-        for i in range(m):
-            U[i][a], U[i][b] = U[i][b], U[i][a]
-
-    def colneg(a):
-        for i in range(n):
-            H[i][a] = -H[i][a]
-        for i in range(m):
-            U[i][a] = -U[i][a]
-
+    cols = [[*col, *(int(i == j) for i in range(m))] for j, col in enumerate(zip(*matrix))]
     pivots: list[Optional[int]] = []
-    col = 0
+    c = 0
     for row in range(n):
-        if col >= m:
-            pivots.append(None)
-            continue
-        j0 = None
-        for j in range(col, m):
-            if H[row][j] != 0:
-                j0 = j
-                break
+        j0 = next((j for j in range(c, m) if cols[j][row]), None)
         if j0 is None:
             pivots.append(None)
             continue
-        if j0 != col:
-            colswap(col, j0)
-        for j in range(col + 1, m):
-            # Euclid on (H[row][col], H[row][j]) via column operations
-            while H[row][j] != 0:
-                q = H[row][j] // H[row][col]
-                colop_sub(j, col, q)
-                if H[row][j] != 0:
-                    colswap(col, j)
-        if H[row][col] < 0:
-            colneg(col)
-        pivots.append(col)
-        col += 1
-    return H, U, pivots
+        cols[c], cols[j0] = cols[j0], cols[c]
+        for j in range(c + 1, m):
+            # Euclid on (cols[c][row], cols[j][row]) via column operations
+            while cols[j][row]:
+                f = cols[j][row] // cols[c][row]
+                cols[j] = [x - f * y for x, y in zip(cols[j], cols[c])]
+                if cols[j][row]:
+                    cols[c], cols[j] = cols[j], cols[c]
+        if cols[c][row] < 0:
+            cols[c] = [-x for x in cols[c]]
+        pivots.append(c)
+        c += 1
+    H = [list(r) for r in zip(*cols)]
+    return H[:n], H[n:], pivots
 
 
 def integer_solve_rows(rows: Sequence[tuple[Sequence[int], int]]) -> Optional[IntVector]:
@@ -172,20 +138,16 @@ def integer_solve_rows(rows: Sequence[tuple[Sequence[int], int]]) -> Optional[In
     if not rows:
         return None
     m = len(rows[0][0])
-    A = [list(a) for a, _ in rows]
-    b = [bi for _, bi in rows]
-    H, U, pivots = _column_echelon(A, m)
+    H, U, pivots = _column_echelon([a for a, _ in rows], m)
     y = [0] * m
-    for i in range(len(rows)):
-        s = b[i] - sum(H[i][j] * y[j] for j in range(m))
-        pc = pivots[i]
+    for (_, b), h, pc in zip(rows, H, pivots):
+        s = b - dot(h, y)
         if pc is None:
             if s != 0:
                 return None
         else:
-            pv = H[i][pc]
-            if s % pv != 0:
+            if s % h[pc] != 0:
                 return None
-            y[pc] = s // pv
-    return tuple(sum(U[i][j] * y[j] for j in range(m)) for i in range(m))
+            y[pc] = s // h[pc]
+    return tuple(dot(u, y) for u in U)
 

@@ -6,6 +6,9 @@ study has split rank at most t exactly when t rounds of splits push the
 lifted cone's height down to zero.  This module applies split programs
 to truncated lifts, records height profiles, certifies persistence
 witnesses and repairs facets whose hyperplanes miss the integer lattice.
+Strategies (``probe_rounds``) and validated programs
+(``execute_finite_rank``) share one loop, ``_drive``, that applies the
+rounds, profiles the heights and decides the verdict.
 """
 
 from __future__ import annotations
@@ -13,8 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import takewhile
 from math import ceil, floor as math_floor
-from typing import Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from .certify import Face, has_2hyperplane_property
 from .cuts import CornerModel, boundary_hull
@@ -224,6 +228,41 @@ def _in_x_space(cone: LiftedCone, splits: Sequence[Split]) -> Sequence[Split]:
     return splits
 
 
+def _drive(
+    cone: LiftedCone,
+    rounds: Iterable[Sequence[tuple[Sequence[Split], str]]],
+    witnesses: Sequence[Point],
+    count_splits: bool = False,
+) -> ProbeReport:
+    """The round loop of probe_rounds and execute_finite_rank.
+
+    Each round is a list of (splits, tag) steps, applied in order with
+    ``apply_round`` (one split is a round of one, as in ``apply_split``).
+    The heights are profiled after each round, up to the first round
+    whose maximum height is nonpositive; q is the number of rounds then,
+    or of splits with count_splits.
+    """
+    q = cone.poly
+    profiles = [_profile(q, witnesses)]
+    applied: list[Split] = []
+    tags: list[str] = []
+    verdict = "persists_positive_through_budget"
+    q_stop: Optional[int] = None
+    for steps in rounds:
+        for splits, tag in steps:
+            q = apply_round(q, splits)
+            applied.extend(splits)
+            tags.extend([tag] * len(splits))
+        profiles.append(_profile(q, witnesses))
+        top = profiles[-1].global_max
+        if top is None or top <= 0:
+            verdict = "height_nonpositive_at_round_q"
+            q_stop = len(applied) if count_splits else len(profiles) - 1
+            break
+    seq = SplitSequence.make(applied, tags)
+    return ProbeReport(len(profiles) - 1, tuple(profiles), verdict, q_stop, seq)
+
+
 def probe_rounds(
     cone: LiftedCone,
     strategy: Strategy,
@@ -234,7 +273,9 @@ def probe_rounds(
 
     Each round intersects the results of applying every split of the
     round's set (one split per round for an explicit sequence), each a
-    split of the cone's x-space.  A round at which the maximum height
+    split of the cone's x-space; the rounds run through ``_drive``, the
+    loop shared with execute_finite_rank, up to the budget or until the
+    strategy has no splits left.  A round at which the maximum height
     becomes nonpositive certifies that many rounds as an upper bound on
     the split rank of the floor-truncated set only: the truncation can
     lower heights, so the untruncated cone may still be positive there
@@ -243,28 +284,9 @@ def probe_rounds(
     """
     if budget < 1:
         raise GeometryError("budget must be a positive number of rounds")
-    wit = [as_point(w) for w in witnesses]
-    q = cone.poly
-    profiles = [_profile(q, wit)]
-    applied: list[Split] = []
-    verdict = "persists_positive_through_budget"
-    q_round: Optional[int] = None
-    rounds_done = 0
-    for r in range(1, budget + 1):
-        splits = _in_x_space(cone, strategy.splits_for_round(r))
-        if not splits:
-            break
-        q = apply_round(q, splits)
-        applied.extend(splits)
-        rounds_done = r
-        profiles.append(_profile(q, wit))
-        top = profiles[-1].global_max
-        if top is None or top <= 0:
-            verdict = "height_nonpositive_at_round_q"
-            q_round = r
-            break
-    seq = SplitSequence.make(applied, ["user"] * len(applied))
-    return ProbeReport(rounds_done, tuple(profiles), verdict, q_round, seq)
+    sets = (_in_x_space(cone, strategy.splits_for_round(r)) for r in range(1, budget + 1))
+    rounds = ([(splits, "user")] for splits in takewhile(bool, sets))
+    return _drive(cone, rounds, [as_point(w) for w in witnesses])
 
 
 def necessity_witness(l: Polyhedron) -> Optional[tuple[Face, Point]]:
@@ -296,9 +318,12 @@ def execute_finite_rank(
 
     One iteration performs, for each program split, a round of facet
     splits around the current shadow polytope followed by the split
-    itself, and finishes with the englobing split.  Every application is
-    counted toward q, the reported split-rank upper bound.
+    itself, and finishes with the englobing split.  Up to cap iterations
+    run through ``_drive``, the loop shared with probe_rounds.  Every
+    application is counted toward q, the reported split-rank upper bound.
     """
+    if cap < 1:
+        raise GeometryError("cap must be a positive number of iterations")
     sequence, englobing = program
     _in_x_space(cone, [*sequence.splits, englobing])
     # validate against the shadow sequence in x-space
@@ -315,40 +340,11 @@ def execute_finite_rank(
             f"program split {englobing} does not confine the final shadow to its slab"
         )
 
-    witnesses = [cone.apex[:-1]]
-    q = cone.poly
-    profiles = [_profile(q, witnesses)]
-    applied: list[Split] = []
-    tags: list[str] = []
-    verdict = "persists_positive_through_budget"
-    q_final: Optional[int] = None
-    rounds_done = 0
-    facet_rounds = [facet_splits(shadow) for shadow in shadows[:-1]]
-    for _ in range(cap):
-        for fs, s in zip(facet_rounds, sequence.splits):
-            q = apply_round(q, fs)
-            applied.extend(fs)
-            tags.extend(["facet-round"] * len(fs))
-            q = apply_split(q, s)
-            applied.append(s)
-            tags.append("user")
-        q = apply_split(q, englobing)
-        applied.append(englobing)
-        tags.append("user")
-        rounds_done += 1
-        profiles.append(_profile(q, witnesses))
-        top = profiles[-1].global_max
-        if top is None or top <= 0:
-            verdict = "height_nonpositive_at_round_q"
-            q_final = len(applied)
-            break
-    return ProbeReport(
-        rounds_done,
-        tuple(profiles),
-        verdict,
-        q_final,
-        SplitSequence.make(applied, tags),
-    )
+    steps: list[tuple[Sequence[Split], str]] = []
+    for shadow, s in zip(shadows, sequence.splits):
+        steps += [(facet_splits(shadow), "facet-round"), ([s], "user")]
+    steps.append(([englobing], "user"))
+    return _drive(cone, [steps] * cap, [cone.apex[:-1]], count_splits=True)
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import ceil
+from math import ceil, gcd
 from typing import Optional, Sequence
 
 from .geometry import (
@@ -44,7 +44,7 @@ from .geometry import (
     _over_denominator,
     _join_rows,
 )
-from .linalg import dot, integer_solve_rows, scale_primitive, vec_gcd
+from .linalg import dot, integer_solve_rows, scale_primitive
 
 
 @dataclass(frozen=True)
@@ -57,7 +57,7 @@ class Split:
     def __post_init__(self):
         if not any(self.pi):
             raise GeometryError("split direction must be nonzero")
-        if vec_gcd(self.pi) != 1:
+        if gcd(*self.pi) != 1:
             raise GeometryError("split direction must be a coprime integer vector")
 
     @staticmethod
@@ -284,7 +284,7 @@ def enumerate_splits(bound: int, box: Sequence[tuple[Fraction, Fraction]]) -> li
     lows, highs = ends[0::2], ends[1::2]
     out: list[Split] = []
     for pi in product(range(-bound, bound + 1), repeat=dim):
-        if not any(pi) or vec_gcd(pi) != 1 or next(x for x in pi if x) < 0:
+        if not any(pi) or gcd(*pi) != 1 or next(x for x in pi if x) < 0:
             continue
         terms = [(p * a, p * b) for p, a, b in zip(pi, lows, highs)]
         lo = sum(map(min, terms))

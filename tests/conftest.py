@@ -11,9 +11,18 @@ from splitlab.geometry import _iter_lattice_points
 DEFAULT_SEED = 1729
 
 
+def _seed() -> int:
+    return int(os.environ.get("SPLITLAB_SEED", DEFAULT_SEED))
+
+
 def make_rng() -> random.Random:
     """Seeded generator for the randomized suites, SPLITLAB_SEED overrides."""
-    return random.Random(int(os.environ.get("SPLITLAB_SEED", DEFAULT_SEED)))
+    return random.Random(_seed())
+
+
+def pytest_report_header(config):
+    """The seed in the header, so a failing randomized run can be repeated."""
+    return f"splitlab seed: {_seed()} (SPLITLAB_SEED, default {DEFAULT_SEED})"
 
 
 @pytest.fixture

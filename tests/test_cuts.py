@@ -166,7 +166,9 @@ def test_gauge_on_integer_rows_matches_fraction_reference():
 def test_boundary_hull_corners_are_hit_by_the_rays():
     """On seeded 2D models whose rays positively span the plane, the rays
     hit every corner of the boundary hull, and the hull is l itself, the
-    same object, exactly when they hit every corner of l."""
+    same object, exactly when they hit every corner of l.  Half the models
+    are planted with a ray to each corner of l, the other half with rays
+    that miss some corner, so both outcomes are covered for any seed."""
     rng = make_rng()
     done = same = 0
     while done < 200:
@@ -179,14 +181,14 @@ def test_boundary_hull_corners_are_hit_by_the_rays():
         f = tuple(x + F(rng.randint(-1, 1), 7 * rng.randint(5, 9)) for x in c)
         if not l.interior_contains(f) or all(x.denominator == 1 for x in f):
             continue
-        if rng.random() < 0.5:
-            # one ray to each corner, and maybe more
-            rays = [tuple(x - y for x, y in zip(v, f)) for v in l.vertices]
-        else:
-            rays = []
+        corners = [tuple(x - y for x, y in zip(v, f)) for v in l.vertices]
+        # one ray to each corner, or to a random proper subset of them
+        rays = corners[:] if done % 2 == 0 else rng.sample(corners, rng.randrange(len(corners)))
+        missed = [c for c in corners if c not in rays]
         while len(rays) < 3 or rng.random() < 0.3:
             r = (rng.randint(-4, 4), rng.randint(-4, 4))
-            if any(r):
+            # r hits the corner c iff it is a positive multiple of c
+            if any(r) and not any(r[0] * c[1] == r[1] * c[0] and dot(r, c) > 0 for c in missed):
                 rays.append(r)
         if cone_rays([scale_primitive(r) for r in rays], 2) != ([], []):
             continue

@@ -711,15 +711,19 @@ def test_section_join_matches_reference(monkeypatch):
 def test_levels_match_vertex_scan():
     """A split is skipped by its level exactly when the scan of q's
     generators finds no vertex strictly between its planes, for every
-    enumerated split touching the box of seeded polyhedra in dims 1-4."""
+    enumerated split touching the box of seeded polyhedra in dims 1-4;
+    every 5th polyhedron is planted with one ray."""
     from splitlab.splits import _levels, enumerate_splits
 
     rng = make_rng()
     seen = dict.fromkeys(("between", "skipped", "rays"), 0)
     for case in range(120):
         d = 1 + case % 4
+        pts, rays = _generators(rng, d)
+        if case % 5 == 0:
+            rays = [tuple(rng.randint(-2, 2) for _ in range(d - 1)) + (rng.choice((-1, 1)),)]
         try:
-            p = Polyhedron.from_generators(*_generators(rng, d))
+            p = Polyhedron.from_generators(pts, rays)
         except LinealityError:
             continue
         seen["rays"] += bool(p.rays)
@@ -800,22 +804,42 @@ def _round_splits(rng, p, d):
     return out
 
 
+def _slab_round(rng, d):
+    """A polytope strictly between the planes of a random split s, and a
+    round with s: neither piece of s has a point, so the round is empty.
+    s.pi has an entry ±1 (its entries lie in [-2, 2] with gcd 1), and each
+    point moves along that axis to a value of s.pi·x in (s.pi0, s.pi0 + 1)."""
+    s = _split(rng, d)
+    j = next(i for i, c in enumerate(s.pi) if abs(c) == 1)
+    pts = []
+    for x in (_point(rng, d) for _ in range(rng.randint(1, d + 4))):
+        shift = (s.pi0 + F(rng.randint(1, 5), 6) - dot(s.pi, x)) * s.pi[j]
+        pts.append(x[:j] + (x[j] + shift,) + x[j + 1 :])
+    p = Polyhedron.from_generators(pts)
+    splits = _round_splits(rng, p, d)
+    splits.insert(rng.randint(0, len(splits)), s)
+    return p, splits
+
+
 ROUND_CASES = 500
 
 
 def test_round_matches_sequential_reference():
     """apply_round, one cut by the hull rows of every split of the round,
     against each split's hull from scratch intersected one split at a time,
-    on seeded bodies in dims 1-4."""
+    on seeded bodies in dims 1-4; every 25th round is planted empty."""
     rng = make_rng()
     seen = dict.fromkeys(("rays", "lower", "empty_piece", "duplicate", "empty"), 0)
     for case in range(ROUND_CASES):
         d = 1 + case % 4
-        try:
-            p = Polyhedron.from_generators(*_generators(rng, d))
-        except LinealityError:
-            continue
-        splits = _round_splits(rng, p, d)
+        if case % 25 == 0:
+            p, splits = _slab_round(rng, d)
+        else:
+            try:
+                p = Polyhedron.from_generators(*_generators(rng, d))
+            except LinealityError:
+                continue
+            splits = _round_splits(rng, p, d)
         got = _outcome(apply_round, p, splits)
         assert got == _outcome(ref_apply_round, p, splits), (p, splits)
         seen["rays"] += bool(p.rays)
@@ -986,7 +1010,9 @@ TWOHP_CASES = 240
 def test_2hyperplane_check_matches_reference():
     """has_2hyperplane_property, entry for entry, against the face-by-face
     reference on seeded lattice-free bodies in dimensions 1-3, lower-
-    dimensional ones included, and on the 73-point strip."""
+    dimensional ones included, and on the 73-point strip.  Ten planted
+    images of the type-1 triangle and of L', each with one face that is
+    not 2-partitionable, keep that count for any seed."""
     rng = make_rng()
     seen = dict.fromkeys(("contained", "partitionable", "not_partitionable", "lower_uncontained"), 0)
     bodies = [STRIP]
@@ -996,6 +1022,7 @@ def test_2hyperplane_check_matches_reference():
         kind = kinds[case // 3 % len(kinds)]
         if not (kind == "lower" and d == 1):
             bodies.append(_lattice_free_body(rng, d, kind))
+    bodies += [convex_hull(_unimodular_image(rng, b)) for b in (TYPE1_T, L_PRIME) * 5]
     for l in bodies:
         got = has_2hyperplane_property(l)
         want = ref_has_2hyperplane_property(l)

@@ -4,12 +4,12 @@ from fractions import Fraction
 from itertools import product
 
 from splitlab.linalg import (
+    _column_echelon,
     det,
     dot,
     integer_solve_rows,
     rank,
     scale_primitive,
-    vec_gcd,
 )
 
 from conftest import _reference_echelon, make_rng
@@ -17,8 +17,6 @@ from conftest import _reference_echelon, make_rng
 
 def test_dot_and_gcd():
     assert dot((1, 2, 3), (4, 5, 6)) == 32
-    assert vec_gcd((4, -6, 8)) == 2
-    assert vec_gcd((0, 0, 5)) == 5
     assert scale_primitive((Fraction(2, 3), Fraction(-4, 3))) == (1, -2)
     assert scale_primitive((Fraction(-1, 2), Fraction(0))) == (-1, 0)
 
@@ -61,6 +59,74 @@ def test_integer_solve_vs_brute_force():
         if brute is not None:
             # solvable over the window => the solver must find something
             assert sol is not None
+
+
+def _reference_column_echelon(matrix, m):
+    """The column Hermite reduction with H and U kept as row lists, each
+    column operation one loop over H's rows and one over U's."""
+    n = len(matrix)
+    H = [list(row) for row in matrix]
+    U = [[int(i == j) for j in range(m)] for i in range(m)]
+
+    def colop_sub(dst, src, q):
+        for i in range(n):
+            H[i][dst] -= q * H[i][src]
+        for i in range(m):
+            U[i][dst] -= q * U[i][src]
+
+    def colswap(a, b):
+        for i in range(n):
+            H[i][a], H[i][b] = H[i][b], H[i][a]
+        for i in range(m):
+            U[i][a], U[i][b] = U[i][b], U[i][a]
+
+    def colneg(a):
+        for i in range(n):
+            H[i][a] = -H[i][a]
+        for i in range(m):
+            U[i][a] = -U[i][a]
+
+    pivots = []
+    col = 0
+    for row in range(n):
+        if col >= m:
+            pivots.append(None)
+            continue
+        j0 = next((j for j in range(col, m) if H[row][j] != 0), None)
+        if j0 is None:
+            pivots.append(None)
+            continue
+        if j0 != col:
+            colswap(col, j0)
+        for j in range(col + 1, m):
+            while H[row][j] != 0:
+                colop_sub(j, col, H[row][j] // H[row][col])
+                if H[row][j] != 0:
+                    colswap(col, j)
+        if H[row][col] < 0:
+            colneg(col)
+        pivots.append(col)
+        col += 1
+    return H, U, pivots
+
+
+def test_column_echelon_matches_reference(rng):
+    # n 1-8 rows, m 1-5 columns, about a third of the entries zero, and
+    # sometimes a repeated or zero row
+    for case in range(2000):
+        n, m = rng.randint(1, 8), rng.randint(1, 5)
+        matrix = [
+            [0 if rng.random() < 0.35 else rng.randint(-9, 9) for _ in range(m)]
+            for _ in range(n)
+        ]
+        if case % 5 == 1:
+            matrix.append(list(rng.choice(matrix)))
+        if case % 5 == 2:
+            matrix.insert(rng.randint(0, n), [0] * m)
+        H, U, pivots = _column_echelon(matrix, m)
+        assert (H, U, pivots) == _reference_column_echelon(matrix, m), matrix
+        assert [[dot(row, col) for col in zip(*U)] for row in matrix] == H
+        assert abs(det(U)) == 1
 
 
 def _reference_det(rows):

@@ -321,6 +321,7 @@ def test_executor_type2_regression():
     assert report.verdict == "height_nonpositive_at_round_q"
     assert report.q == 5  # frozen regression value
     assert report.q == len(report.sequence.splits)
+    assert report.sequence.provenance == ("facet-round",) * 3 + ("user",) * 2
     assert report.rounds_applied == 1
     assert report.profiles[-1].global_max == 0
     # the recorded sequence replays to the same bound
@@ -345,6 +346,18 @@ def test_executor_rejects_type1_programs():
             cone,
             (SplitSequence.make([Split.make((1, 0), 10)]), Split.make((1, 0), 0)),
         )
+
+
+def test_executor_refuses_a_cap_below_one():
+    # as probe_rounds refuses a budget below one: no split would be applied
+    cone = lift(SQ_MODEL, UNIT_SQ, floor=8)
+    program = (SplitSequence.make([]), Split.make((1, 0), 0))
+    for cap in (0, -3):
+        with pytest.raises(GeometryError, match="cap must be a positive"):
+            execute_finite_rank(cone, program, cap)
+    with pytest.raises(GeometryError, match="budget must be a positive"):
+        probe_rounds(cone, ExplicitStrategy(program[0]), 0, [SQ_MODEL.f])
+    assert execute_finite_rank(cone, program, 1).q == 1
 
 
 def test_executor_refuses_splits_outside_x_space():

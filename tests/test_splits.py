@@ -3,13 +3,13 @@
 from fractions import Fraction
 from functools import reduce
 from itertools import product
-from math import ceil, floor
+from math import ceil, floor, gcd
 from time import perf_counter
 
 import pytest
 
 from splitlab.geometry import GeometryError, LinealityError, Polyhedron, convex_hull, lattice_points
-from splitlab.linalg import dot, vec_gcd
+from splitlab.linalg import dot
 from splitlab.splits import (
     Split,
     SplitClass,
@@ -119,7 +119,7 @@ def test_englobing_idempotence_randomized():
         pi = (rng.randint(-2, 2), rng.randint(-2, 2))
         if not any(pi):
             continue
-        if vec_gcd(pi) != 1:
+        if gcd(*pi) != 1:
             continue
         s = Split.make(pi, rng.randint(-4, 4))
         flags = classify_split(q, s)
@@ -235,7 +235,7 @@ def random_split(rng, q: Polyhedron) -> Split:
     """A random split whose boundary planes pass near a vertex of q."""
     while True:
         pi = tuple(rng.randint(-2, 2) for _ in range(q.dim))
-        if any(pi) and vec_gcd(pi) == 1:
+        if any(pi) and gcd(*pi) == 1:
             level = dot(pi, rng.choice(q.vertices))
             return Split.make(pi, floor(level) - rng.randint(0, 1))
 
@@ -287,7 +287,7 @@ def _ref_enumerate_splits(bound, box):
     """Each direction's pi0 range from Fraction products with the box."""
     out = []
     for pi in product(range(-bound, bound + 1), repeat=len(box)):
-        if not any(pi) or vec_gcd(pi) != 1 or next(x for x in pi if x) < 0:
+        if not any(pi) or gcd(*pi) != 1 or next(x for x in pi if x) < 0:
             continue
         lo = sum(min(p * F(a), p * F(b)) for p, (a, b) in zip(pi, box))
         hi = sum(max(p * F(a), p * F(b)) for p, (a, b) in zip(pi, box))
