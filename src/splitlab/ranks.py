@@ -354,11 +354,23 @@ def execute_finite_rank(
 def rotate_facet(l: Polyhedron, facet_index: int) -> Polyhedron:
     """Replace a facet whose hyperplane misses the lattice.
 
-    The new facet hyperplane passes through a lattice point on the next
-    integer level of the facet normal, placed far from the polytope, and
-    is tilted until the polytope fits under it; the result strictly
-    contains l, has the same integer points, and its repaired facet
-    plane holds integer points.
+    For the facet a1·x <= b1 (a1 primitive, b1 fractional), β = ⌈b1⌉ and
+    the other facets' region O with its level slice S = O ∩ {a1·x = β},
+    the result is O cut by (c + λ·a1)·x <= k + λ·β.  Here d, kernel is a
+    unimodular basis with a1·d = 1 and a1·kernel = 0, the integer c is 1
+    on kernel[0] and 0 on d and the other kernel vectors, k = ⌊min c over
+    S⌋ − 1 (−1 for S empty) and λ = max(1, ⌈(c·v − k)/(β − a1·v)⌉ + 1
+    over l's vertices v), so l meets the row strictly.  The row is
+    primitive (1 on kernel[0]); its plane holds β·d + k·kernel[0].
+    This one candidate is exact:
+    - S nonempty: c > k on S, so the result misses S; it is convex and
+      holds l, so it lies in a1·x < β, is bounded, has l's integer points
+      and differs from O: the row is a facet.
+    - S empty: O lies below β, where the row only loosens as λ grows, so
+      if it is no facet now it is none for any λ; that is refused.
+    - Dimension 1: the facet is a point, and moving it out to an integer
+      adds that integer; that is refused.
+    That the result contains l and has its integer points is checked.
     """
     if not l.is_bounded or l.is_empty or l.affine_dim() != l.dim:
         raise GeometryError("facet repair needs a full-dimensional polytope")
@@ -369,47 +381,22 @@ def rotate_facet(l: Polyhedron, facet_index: int) -> Polyhedron:
     if Hyperplane.make(a1, b1).has_integer_point():
         raise GeometryError("facet hyperplane already contains integer points")
     m = l.dim
+    if m == 1:
+        raise GeometryError("a facet of an interval cannot be repaired without adding an integer")
     beta = ceil(b1)  # next lattice level; b1 is fractional here
-    # a unimodular completion of the primitive a1: column 0 is d with
-    # a1.d = 1, the others span the lattice inside the level sets
     _, u, _ = _column_echelon([list(a1)], m)
     d, *kernel = zip(*u)
-    x0 = tuple(beta * x for x in d)
-    # dual vector c with c.kernel[0] = 1, c.kernel[j>0] = 0, c.d = 0 (c.d = 1
-    # when m = 1); the rows form a unimodular matrix, so c is integer
+    # the rows form a unimodular matrix, so c is integer
     c = integer_solve_rows(list(zip([*kernel, d], [1] + [0] * (m - 1))))
-
-    others = [facets[i] for i in range(len(facets)) if i != facet_index]
-    # anchor the new hyperplane strictly outside the slice at the next level
-    slice_rows = others + [
-        (a1, Fraction(beta)),
-        (tuple(-x for x in a1), Fraction(-beta)),
-    ]
-    level_slice = Polyhedron.from_inequalities(slice_rows, m)
-    if level_slice.is_empty:
-        k = -1
-    else:
-        k = math_floor(min(dot(c, v) for v in level_slice.vertices)) - 1
-    anchor_val = dot(c, x0) + k
-    lam = 1
-    for v in l.vertices:
-        gap = Fraction(beta) - dot(a1, v)
-        need = (dot(c, v) - anchor_val) / gap
-        lam = max(lam, ceil(need) + 1)
-    for _ in range(60):
-        n = tuple(c[i] + lam * a1[i] for i in range(m))
-        offset = anchor_val + lam * beta
-        candidate = Polyhedron.from_inequalities(others + [(n, Fraction(offset))], m)
-        if (
-            candidate.is_bounded
-            and not candidate.is_empty
-            and candidate.contains_polyhedron(l)
-            and lattice_points(candidate) == lattice_points(l)
-        ):
-            new_facets = set(candidate.facet_inequalities()) - set(others)
-            if new_facets and all(
-                Hyperplane.make(aa, bb).has_integer_point() for aa, bb in new_facets
-            ):
-                return candidate
-        lam *= 2
-    raise GeometryError("facet repair did not converge")
+    others = [f for i, f in enumerate(facets) if i != facet_index]
+    level = [(a1, beta), (tuple(-x for x in a1), -beta)]
+    slice_vals = [dot(c, v) for v in Polyhedron.from_inequalities(others + level, m).vertices]
+    k = math_floor(min(slice_vals)) - 1 if slice_vals else -1
+    lam = max([1] + [ceil((dot(c, v) - k) / (beta - dot(a1, v))) + 1 for v in l.vertices])
+    row = (tuple(x + lam * y for x, y in zip(c, a1)), k + lam * beta)
+    repaired = Polyhedron.from_inequalities(others + [row], m)
+    if not set(repaired.facet_inequalities()) - set(others):
+        raise GeometryError("facet repair is impossible: every tilted facet is redundant")
+    if not (repaired.contains_polyhedron(l) and lattice_points(repaired) == lattice_points(l)):
+        raise GeometryError("facet repair postcondition failed: l or its integer points lost")
+    return repaired

@@ -3,12 +3,12 @@
 A split (pi, pi0) is the disjunction pi.x <= pi0 or pi.x >= pi0 + 1 with
 integer data and coprime pi.  A split acts on the leading coordinates of
 the space it meets, so a split of x-space applies as it is to a cone
-lifted into (x, z); where q lies along a split is read from q's
-generators once (``_extent``).  A round of splits cuts a polyhedron by the
-convex hulls of each split's two clipped pieces, in integers.  Each split
+lifted into (x, z).  A round of splits cuts a polyhedron by the convex
+hulls of each split's two clipped pieces, in integers.  Each split
 direction's values over the generators are computed once per round
 (``_levels``); they tell which splits leave the polyhedron unchanged and
-give both pieces' row values, which also tell whether a piece is empty.
+give both pieces' row values (``_sides``), which tell whether a piece is
+empty, and so whether a split is Chvatal for q or confines it.
 A piece is a double-description (DD) step read off the polyhedron's edge
 list, built once per round, and a hull's facet rows come from a seeded
 DD step in the polar, since the polar of a hull is the intersection of
@@ -107,15 +107,19 @@ def embed_normal(pi: IntVec, dim: int) -> IntVec:
     return (*pi, *(0,) * (dim - len(pi)))
 
 
-def _extent(q: Polyhedron, a: IntVec) -> tuple[Optional[Fraction], Optional[Fraction]]:
-    """The least and the greatest value of a·x over a nonempty q, None on a
-    side where q is unbounded: a vertex (n, t) gives a·n/t, and a ray
-    (r, 0) only the sign of a·r."""
-    vals = [Fraction(dot(a, g[:-1]), g[-1]) for g in q.gens if g[-1]]
-    slopes = {dot(a, g[:-1]) for g in q.gens if not g[-1]}
-    least = None if any(r < 0 for r in slopes) else min(vals)
-    greatest = None if any(r > 0 for r in slopes) else max(vals)
-    return least, greatest
+def _sides(q: Polyhedron, a: IntVec, vals: Sequence[int], lo: int) -> list[tuple]:
+    """The pieces of q cut out by the split a·x <= lo or a·x >= lo + 1, the
+    lo piece first, with vals = a·n over q's generators (n, t): each
+    piece's homogeneous row, its values on the generators (negative
+    strictly inside the piece) and whether the piece has a point: a vertex
+    of q on its side (value <= 0) or a ray of q into it (value < 0)."""
+    gens = q.gens
+    below = [v - lo * g[-1] for v, g in zip(vals, gens)]
+    above = [g[-1] - x for x, g in zip(below, gens)]  # (lo + 1)·t − a·n
+    return [
+        (row, w, any(x < 0 or x == 0 and g[-1] for x, g in zip(w, gens)))
+        for row, w in (((*a, -lo), below), ((*(-x for x in a), lo + 1), above))
+    ]
 
 
 def _levels(q: Polyhedron, a: IntVec) -> tuple[list[int], set[int]]:
@@ -155,8 +159,7 @@ def _split_rows(
     generators (n, t) and a vertex of q strictly between the planes; None
     when both pieces are empty (no point, as in ``_homog_rows``).
 
-    A piece has a point iff some vertex of q lies on its side or some ray
-    of q points into it, so with one nonempty piece these are its slice
+    With one piece that has a point (``_sides``) these are its slice
     rows, with no DD step.  With two, the piece P1 of one side, taken
     full-dimensional (the lo piece first), seeds one double-description
     step in the polar (``_join_rows``), and the other piece enters only by
@@ -168,13 +171,8 @@ def _split_rows(
     that cut q.  Two lower-dimensional pieces take a fresh V->H pass of
     both.
     """
-    sides = (
-        ((*a, -lo), [v - lo * g[-1] for v, g in zip(vals, q.gens)]),
-        ((*(-x for x in a), lo + 1), [(lo + 1) * g[-1] - v for v, g in zip(vals, q.gens)]),
-    )
-    live = [
-        row for row, w in sides if any(x < 0 or x == 0 and g[-1] for x, g in zip(w, q.gens))
-    ]
+    sides = _sides(q, a, vals, lo)
+    live = [row for row, _, has_point in sides if has_point]
     if not live:
         return None
     if len(live) == 1:
@@ -182,15 +180,15 @@ def _split_rows(
     # a piece of a full-dimensional q is full-dimensional iff some
     # generator lies strictly on its side
     if not q._equalities:
-        for k, (row, w) in enumerate(sides):
+        for k, (row, w, _) in enumerate(sides):
             if min(w) < 0:
                 gens, masks = _piece(q, w)
-                other_row, other_w = sides[1 - k]
+                other_row, other_w, _ = sides[1 - k]
                 rows = _join_rows(q.dim, (gens, (*q.rows, row), masks), _section(q, other_w))
                 # the other plane's row from this side: a·x <= lo + 1 or a·x >= lo
                 plane = tuple(-x for x in other_row)
                 return [r for r in rows if r != plane]
-    pieces = [_piece(q, w)[0] for _, w in sides]
+    pieces = [_piece(q, w)[0] for _, w, _ in sides]
     return _from_homogeneous(q.dim, list(dict.fromkeys((*pieces[0], *pieces[1])))).rows
 
 
@@ -210,11 +208,9 @@ def classify_split(q: Polyhedron, s: Split) -> SplitClass:
     if q.is_empty:
         raise GeometryError("classification needs a nonempty polyhedron")
     a = embed_normal(s.pi, q.dim)
-    least, greatest = _extent(q, a)
-    chvatal = (greatest is not None and greatest < s.pi0 + 1) or (
-        least is not None and least > s.pi0
-    )
-    return SplitClass(not chvatal, s.pi0 not in _levels(q, a)[1], chvatal)
+    vals, levels = _levels(q, a)
+    chvatal = not all(has_point for *_, has_point in _sides(q, a, vals, s.pi0))
+    return SplitClass(not chvatal, s.pi0 not in levels, chvatal)
 
 
 def split_confines(q: Polyhedron, s: Split) -> bool:
@@ -226,8 +222,8 @@ def split_confines(q: Polyhedron, s: Split) -> bool:
     """
     if q.is_empty:
         raise GeometryError("confinement needs a nonempty polyhedron")
-    least, greatest = _extent(q, embed_normal(s.pi, q.dim))
-    return None not in (least, greatest) and s.pi0 <= least and greatest <= s.pi0 + 1
+    a = embed_normal(s.pi, q.dim)
+    return all(x >= 0 for _, w, _ in _sides(q, a, _levels(q, a)[0], s.pi0) for x in w)
 
 
 def facet_splits(qx: Polyhedron) -> list[Split]:
@@ -348,12 +344,12 @@ def sweep_sequence_2d(q: Polyhedron, chv: Split, p: Sequence) -> SplitSequence:
     pp = as_point(p)
     pi0 = chv.pi0
     a = embed_normal(chv.pi, 2)
-    greatest = _extent(q, a)[1]
-    if greatest is None or greatest >= pi0 + 1:
+    (_, below, _), (_, _, above) = _sides(q, a, _levels(q, a)[0], pi0)
+    if above:
         raise GeometryError(
             "sweep hypothesis failed: split is not Chvatal for q (far plane meets q)"
         )
-    if greatest <= pi0:
+    if max(below) <= 0:
         return SplitSequence.make([], [])  # nothing above the near plane
     seg = q.intersect_halfspace(a, Fraction(pi0)).intersect_halfspace(
         tuple(-x for x in a), Fraction(-pi0)
@@ -379,10 +375,6 @@ def sweep_sequence_2d(q: Polyhedron, chv: Split, p: Sequence) -> SplitSequence:
     current = q
     for a0, a1 in ((end0, end1), (end1, end0)):
         u = scale_dir(a1, a0)
-        if not seg.contains(tuple(a0[i] + u[i] for i in range(2))):
-            raise GeometryError(
-                "sweep hypothesis failed: endpoint facet split does not intersect the segment"
-            )
         ks = _sweep_sector(qbar.rows, a0, u, d, apex)
         # the lines in the reference scan's window [-cap, cap], cap = 8·(extent + 2)·scale + 8
         extent = max(abs(c - a0[i]) for v in (*qbar.vertices, pp) for i, c in enumerate(v))

@@ -91,8 +91,8 @@ def test_no_unused_imports(path):
 # with its one step, its adjacency test, its incidence bitmasks and both
 # conversion directions, the stored state of a polyhedron, its cuts and
 # containment test, its equality rows and edge list, lattice-point
-# enumeration and its cached scan, a split direction's levels, the pieces,
-# the plane section and the hull of a split,
+# enumeration and its cached scan, a split direction's levels, the row
+# values of a split's sides, the pieces, the plane section and the hull of a split,
 # the start line and apex sector of the 2D sweep, the face incidence of the
 # 2-hyperplane check and the affine-basis labeling of the
 # 2-partitionability search
@@ -105,7 +105,7 @@ INTEGER_ONLY = {
         "Polyhedron.contains_polyhedron", "Polyhedron._equalities", "Polyhedron._edges",
         "Polyhedron._lattice_points", "_iter_lattice_points",
     ),
-    "splits.py": ("_levels", "_piece", "_section", "_split_rows", "_sweep_sector"),
+    "splits.py": ("_levels", "_sides", "_piece", "_section", "_split_rows", "_sweep_sector"),
     "certify.py": ("_faces", "is_2partitionable"),
 }
 

@@ -1,6 +1,7 @@
 """Lifted cones, height probing, the finite-rank executor, facet repair."""
 
 from fractions import Fraction
+from math import ceil, floor
 
 import pytest
 
@@ -11,9 +12,10 @@ from splitlab.geometry import (
     Hyperplane,
     Polyhedron,
     convex_hull,
+    interior_integer_point,
     lattice_points,
 )
-from splitlab.linalg import dot
+from splitlab.linalg import _column_echelon, dot, integer_solve_rows
 from splitlab.ranks import (
     EnumerateStrategy,
     ExplicitStrategy,
@@ -401,3 +403,132 @@ def test_rotate_facet_example():
     assert {(a, b) for a, b in new} == {((7, 8), F(5))}
     with pytest.raises(GeometryError):
         rotate_facet(TYPE1_T, 0)  # every facet plane of the triangle is integer
+
+
+def _reference_rotate_facet(l, facet_index):
+    """The earlier rotate_facet: the same first candidate, then the tilt λ
+    doubled up to 60 times until a candidate passes every check."""
+    if not l.is_bounded or l.is_empty or l.affine_dim() != l.dim:
+        raise GeometryError("facet repair needs a full-dimensional polytope")
+    facets = l.facet_inequalities()
+    if not 0 <= facet_index < len(facets):
+        raise GeometryError("facet index out of range")
+    a1, b1 = facets[facet_index]
+    if Hyperplane.make(a1, b1).has_integer_point():
+        raise GeometryError("facet hyperplane already contains integer points")
+    m = l.dim
+    beta = ceil(b1)
+    _, u, _ = _column_echelon([list(a1)], m)
+    d, *kernel = zip(*u)
+    x0 = tuple(beta * x for x in d)
+    c = integer_solve_rows(list(zip([*kernel, d], [1] + [0] * (m - 1))))
+    others = [facets[i] for i in range(len(facets)) if i != facet_index]
+    slice_rows = others + [(a1, F(beta)), (tuple(-x for x in a1), F(-beta))]
+    level_slice = Polyhedron.from_inequalities(slice_rows, m)
+    if level_slice.is_empty:
+        k = -1
+    else:
+        k = floor(min(dot(c, v) for v in level_slice.vertices)) - 1
+    anchor_val = dot(c, x0) + k
+    lam = 1
+    for v in l.vertices:
+        lam = max(lam, ceil((dot(c, v) - anchor_val) / (F(beta) - dot(a1, v))) + 1)
+    for _ in range(60):
+        n = tuple(c[i] + lam * a1[i] for i in range(m))
+        candidate = Polyhedron.from_inequalities(others + [(n, F(anchor_val + lam * beta))], m)
+        if (
+            candidate.is_bounded
+            and not candidate.is_empty
+            and candidate.contains_polyhedron(l)
+            and lattice_points(candidate) == lattice_points(l)
+        ):
+            new_facets = set(candidate.facet_inequalities()) - set(others)
+            if new_facets and all(
+                Hyperplane.make(aa, bb).has_integer_point() for aa, bb in new_facets
+            ):
+                return candidate
+        lam *= 2
+    raise GeometryError("facet repair did not converge")
+
+
+# bodies whose facet x <= 1/2 has an empty level slice S (the other facets
+# keep them below x = 1) and every tilt of it is redundant, so its repair is
+# refused; their facet x + y (+ z) <= 3/4 has a nonempty S and is repaired
+S_EMPTY_BODIES = [
+    Polyhedron.from_inequalities(
+        [((-1, 0), 0), ((0, -1), 0), ((1, 1), F(3, 4)), ((1, 0), F(1, 2))], 2
+    ),
+    Polyhedron.from_inequalities(
+        [((-1, 0), 0), ((0, -1), 0), ((1, 1), F(3, 4)), ((0, 1), F(1, 2))], 2
+    ),
+    Polyhedron.from_inequalities(
+        [((-1, 0, 0), 0), ((0, -1, 0), 0), ((0, 0, -1), 0), ((1, 1, 1), F(3, 4)),
+         ((1, 0, 0), F(1, 2))],
+        3,
+    ),
+]
+
+
+def _lattice_free_polytopes(rng, count):
+    """Seeded full-dimensional lattice-free polytopes in 2D and 3D with
+    vertices over 2 and 3; every 8th is a planted S_EMPTY_BODIES entry."""
+    made = 0
+    while made < count:
+        if made % 8 == 0:
+            yield S_EMPTY_BODIES[made // 8 % len(S_EMPTY_BODIES)]
+            made += 1
+            continue
+        dim = rng.choice((2, 3))
+        pts = [
+            tuple(F(rng.randint(-3, 6), rng.choice((2, 3))) for _ in range(dim))
+            for _ in range(rng.randint(dim + 1, dim + 3))
+        ]
+        body = convex_hull(pts)
+        if body.affine_dim() == dim and interior_integer_point(body) is None:
+            yield body
+            made += 1
+
+
+def _repair(fn, body, index):
+    try:
+        return fn(body, index)
+    except GeometryError:
+        return None
+
+
+def test_rotate_facet_matches_doubling_reference():
+    repaired = refused = 0
+    for body in _lattice_free_polytopes(make_rng(), 80):
+        for index, (a, b) in enumerate(body.facet_inequalities()):
+            if Hyperplane.make(a, b).has_integer_point():
+                continue
+            got = _repair(rotate_facet, body, index)
+            want = _repair(_reference_rotate_facet, body, index)
+            assert got == want, (body, index)  # == compares dim, gens and rows
+            repaired += got is not None
+            refused += got is None
+    # the 10 planted bodies give at least 10 of each
+    assert repaired >= 10 and refused >= 10
+
+
+@pytest.mark.parametrize(
+    "body, index, message, conversions",
+    [
+        (Polyhedron.from_inequalities([((-1,), 0), ((1,), F(1, 2))], 1), 1,
+         "a facet of an interval cannot be repaired", 0),
+        (S_EMPTY_BODIES[0], 2, "every tilted facet is redundant", 2),
+    ],
+    ids=["interval", "s-empty"],
+)
+def test_rotate_facet_refusals(monkeypatch, body, index, message, conversions):
+    calls = []
+    convert = Polyhedron.from_inequalities
+
+    def counting(ineqs, dim):
+        calls.append(dim)
+        return convert(ineqs, dim)
+
+    monkeypatch.setattr(Polyhedron, "from_inequalities", staticmethod(counting))
+    with pytest.raises(GeometryError, match=message):
+        rotate_facet(body, index)
+    assert len(calls) == conversions
