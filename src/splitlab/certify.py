@@ -180,7 +180,7 @@ def has_2hyperplane_property(l: Polyhedron) -> TwoHPReport:
     The faces and the integer points on each come from one incidence of
     l's integer points with the hull's rows; a face lies in a facet of l
     iff that facet is tight on all of its points.  The facets are l's
-    integer rows that are not equalities (``Polyhedron._equalities``): an
+    facet rows (``Polyhedron._facet_rows``), without the equality rows: an
     equality row is tight on every point, so counting it would put every
     face of a lower-dimensional l in a facet.  An integral l, every vertex
     an integer point, is its own integer hull, so only a fractional vertex
@@ -192,12 +192,7 @@ def has_2hyperplane_property(l: Polyhedron) -> TwoHPReport:
     homog = [q + (1,) for q in l._lattice_points]
     if not homog:
         return TwoHPReport((), True)
-    eq = l._equalities
-    on_facet = [
-        sum(1 << i for i, h in enumerate(homog) if dot(r, h) == 0)
-        for k, r in enumerate(l.rows[:-1])
-        if not eq >> k & 1
-    ]
+    on_facet = [sum(1 << i for i, h in enumerate(homog) if dot(r, h) == 0) for r in l._facet_rows]
     hull = l if all(g[-1] == 1 for g in l.gens) else _from_homogeneous(l.dim, homog)
     entries, overall = [], True
     for face, s in _faces(hull, homog):
@@ -225,10 +220,10 @@ def classify_2d(l: Polyhedron) -> Classification2D:
     require_lattice_free(l)
     homog = [q + (1,) for q in l._lattice_points]
     pts = tuple(as_point(h[:-1]) for h in homog)
-    # l is full-dimensional: its facets are its rows a·x + c <= 0, a·x <= -c
-    # has an integer right-hand side iff a is coprime (the row is), and the
-    # facet at the next integer level, -a·x <= c + 1, is the row (-a, -c - 1)
-    facets = l.rows[:-1]
+    # a facet row a·x + c <= 0, a·x <= -c, has an integer right-hand side
+    # iff a is coprime (the row is), and the facet at the next integer
+    # level, -a·x <= c + 1, is the row (-a, -c - 1)
+    facets = l._facet_rows
     for r in facets:
         partner = (*(-x for x in r[:-1]), -r[-1] - 1)
         if gcd(*r[:-1]) == 1 and partner in facets:

@@ -23,15 +23,17 @@ a split a piece and the other piece's section by its plane, come from
 the same steps in the polar: the seed rays are its facet rows, its
 generators the rows, and each new generator one more row.  A row that
 cuts no ray only marks the rays it is tight on.  All arithmetic is
-integer or
-:class:`fractions.Fraction`, never floating point; containment and split
-tests compare integers only, and so do lattice-point enumeration and the
-relative-interior test, which read the box off the generators and the
-equality rows off the incidence.  A bounded polyhedron keeps its one full
+integer or :class:`fractions.Fraction`, never floating point; membership,
+containment and split tests compare integers only, and so do
+lattice-point enumeration and the relative-interior test, which read the
+box off the generators and the equality rows off the incidence.  Every
+facet test reads one cached list of facet rows
+(``Polyhedron._facet_rows``), and a bounded polyhedron keeps its one full
 lattice scan as a cached view (``Polyhedron._lattice_points``).
 
 Ambient dimension is capped at 4: three geometric coordinates plus one
-lifted coordinate cover every object handled here.
+lifted coordinate cover every object handled here, so ``ranks.lift``
+refuses a body of dimension 4.
 """
 
 from __future__ import annotations
@@ -276,8 +278,8 @@ def _homog_rows(ineqs: Sequence[tuple[Sequence, Fraction]], dim: int) -> Optiona
 
 
 def _row_ineq(row: IntVec) -> Inequality:
-    """The canonical a·x <= b of an integer row a·x + c·t <= 0 with a != 0."""
-    g = gcd(*row[:-1])
+    """The canonical a·x <= b of an integer row a·x + c·t <= 0 (0·x <= −1 for t <= 0)."""
+    g = gcd(*row[:-1]) or 1
     return tuple(x // g for x in row[:-1]), Fraction(-row[-1], g)
 
 
@@ -501,9 +503,7 @@ class Polyhedron:
 
     @cached_property
     def inequalities(self) -> tuple[Inequality, ...]:
-        if not self.gens:
-            return (((0,) * self.dim, Fraction(-1)),)
-        return tuple(sorted(_row_ineq(r) for r in self.rows[:-1]))
+        return tuple(sorted(map(_row_ineq, self.rows[:-1])))
 
     # -- basic predicates --------------------------------------------------
 
@@ -516,27 +516,30 @@ class Polyhedron:
         return all(g[-1] for g in self.gens)
 
     def contains(self, point: Sequence) -> bool:
-        p = as_point(point)
-        if len(p) != self.dim:
+        """Membership in integers, as in ``relint_contains`` (the empty set's t <= 0 fails)."""
+        n, d = _over_denominator(point)
+        if len(n) != self.dim:
             raise GeometryError("point dimension mismatch")
-        if self.is_empty:
-            return False
-        return all(dot(a, p) <= b for a, b in self.inequalities)
+        h = (*n, d)
+        return all(dot(r, h) <= 0 for r in self.rows[:-1])
 
     def facet_inequalities(self) -> list[Inequality]:
-        seen = set(self.inequalities)
-        return [
-            (a, b)
-            for a, b in self.inequalities
-            if (tuple(-x for x in a), -b) not in seen
-        ]
+        """The sorted views of ``_facet_rows``: 0·x <= −1 for the empty set."""
+        return sorted(map(_row_ineq, self._facet_rows))
 
     @cached_property
     def _equalities(self) -> int:
         """The rows tight on every generator, as a bitmask over ``rows``
-        (bit k for rows[k]): the equality rows, in opposite pairs.  Only
-        for a nonempty polyhedron."""
-        return reduce(and_, self.masks)
+        (bit k for rows[k]): the equality rows, in opposite pairs; none
+        for the empty set."""
+        return reduce(and_, self.masks) if self.masks else 0
+
+    @cached_property
+    def _facet_rows(self) -> tuple[IntVec, ...]:
+        """``rows[:-1]`` without the equality rows: the facet rows, which
+        every facet test reads; the row t <= 0 for the empty set."""
+        eq = self._equalities
+        return tuple(r for k, r in enumerate(self.rows[:-1]) if not eq >> k & 1)
 
     @cached_property
     def _edges(self) -> list[tuple[int, int, int]]:
@@ -731,20 +734,18 @@ def interior_integer_point(p: Polyhedron) -> Optional[Point]:
 
     The test runs in integers on the enumerated points, which satisfy
     every row: a point is in the relative interior iff it is strictly
-    inside every row that is not an equality (``Polyhedron._equalities``).
+    inside every facet row (``Polyhedron._facet_rows``).
     It reads p's cached scan if there is one.  Otherwise it scans, and a
     scan that finds no interior point has listed every integer point of p,
     so it becomes the cached scan; a scan that stops early is not kept.
     """
     if p.is_empty:
         return None
-    eq = p._equalities
-    strict = [r for k, r in enumerate(p.rows[:-1]) if not eq >> k & 1]
     cached = "_lattice_points" in p.__dict__
     scanned: list[IntVec] = []
     for q in p._lattice_points if cached else _iter_lattice_points(p):
         h = q + (1,)
-        if all(dot(r, h) < 0 for r in strict):
+        if all(dot(r, h) < 0 for r in p._facet_rows):
             return as_point(q)
         scanned.append(q)
     if not cached:

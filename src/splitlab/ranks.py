@@ -17,14 +17,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import takewhile
-from math import ceil, floor as math_floor
+from math import ceil
 from typing import Iterable, Optional, Sequence, Union
 
 from .certify import Face, has_2hyperplane_property
 from .cuts import CornerModel, boundary_hull
 from .geometry import (
+    MAX_DIM,
     GeometryError,
-    Hyperplane,
     Point,
     Polyhedron,
     _canonical,
@@ -32,7 +32,6 @@ from .geometry import (
     _over_denominator,
     _primitive,
     as_point,
-    lattice_points,
     require_lattice_free,
 )
 from .linalg import _column_echelon, dot, integer_solve_rows, rank
@@ -147,6 +146,8 @@ def lift(
     """
     if kind not in ("P^L", "P^L(x,z)"):
         raise GeometryError(f"unknown lift kind {kind!r}")
+    if l.dim >= MAX_DIM:
+        raise GeometryError(f"lift needs a body of dimension at most {MAX_DIM - 1}, got {l.dim}")
     floor = _integer(floor)
     if floor < 1:
         raise GeometryError("floor must be a positive integer")
@@ -361,7 +362,8 @@ def rotate_facet(l: Polyhedron, facet_index: int) -> Polyhedron:
     on kernel[0] and 0 on d and the other kernel vectors, k = ⌊min c over
     S⌋ − 1 (−1 for S empty) and λ = max(1, ⌈(c·v − k)/(β − a1·v)⌉ + 1
     over l's vertices v), so l meets the row strictly.  The row is
-    primitive (1 on kernel[0]); its plane holds β·d + k·kernel[0].
+    primitive (1 on kernel[0]); its plane holds β·d + k·kernel[0].  Both k
+    and λ are read in integers off the generators (n, t) of S and of l.
     This one candidate is exact:
     - S nonempty: c > k on S, so the result misses S; it is convex and
       holds l, so it lies in a1·x < β, is bounded, has l's integer points
@@ -378,7 +380,7 @@ def rotate_facet(l: Polyhedron, facet_index: int) -> Polyhedron:
     if not 0 <= facet_index < len(facets):
         raise GeometryError("facet index out of range")
     a1, b1 = facets[facet_index]
-    if Hyperplane.make(a1, b1).has_integer_point():
+    if b1.denominator == 1:  # by Bezout, as a1 is coprime
         raise GeometryError("facet hyperplane already contains integer points")
     m = l.dim
     if m == 1:
@@ -390,13 +392,15 @@ def rotate_facet(l: Polyhedron, facet_index: int) -> Polyhedron:
     c = integer_solve_rows(list(zip([*kernel, d], [1] + [0] * (m - 1))))
     others = [f for i, f in enumerate(facets) if i != facet_index]
     level = [(a1, beta), (tuple(-x for x in a1), -beta)]
-    slice_vals = [dot(c, v) for v in Polyhedron.from_inequalities(others + level, m).vertices]
-    k = math_floor(min(slice_vals)) - 1 if slice_vals else -1
-    lam = max([1] + [ceil((dot(c, v) - k) / (beta - dot(a1, v))) + 1 for v in l.vertices])
+    # S is bounded, as l = O ∩ {a1·x <= b1} is, so every t > 0 on S
+    slice_gens = Polyhedron.from_inequalities(others + level, m).gens
+    k = min((dot(c, n) // t for *n, t in slice_gens), default=0) - 1
+    # l lies below b1 < β, so every β·t − a1·n > 0
+    lam = max(1, *(1 - (k * t - dot(c, n)) // (beta * t - dot(a1, n)) for *n, t in l.gens))
     row = (tuple(x + lam * y for x, y in zip(c, a1)), k + lam * beta)
     repaired = Polyhedron.from_inequalities(others + [row], m)
     if not set(repaired.facet_inequalities()) - set(others):
         raise GeometryError("facet repair is impossible: every tilted facet is redundant")
-    if not (repaired.contains_polyhedron(l) and lattice_points(repaired) == lattice_points(l)):
+    if not (repaired.contains_polyhedron(l) and repaired._lattice_points == l._lattice_points):
         raise GeometryError("facet repair postcondition failed: l or its integer points lost")
     return repaired

@@ -19,9 +19,10 @@ dropped.  Only two lower-dimensional pieces take a fresh conversion.  The
 round's distinct hull rows, in lexmin order, then cut the polyhedron in
 one more DD step; one split is a round of one.
 
-The 2D sweep finds its start line and apex sector in closed form, in
-integers (``_sweep_sector``), so its cost does not depend on where the
-body sits; its length has a budget measured from the segment's endpoints."""
+The 2D sweep reads its segment off the edge list (``_section``) and finds
+its start line and apex sector in closed form, in integers
+(``_sweep_sector``), so its cost does not depend on where the body sits;
+its length has a budget measured from the segment's endpoints."""
 
 from __future__ import annotations
 
@@ -154,13 +155,14 @@ def _section(q: Polyhedron, w: Sequence[int]) -> list[IntVec]:
 def _split_rows(
     q: Polyhedron, a: IntVec, vals: Sequence[int], lo: int
 ) -> Optional[Sequence[IntVec]]:
-    """The homogeneous rows of the convex hull H of the two pieces of q cut
-    out by the split a·x <= lo or a·x >= lo + 1, with vals = a·n over q's
-    generators (n, t) and a vertex of q strictly between the planes; None
-    when both pieces are empty (no point, as in ``_homog_rows``).
+    """Homogeneous rows that cut q down to the convex hull H of the two
+    pieces of q cut out by the split a·x <= lo or a·x >= lo + 1, with vals
+    = a·n over q's generators (n, t) and a vertex of q strictly between the
+    planes; None when both pieces are empty (no point, as in
+    ``_homog_rows``).
 
-    With one piece that has a point (``_sides``) these are its slice
-    rows, with no DD step.  With two, the piece P1 of one side, taken
+    With one piece that has a point (``_sides``) this is its own row, with
+    no DD step.  With two, the piece P1 of one side, taken
     full-dimensional (the lo piece first), seeds one double-description
     step in the polar (``_join_rows``), and the other piece enters only by
     its section F2 by its plane (``_section``): a point of H on P1's side
@@ -176,7 +178,7 @@ def _split_rows(
     if not live:
         return None
     if len(live) == 1:
-        return (*q.rows, live[0])  # the other piece is empty
+        return live  # the other piece is empty
     # a piece of a full-dimensional q is full-dimensional iff some
     # generator lies strictly on its side
     if not q._equalities:
@@ -321,8 +323,9 @@ def sweep_sequence_2d(q: Polyhedron, chv: Split, p: Sequence) -> SplitSequence:
     """Sequence of splits confining the upper slab part of q to a pyramid.
 
     ``chv`` must be a Chvatal split for q whose far plane misses q; the
-    near plane cuts a segment L with integer endpoints out of q, and the
-    apex p lies strictly between the planes.  From each endpoint a0 the
+    near plane cuts a segment L with integer endpoints out of q, read off
+    q's edges in integers (``_section``), and the apex p lies strictly
+    between the planes.  From each endpoint a0 the
     returned splits rotate the lines through a0 along d + k·u (u the
     primitive direction of L away from a0, d an integer vector with
     pi·d = 1), from the last line that meets q̄ = q ∩ {pi.x >= pi0} only
@@ -344,6 +347,7 @@ def sweep_sequence_2d(q: Polyhedron, chv: Split, p: Sequence) -> SplitSequence:
     pp = as_point(p)
     pi0 = chv.pi0
     a = embed_normal(chv.pi, 2)
+    up = tuple(-x for x in a)
     (_, below, _), (_, _, above) = _sides(q, a, _levels(q, a)[0], pi0)
     if above:
         raise GeometryError(
@@ -351,31 +355,25 @@ def sweep_sequence_2d(q: Polyhedron, chv: Split, p: Sequence) -> SplitSequence:
         )
     if max(below) <= 0:
         return SplitSequence.make([], [])  # nothing above the near plane
-    seg = q.intersect_halfspace(a, Fraction(pi0)).intersect_halfspace(
-        tuple(-x for x in a), Fraction(-pi0)
-    )
-    if seg.is_empty or seg.affine_dim() != 1:
-        raise GeometryError(
-            "sweep hypothesis failed: near plane section of q is not a segment"
-        )
-    if not seg.is_bounded:
+    seg = _section(q, below)
+    if len(seg) != 2:
+        raise GeometryError("sweep hypothesis failed: near plane section of q is not a segment")
+    if not all(g[-1] for g in seg):
         raise GeometryError("sweep hypothesis failed: near plane section unbounded")
-    if not (Fraction(pi0) < dot(a, pp) < Fraction(pi0 + 1)):
-        raise GeometryError(
-            "sweep hypothesis failed: apex point not strictly between the planes"
-        )
-    if any(c.denominator != 1 for e in seg.vertices for c in e):
+    pn, ps = _over_denominator(pp)
+    if not pi0 * ps < dot(a, pn) < (pi0 + 1) * ps:
+        raise GeometryError("sweep hypothesis failed: apex point not strictly between the planes")
+    if any(g[-1] != 1 for g in seg):
         raise GeometryError("sweep hypothesis failed: segment endpoint is not an integer point")
-    end0, end1 = (tuple(int(c) for c in e) for e in seg.vertices)
-    qbar = q.intersect_halfspace(tuple(-x for x in a), Fraction(-pi0))
-    apex = scale_primitive((*pp, 1))
+    end0, end1 = sorted(g[:-1] for g in seg)
+    qbar = q.intersect_halfspace(up, -pi0)
     d = integer_solve_rows([(a, 1)])
 
     splits: list[Split] = []
     current = q
     for a0, a1 in ((end0, end1), (end1, end0)):
         u = scale_dir(a1, a0)
-        ks = _sweep_sector(qbar.rows, a0, u, d, apex)
+        ks = _sweep_sector(qbar.rows, a0, u, d, (*pn, ps))
         # the lines in the reference scan's window [-cap, cap], cap = 8·(extent + 2)·scale + 8
         extent = max(abs(c - a0[i]) for v in (*qbar.vertices, pp) for i, c in enumerate(v))
         budget = 16 * (ceil(extent) + 2) * max(*map(abs, a), *map(abs, u)) + 17
@@ -394,7 +392,7 @@ def sweep_sequence_2d(q: Polyhedron, chv: Split, p: Sequence) -> SplitSequence:
             current = apply_split(current, s)
 
     pyramid = Polyhedron.from_generators([pp, end0, end1])
-    upper = current.intersect_halfspace(tuple(-x for x in a), Fraction(-pi0))
+    upper = current.intersect_halfspace(up, -pi0)
     if not pyramid.contains_polyhedron(upper):
         raise GeometryError("sweep postcondition failed: result escapes the pyramid")
     return SplitSequence.make(splits, ["sweep"] * len(splits))

@@ -317,6 +317,23 @@ def test_model_and_body_dimensions_must_agree(files, capsys, command):
     assert err.startswith("error: ")
 
 
+def test_probe_refuses_a_4d_body(files, capsys):
+    """The 4D simplex x >= 0, sum(x) <= 2 is lattice-free, but its lifted
+    cone would have 5 coordinates, one more than the cap of 4."""
+    units = [[str(int(i == j)) for j in range(4)] for i in range(4)]
+    body = {"dim": 4, "vertices": [["0"] * 4] + [[str(2 * int(x)) for x in e] for e in units]}
+    model = {"f": ["1/4"] * 4, "rays": units}
+    code, out, err = run(capsys, "probe", files("m4.json", model), files("l4.json", body))
+    assert (code, out) == (2, "")
+    assert err == "error: lift needs a body of dimension at most 3, got 4\n"
+
+
+def test_rotate_facet_index_out_of_range(capsys):
+    code, out, err = run(capsys, *CASES["rotate_facet"][:2], "--facet", "7")
+    assert (code, out) == (2, "")
+    assert err == "error: facet index out of range\n"
+
+
 def test_check2hp_empty_document(files, capsys):
     doc = {"dim": 2, "inequalities": [{"a": ["0", "0"], "b": "-1"}]}
     code, out, _ = run(capsys, "check2hp", files("e.json", doc))

@@ -15,6 +15,7 @@ from splitlab.geometry import (
     _adjacent,
     _iter_lattice_points,
     _pointed_cone_rays,
+    _row_ineq,
     apply_unimodular,
     cone_rays,
     convex_hull,
@@ -245,6 +246,46 @@ def test_relint_contains_in_integers_matches_reference(rng):
         TYPE1_T.relint_contains((F(1, 2),))
     assert not Polyhedron.empty(2).relint_contains((0, 0))
     assert convex_hull([(0, 0), (2, 0)]).relint_contains(("1/2", 0))
+
+
+def test_facet_rows_and_contains_match_fraction_reference(rng):
+    """The facet list and the integer membership test against the
+    Fraction views they replace, on full- and lower-dimensional polytopes
+    in dimensions 1-4 and on the empty set: the facets are the
+    inequalities whose negation is not one too, and a point is in p iff it
+    satisfies every inequality."""
+    lower = inside = 0
+    for case in range(200):
+        dim = case % 4 + 1
+        den = rng.choice((1, 2, 3))
+        base = [F(rng.randint(-4 * den, 4 * den), den) for _ in range(dim)]
+        pts = [
+            tuple(b + F(rng.randint(-3, 3), den) for b in base)
+            for _ in range(rng.randint(1, dim + 2))
+        ]
+        p = convex_hull(pts)
+        lower += p.affine_dim() < dim
+        seen = set(p.inequalities)
+        want = [(a, b) for a, b in p.inequalities if (tuple(-x for x in a), -b) not in seen]
+        assert p.facet_inequalities() == want, pts
+        assert sorted(map(_row_ineq, p._facet_rows)) == want, pts
+        vs = p.vertices
+        probes = list(vs) + [tuple((x + y) / 2 for x, y in zip(u, v)) for u in vs for v in vs]
+        probes += [
+            tuple(c + F(rng.randint(-1, 1), rng.choice((2, 5, 7))) for c in vs[0])
+            for _ in range(4)
+        ]
+        for q in probes:
+            got = p.contains(q)
+            assert got == all(dot(a, q) <= b for a, b in p.inequalities), (pts, q)
+            inside += got
+    assert lower >= 30 and inside >= 200
+    for dim in range(1, 5):
+        empty = Polyhedron.empty(dim)
+        assert empty.facet_inequalities() == list(empty.inequalities) == [((0,) * dim, -1)]
+        assert not empty.contains((0,) * dim)
+    with pytest.raises(GeometryError, match="point dimension mismatch"):
+        TYPE1_T.contains((F(1, 2),))
 
 
 def test_hull_round_trip_randomized():

@@ -1,8 +1,11 @@
 """Byte-for-byte CLI reports: every subcommand in every --format.
 
 The inputs are the README examples (body, corner model and split), the
-rotate-facet and sweep2d bodies of ``test_cli.py`` and the 3D bodies
-``L_P`` and ``L_PRIME`` of the acceptance tests; the expected
+rotate-facet and sweep2d bodies of ``test_cli.py``, the 3D bodies ``L_P``
+and ``L_PRIME`` of the acceptance tests, and the unit square with its
+four unit rays and the one split x <= 0 or x >= 1, a probe that reaches
+height 0 at round 1 and has an empty fiber at its second witness; the
+expected
 stdout of each case lives in ``tests/golden/<case>.<format>``.  After a
 deliberate change of a report, rewrite the files with
 
@@ -42,6 +45,10 @@ CASES = {
     ],
     "probe_program": [
         "probe", _input("model.json"), _input("body.json"), "--program", _input("program.json"),
+    ],
+    "probe_terminates": [
+        "probe", _input("square_model.json"), _input("square.json"),
+        "--program", _input("square_program.json"), "--witness", "1/2,1/2", "--witness", "100,100",
     ],
     "classify2d": ["classify2d", _input("model.json"), _input("body.json")],
     "rotate_facet": ["rotate-facet", _input("rotate_body.json"), "--facet", "2"],

@@ -89,21 +89,22 @@ def test_no_unused_imports(path):
 
 # the integer kernel: elimination, primitive scaling, the double description
 # with its one step, its adjacency test, its incidence bitmasks and both
-# conversion directions, the stored state of a polyhedron, its cuts and
-# containment test, its equality rows and edge list, lattice-point
-# enumeration and its cached scan, a split direction's levels, the row
-# values of a split's sides, the pieces, the plane section and the hull of a split,
-# the start line and apex sector of the 2D sweep, the face incidence of the
-# 2-hyperplane check and the affine-basis labeling of the
-# 2-partitionability search
+# conversion directions, the stored state of a polyhedron, its cuts, its
+# membership and containment tests, its equality rows, facet rows and edge
+# list, lattice-point enumeration and its cached scan, a split direction's
+# levels, the row values of a split's sides, the pieces, the plane section
+# and the hull of a split, the start line and apex sector of the 2D sweep,
+# the face incidence of the 2-hyperplane check and the affine-basis
+# labeling of the 2-partitionability search
 INTEGER_ONLY = {
     "linalg.py": ("_integer_rows", "_echelon", "scale_primitive"),
     "geometry.py": (
         "_adjacent", "_dd_step", "_pointed_cone_rays", "_combine", "_primitive", "cone_rays",
         "_h_to_v", "_v_to_h", "_transpose", "_unrivalled", "_facets", "_incidence",
         "_polyhedron", "_canonical", "_join_rows", "_from_homogeneous", "Polyhedron._cut",
-        "Polyhedron.contains_polyhedron", "Polyhedron._equalities", "Polyhedron._edges",
-        "Polyhedron._lattice_points", "_iter_lattice_points",
+        "Polyhedron.contains", "Polyhedron.contains_polyhedron", "Polyhedron._equalities",
+        "Polyhedron._facet_rows", "Polyhedron._edges", "Polyhedron._lattice_points",
+        "_iter_lattice_points",
     ),
     "splits.py": ("_levels", "_sides", "_piece", "_section", "_split_rows", "_sweep_sector"),
     "certify.py": ("_faces", "is_2partitionable"),

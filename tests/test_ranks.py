@@ -95,6 +95,25 @@ def test_lift_floor_is_an_integer():
         lift(TYPE1_MODEL, TYPE1_T, floor=0)
 
 
+def test_lift_refuses_a_body_above_dimension_3():
+    """The lifted cone adds a coordinate to the body's, and the ambient
+    dimension is capped at 4: the 4D simplex x >= 0, sum(x) <= 2 is
+    lattice-free, but its cone would be 5-dimensional."""
+    units = [tuple(int(i == j) for j in range(4)) for i in range(4)]
+    simplex = convex_hull([(0, 0, 0, 0)] + [tuple(2 * x for x in e) for e in units])
+    assert interior_integer_point(simplex) is None
+    model = CornerModel.make((F(1, 4),) * 4, units)
+    with pytest.raises(GeometryError, match="lift needs a body of dimension at most 3, got 4"):
+        lift(model, simplex)
+
+
+def test_lift_refuses_a_reference_point_off_the_interior():
+    # f = (1/2, 1/2) lies on the long edge of the unit triangle
+    tri = convex_hull([(0, 0), (1, 0), (0, 1)])
+    with pytest.raises(GeometryError, match="reference point must lie in the interior"):
+        lift(SQ_MODEL, tri)
+
+
 def test_height_concavity_randomized():
     rng = make_rng()
     cone = lift(TYPE1_MODEL, TYPE1_T, floor=4)

@@ -14,6 +14,8 @@ from splitlab.splits import (
     Split,
     SplitClass,
     SplitSequence,
+    _levels,
+    _split_rows,
     apply_round,
     apply_split,
     classify_split,
@@ -82,6 +84,17 @@ def test_apply_split_cuts_corner():
     assert out != sq
     assert not out.contains((F(3, 2), 0))  # corner in the open slab is cut away
     assert set(lattice_points(out)) == set(lattice_points(sq))
+
+
+def test_one_piece_split_gives_its_own_row():
+    """With one piece that has a point, the hull is that piece: its row
+    alone cuts q down to it, as the round drops q's own rows anyway."""
+    q = convex_hull([(0, 0), (1, 0), (F(1, 2), F(1, 2))])
+    a = (0, 1)
+    vals, levels = _levels(q, a)
+    assert 0 in levels
+    assert list(_split_rows(q, a, vals, 0)) == [(0, 1, 0)]
+    assert apply_split(q, Split.make(a, 0)) == convex_hull([(0, 0), (1, 0)])
 
 
 def test_apply_split_empty_side():
@@ -355,6 +368,40 @@ def test_sweep_trivial_and_errors():
     for apex in ((F(7, 8),), (F(3, 2), F(7, 8), 1)):
         with pytest.raises(GeometryError, match="apex must have 2 coordinates"):
             sweep_sequence_2d(q, chv, apex)
+
+
+@pytest.mark.parametrize(
+    "q, apex, message",
+    [
+        (convex_hull([(1, 0), (0, F(1, 2)), (2, F(1, 2))]), (1, F(1, 4)),
+         "near plane section of q is not a segment"),
+        (Polyhedron.from_inequalities([((-1, 0), 0), ((0, -1), 1), ((0, 1), F(3, 4))], 2),
+         (1, F(1, 4)), "near plane section unbounded"),
+        (convex_hull([(0, -1), (2, -1), (1, F(1, 2))]), (1, F(1, 4)),
+         "segment endpoint is not an integer point"),
+    ],
+    ids=["point", "unbounded", "fractional"],
+)
+def test_sweep_refuses_a_section_that_is_no_integer_segment(q, apex, message):
+    with pytest.raises(GeometryError, match=f"^sweep hypothesis failed: {message}$"):
+        sweep_sequence_2d(q, Split.make((0, 1), 0), apex)
+
+
+def test_sweep_reads_its_segment_off_the_edges(monkeypatch):
+    """The near plane's section comes off q's edges, so the only
+    intersections left are the upper part q̄ and the postcondition's."""
+    calls = []
+    cut = Polyhedron.intersect_halfspace
+
+    def counting(self, a, b):
+        calls.append((a, b))
+        return cut(self, a, b)
+
+    monkeypatch.setattr(Polyhedron, "intersect_halfspace", counting)
+    q = convex_hull([(0, -1), (3, -1), (0, 0), (3, 0), (1, F(3, 4)), (2, F(3, 4))])
+    seq = sweep_sequence_2d(q, Split.make((0, 1), 0), (F(3, 2), F(7, 8)))
+    assert [(s.pi, s.pi0) for s in seq.splits] == [((1, -1), 0), ((1, 1), 2)]
+    assert calls == [((0, -1), 0), ((0, -1), 0)]
 
 
 def test_sweep_embeds_a_split_on_fewer_coordinates():
