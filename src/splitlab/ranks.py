@@ -17,20 +17,22 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import takewhile
-from math import ceil
+from math import gcd
 from typing import Iterable, Optional, Sequence, Union
 
 from .certify import Face, has_2hyperplane_property
-from .cuts import CornerModel, boundary_hull
+from .cuts import CornerModel
 from .geometry import (
     MAX_DIM,
     GeometryError,
     Point,
     Polyhedron,
     _canonical,
+    _h_to_v,
     _integer,
     _over_denominator,
     _primitive,
+    _row_ineq,
     as_point,
     require_lattice_free,
 )
@@ -55,14 +57,13 @@ DEFAULT_FLOOR = 64
 
 @dataclass(frozen=True)
 class LiftedCone:
-    """A cone over a lattice-free body in (x, z)-space, cut by the floor
-    z >= -floor: a relaxation of the cone, which can lower heights."""
+    """The cone with apex (f, 1) over a lattice-free body l in (x, z)-space,
+    cut by the floor z >= -floor: a relaxation, which can lower heights."""
 
     poly: Polyhedron
     apex: Point
     floor: int
-    kind: str  # "P^L" or "P^L(x,z)"
-    base: Polyhedron  # the z = 0 slice before truncation artifacts
+    base: Polyhedron  # l itself, the cone's z = 0 slice
 
     @property
     def x_dim(self) -> int:
@@ -83,7 +84,7 @@ class ProbeReport:
     profiles: tuple[HeightProfile, ...]  # index r = state after r rounds
     verdict: str  # height_nonpositive_at_round_q | persists_positive_through_budget
     q: Optional[int]
-    sequence: Optional[SplitSequence] = None
+    sequence: SplitSequence  # every split applied, in order
 
 
 def _nonempty(items: Sequence) -> Sequence:
@@ -124,28 +125,20 @@ class ExplicitStrategy:
 Strategy = Union[EnumerateStrategy, ExplicitStrategy]
 
 
-def lift(
-    model: CornerModel,
-    l: Polyhedron,
-    kind: str = "P^L",
-    floor: int = DEFAULT_FLOOR,
-) -> LiftedCone:
+def lift(model: CornerModel, l: Polyhedron, floor: int = DEFAULT_FLOOR) -> LiftedCone:
     """Build the truncated lifted cone of the model over l.
 
-    The cone has vertex (f, 1) and rays dropping to the z = 0 slice:
-    through the vertices of l for kind "P^L", through the ray boundary
-    points for kind "P^L(x,z)".  The base is the hull of the anchors: l
-    itself for kind "P^L".  The floor z >= -floor is a relaxation that
-    makes the cone a polytope; it can lower heights (see probe_rounds).
+    The cone has vertex (f, 1) and rays dropping through the vertices of l
+    to the z = 0 slice, which is l, the cone's base.  The floor z >= -floor
+    is a relaxation that makes the cone a polytope; it can lower heights
+    (see probe_rounds).
 
-    The double description is read off the base's, in integers, with
-    f = nf/df: a base row (a, c) gives the cone row (df·a, −c·df − a·nf,
-    c·df), the floor adds −z − floor·t <= 0, and the generators are the
-    apex (nf, df, df) and, for each base vertex (n, t), its image on the
-    floor ((floor + 1)·n·df − floor·nf·t, −floor·t·df, t·df).
+    The double description is read off l's, in integers, with f = nf/df:
+    a row (a, c) of l gives the cone row (df·a, −c·df − a·nf, c·df), the
+    floor adds −z − floor·t <= 0, and the generators are the apex
+    (nf, df, df) and, for each vertex (n, t) of l, its image on the floor
+    ((floor + 1)·n·df − floor·nf·t, −floor·t·df, t·df).
     """
-    if kind not in ("P^L", "P^L(x,z)"):
-        raise GeometryError(f"unknown lift kind {kind!r}")
     if l.dim >= MAX_DIM:
         raise GeometryError(f"lift needs a body of dimension at most {MAX_DIM - 1}, got {l.dim}")
     floor = _integer(floor)
@@ -154,20 +147,19 @@ def lift(
     require_lattice_free(l)
     if not l.interior_contains(model.f):
         raise GeometryError("reference point must lie in the interior")
-    base = l if kind == "P^L" else boundary_hull(model, l)
     nf, df = _over_denominator(model.f)
     m, up = model.dim, (floor + 1) * df
     rows = [
-        _primitive((*(df * x for x in a), -c * df - dot(a, nf), c * df), 1) for *a, c in base.rows
+        _primitive((*(df * x for x in a), -c * df - dot(a, nf), c * df), 1) for *a, c in l.rows
     ]
     rows += [(0,) * m + (-1, -floor), (0,) * (m + 1) + (-1,)]
     gens = [(*nf, df, df)] + [
         _primitive((*(up * x - floor * y * t for x, y in zip(n, nf)), -floor * t * df, t * df), 1)
-        for *n, t in base.gens
+        for *n, t in l.gens
     ]
     masks = [sum(1 << k for k, r in enumerate(rows) if dot(r, g) == 0) for g in gens]
     apex = tuple(model.f) + (Fraction(1),)
-    return LiftedCone(_canonical(m + 1, rows, gens, masks), apex, floor, kind, base)
+    return LiftedCone(_canonical(m + 1, rows, gens, masks), apex, floor, l)
 
 
 def height_at(q: Polyhedron, x: Sequence) -> Optional[Fraction]:
@@ -355,15 +347,18 @@ def execute_finite_rank(
 def rotate_facet(l: Polyhedron, facet_index: int) -> Polyhedron:
     """Replace a facet whose hyperplane misses the lattice.
 
-    For the facet a1·x <= b1 (a1 primitive, b1 fractional), β = ⌈b1⌉ and
-    the other facets' region O with its level slice S = O ∩ {a1·x = β},
-    the result is O cut by (c + λ·a1)·x <= k + λ·β.  Here d, kernel is a
-    unimodular basis with a1·d = 1 and a1·kernel = 0, the integer c is 1
-    on kernel[0] and 0 on d and the other kernel vectors, k = ⌊min c over
-    S⌋ − 1 (−1 for S empty) and λ = max(1, ⌈(c·v − k)/(β − a1·v)⌉ + 1
-    over l's vertices v), so l meets the row strictly.  The row is
-    primitive (1 on kernel[0]); its plane holds β·d + k·kernel[0].  Both k
-    and λ are read in integers off the generators (n, t) of S and of l.
+    The facet is l's row a·x + e·t <= 0 at facet_index in the sorted order
+    of the inequality views: a1·x <= b1 = −e/g with g = gcd(a), a1 = a/g
+    primitive, so by Bezout its plane misses the lattice iff g ∤ e.  For
+    β = ⌈b1⌉ = −(e // g) and the other rows' region O with its level slice
+    S = O ∩ {a1·x = β}, the result is O cut by (c + λ·a1)·x <= k + λ·β.
+    Here d, kernel is a unimodular basis with a1·d = 1 and a1·kernel = 0,
+    the integer c is 1 on kernel[0] and 0 on d and the other kernel
+    vectors, k = ⌊min c over S⌋ − 1 (−1 for S empty) and λ = max(1,
+    ⌈(c·v − k)/(β − a1·v)⌉ + 1 over l's vertices v), so l meets the row
+    strictly.  The row is primitive (1 on kernel[0]); its plane holds
+    β·d + k·kernel[0].  S and the result each take one H->V pass over
+    integer rows, and k and λ are read off the generators (n, t) of S and l.
     This one candidate is exact:
     - S nonempty: c > k on S, so the result misses S; it is convex and
       holds l, so it lies in a1·x < β, is bounded, has l's integer points
@@ -376,30 +371,34 @@ def rotate_facet(l: Polyhedron, facet_index: int) -> Polyhedron:
     """
     if not l.is_bounded or l.is_empty or l.affine_dim() != l.dim:
         raise GeometryError("facet repair needs a full-dimensional polytope")
-    facets = l.facet_inequalities()
+    facets = sorted(l._facet_rows, key=_row_ineq)
     if not 0 <= facet_index < len(facets):
         raise GeometryError("facet index out of range")
-    a1, b1 = facets[facet_index]
-    if b1.denominator == 1:  # by Bezout, as a1 is coprime
+    *a, e = facets[facet_index]
+    g = gcd(*a)
+    if e % g == 0:
         raise GeometryError("facet hyperplane already contains integer points")
     m = l.dim
     if m == 1:
         raise GeometryError("a facet of an interval cannot be repaired without adding an integer")
-    beta = ceil(b1)  # next lattice level; b1 is fractional here
+    a1, beta = tuple(x // g for x in a), -(e // g)
     _, u, _ = _column_echelon([list(a1)], m)
     d, *kernel = zip(*u)
     # the rows form a unimodular matrix, so c is integer
     c = integer_solve_rows(list(zip([*kernel, d], [1] + [0] * (m - 1))))
-    others = [f for i, f in enumerate(facets) if i != facet_index]
-    level = [(a1, beta), (tuple(-x for x in a1), -beta)]
+    others, homog = [r for i, r in enumerate(facets) if i != facet_index], l.rows[-1]
+    level = [(*a1, -beta), (*(-x for x in a1), beta)]
     # S is bounded, as l = O ∩ {a1·x <= b1} is, so every t > 0 on S
-    slice_gens = Polyhedron.from_inequalities(others + level, m).gens
+    slice_gens, _ = _h_to_v([*others, *level, homog], m)
     k = min((dot(c, n) // t for *n, t in slice_gens), default=0) - 1
     # l lies below b1 < β, so every β·t − a1·n > 0
     lam = max(1, *(1 - (k * t - dot(c, n)) // (beta * t - dot(a1, n)) for *n, t in l.gens))
-    row = (tuple(x + lam * y for x, y in zip(c, a1)), k + lam * beta)
-    repaired = Polyhedron.from_inequalities(others + [row], m)
-    if not set(repaired.facet_inequalities()) - set(others):
+    row = (*(x + lam * y for x, y in zip(c, a1)), -k - lam * beta)
+    rows = [*others, row, homog]
+    repaired = _canonical(m, rows, *_h_to_v(rows, m))
+    # the row is primitive, being 1 on kernel[0], and none of l's rows, as l
+    # lies strictly below it: it is a facet of the result iff it is kept
+    if row not in repaired.rows:
         raise GeometryError("facet repair is impossible: every tilted facet is redundant")
     if not (repaired.contains_polyhedron(l) and repaired._lattice_points == l._lattice_points):
         raise GeometryError("facet repair postcondition failed: l or its integer points lost")

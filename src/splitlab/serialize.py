@@ -94,7 +94,7 @@ def polyhedron_from_dict(data: dict) -> Polyhedron:
     if not isinstance(data, dict) or "dim" not in data:
         raise GeometryError("polyhedron JSON needs a 'dim' field")
     dim = data["dim"]
-    if not isinstance(dim, int) or dim < 1:
+    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
         raise GeometryError("polyhedron dimension must be a positive integer")
     verts = [parse_point(v) for v in _list(data.get("vertices", []), "'vertices'")]
     rays = [parse_point(r) for r in _list(data.get("rays", []), "'rays'")]
@@ -250,17 +250,15 @@ def _profile_to_dict(round_index: int, profile: HeightProfile) -> dict:
 
 
 def probe_report_to_dict(report: ProbeReport) -> dict:
-    out = {
+    return {
         "rounds_applied": report.rounds_applied,
         "verdict": report.verdict,
         "q": report.q,
         "profiles": [
             _profile_to_dict(i, p) for i, p in enumerate(report.profiles)
         ],
+        "sequence": sequence_to_dict(report.sequence),
     }
-    if report.sequence is not None:
-        out["sequence"] = sequence_to_dict(report.sequence)
-    return out
 
 
 def probe_report_to_csv(report: ProbeReport) -> str:

@@ -170,8 +170,8 @@ def _split_rows(
     crosses the plane inside q, so H cut by the plane's row is conv(P1 ∪
     F2).  Every row of H that is not a row of q reaches that side of the
     plane, so the join's rows other than the plane's are the rows of H
-    that cut q.  Two lower-dimensional pieces take a fresh V->H pass of
-    both.
+    that cut q.  A lower-dimensional q, or two lower-dimensional pieces,
+    take a fresh V->H pass of both pieces.
     """
     sides = _sides(q, a, vals, lo)
     live = [row for row, _, has_point in sides if has_point]

@@ -227,6 +227,14 @@ def test_malformed_body_exits_2(files, capsys, body):
     assert err.startswith("error: ")
 
 
+def test_bool_dimension_exits_2(files, capsys):
+    body = {"dim": True, "vertices": [["0"], ["1/2"]]}
+    code, out, err = run(capsys, "check2hp", files("bool_dim.json", body))
+    assert code == 2
+    assert out == ""
+    assert err == "error: polyhedron dimension must be a positive integer\n"
+
+
 ZERO_RAY = {
     "dim": 2,
     "vertices": [["0", "0"], ["1", "0"], ["0", "1"]],

@@ -45,7 +45,7 @@ from splitlab.geometry import (
     lattice_points,
     require_lattice_free,
 )
-from splitlab.cuts import CornerModel, boundary_point
+from splitlab.cuts import CornerModel
 from splitlab.linalg import _echelon, dot, rank, scale_primitive
 from splitlab.ranks import EnumerateStrategy, height_at, lift, max_height
 from splitlab.splits import Split, apply_round, apply_split, embed_normal
@@ -742,15 +742,11 @@ def test_levels_match_vertex_scan():
     assert min(seen.values()) >= 20, seen
 
 
-def ref_lift(model, l, kind, floor):
+def ref_lift(model, l, floor):
     """The lifted cone as the hull of its apex and the rays through the
-    anchors, cut by the floor."""
-    if kind == "P^L":
-        anchors = list(l.vertices)
-    else:
-        anchors = [boundary_point(l, model.f, r) for r in model.rays]
+    vertices of l, cut by the floor."""
     apex = tuple(model.f) + (F(1),)
-    rays = [tuple(v[i] - model.f[i] for i in range(model.dim)) + (F(-1),) for v in anchors]
+    rays = [tuple(v[i] - model.f[i] for i in range(model.dim)) + (F(-1),) for v in l.vertices]
     cone = Polyhedron.from_generators([apex], rays)
     return cone.intersect_halfspace((0,) * model.dim + (-1,), F(floor))
 
@@ -758,11 +754,9 @@ def ref_lift(model, l, kind, floor):
 def test_lift_matches_hull_reference():
     """The lift read off the base's double description against the hull
     of the apex and the rays cut by the floor, in generators, rows and
-    masks: seeded lattice-free bodies in 2D and 3D, both kinds, floors 1,
-    2, 4 and 64, and a P^L(x,z) model whose base is a segment."""
+    masks: seeded lattice-free bodies in 2D and 3D, floors 1, 2, 4 and 64."""
     rng = make_rng()
-    # the type-1 triangle with rays to two of its edges: the base is the
-    # segment from (0, 1/2) to (1/2, 0)
+    # the type-1 triangle: the model's rays do not enter the cone
     cases = [(convex_hull(TYPE1_T), CornerModel.make((F(1, 2), F(1, 2)), [(-1, 0), (0, -1)]))]
     kinds = ("image", "slab", "random")
     while len(cases) < 60:
@@ -774,17 +768,13 @@ def test_lift_matches_hull_reference():
         rays = [tuple(rng.randint(-2, 2) for _ in range(d)) for _ in range(rng.randint(1, d + 2))]
         rays = [r for r in rays if any(r)] or [tuple(F(c) - x for c, x in zip(l.vertices[0], f))]
         cases.append((l, CornerModel.make(f, rays)))
-    lower = 0
     for l, model in cases:
-        for kind in ("P^L", "P^L(x,z)"):
-            for floor in (1, 2, 4, 64):
-                got = lift(model, l, kind, floor)
-                want = ref_lift(model, l, kind, floor)
-                assert (got.poly.gens, got.poly.rows, got.poly.masks) == (
-                    want.gens, want.rows, want.masks
-                ), (l, model, kind, floor)
-                lower += got.base.affine_dim() < l.dim
-    assert lower >= 20
+        for floor in (1, 2, 4, 64):
+            got = lift(model, l, floor)
+            want = ref_lift(model, l, floor)
+            assert (got.poly.gens, got.poly.rows, got.poly.masks) == (
+                want.gens, want.rows, want.masks
+            ), (l, model, floor)
 
 
 def _round_splits(rng, p, d):
@@ -857,7 +847,7 @@ def test_round_matches_sequential_reference():
 
 
 def test_t3_rounds_match_reference():
-    """The 3D growth body T3 of the ROADMAP (lift P^L over its vertex
+    """The 3D growth body T3 of the ROADMAP (lifted over its vertex
     centroid, floor 2, every split of max-norm 1 touching its box ± 1):
     round 1 equals a from-scratch round, and rounds 2 and 3 keep the
     recorded sizes and heights."""
@@ -865,7 +855,7 @@ def test_t3_rounds_match_reference():
     body = Polyhedron.from_generators(verts)
     f = tuple(sum(F(v[i]) for v in verts) / 4 for i in range(3))
     model = CornerModel.make(f, [tuple(F(c) - x for c, x in zip(v, f)) for v in verts])
-    cone = lift(model, body, "P^L", 2)
+    cone = lift(model, body, 2)
     box = tuple((lo - 1, hi + 1) for lo, hi in body.bounding_box())
     splits = EnumerateStrategy(1, box).splits_for_round(1)
     assert len(splits) == 140

@@ -95,7 +95,7 @@ def test_no_unused_imports(path):
 # levels, the row values of a split's sides, the pieces, the plane section
 # and the hull of a split, the start line and apex sector of the 2D sweep,
 # the face incidence of the 2-hyperplane check and the affine-basis
-# labeling of the 2-partitionability search
+# labeling of the 2-partitionability search, and facet repair
 INTEGER_ONLY = {
     "linalg.py": ("_integer_rows", "_echelon", "scale_primitive"),
     "geometry.py": (
@@ -108,6 +108,7 @@ INTEGER_ONLY = {
     ),
     "splits.py": ("_levels", "_sides", "_piece", "_section", "_split_rows", "_sweep_sector"),
     "certify.py": ("_faces", "is_2partitionable"),
+    "ranks.py": ("rotate_facet",),
 }
 
 

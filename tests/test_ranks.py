@@ -5,7 +5,7 @@ from math import ceil, floor
 
 import pytest
 
-from splitlab import ranks
+from splitlab import cuts, geometry, ranks
 from splitlab.cuts import CornerModel
 from splitlab.geometry import (
     GeometryError,
@@ -57,27 +57,14 @@ def test_lift_heights():
     assert height_at(cone.poly, (F(1, 4), F(1, 4))) == F(1, 2)
     assert height_at(cone.poly, (10, 10)) is None
     assert max_height(cone.poly) == 1
-    # both lift kinds agree when rays go into the corners
-    other = lift(TYPE1_MODEL, TYPE1_T, kind="P^L(x,z)", floor=4)
-    assert other.poly == cone.poly
 
 
 def test_lift_base_is_the_body():
-    """Kind "P^L" anchors at l's vertices, so its base is l itself; kind
-    "P^L(x,z)" keeps the hull of the ray boundary points."""
+    """The cone anchors at l's vertices, so its base is l itself."""
     for model, l in ((TYPE1_MODEL, TYPE1_T), (SQ_MODEL, UNIT_SQ), (T2_MODEL, T2)):
         cone = lift(model, l, floor=3)
         assert cone.base is l
         assert cone.base == convex_hull(l.vertices)
-    corners = CornerModel.make(
-        (F(1, 2), F(1, 2)), [(F(3, 2), F(-1, 2)), (F(-1, 2), F(3, 2)), (-1, -1)]
-    )
-    other = lift(corners, TYPE1_T, kind="P^L(x,z)", floor=3)
-    assert other.base == convex_hull([(2, 0), (0, 2), (0, 0)])
-    narrow = CornerModel.make((F(1, 2), F(1, 2)), [(1, 0), (0, 1), (-1, -1)])
-    other = lift(narrow, TYPE1_T, kind="P^L(x,z)", floor=3)
-    assert other.base == convex_hull([(F(3, 2), F(1, 2)), (F(1, 2), F(3, 2)), (0, 0)])
-    assert other.base != TYPE1_T
 
 
 def test_lift_floor_is_an_integer():
@@ -540,14 +527,43 @@ def test_rotate_facet_matches_doubling_reference():
     ids=["interval", "s-empty"],
 )
 def test_rotate_facet_refusals(monkeypatch, body, index, message, conversions):
+    """A refusal costs at most the two H->V passes of the level slice and
+    of the tilted candidate."""
     calls = []
-    convert = Polyhedron.from_inequalities
+    convert = ranks._h_to_v
 
-    def counting(ineqs, dim):
+    def counting(rows, dim):
         calls.append(dim)
-        return convert(ineqs, dim)
+        return convert(rows, dim)
 
-    monkeypatch.setattr(Polyhedron, "from_inequalities", staticmethod(counting))
+    monkeypatch.setattr(ranks, "_h_to_v", counting)
     with pytest.raises(GeometryError, match=message):
         rotate_facet(body, index)
     assert len(calls) == conversions
+
+
+def test_ranks_builds_no_polyhedron_through_a_constructor(monkeypatch):
+    """lift, both round drivers and facet repair build every polyhedron
+    from integer rows and generators they already hold: none of them calls
+    ``from_inequalities``, ``from_generators`` or ``convex_hull``."""
+    rotate_body = Polyhedron.from_inequalities([((-2, 0), 1), ((0, -2), 1), ((2, 2), 1)], 2)
+    lp = convex_hull([(F(1, 4), F(1, 4), F(3, 2)), (F(-1, 2), F(-1, 2), 0),
+                      (F(5, 2), F(-1, 2), 0), (F(-1, 2), F(5, 2), 0)])
+    lp_model = CornerModel.make((F(1, 2),) * 3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+
+    def refuse(*args):
+        raise AssertionError("a polyhedron was built through a constructor")
+
+    monkeypatch.setattr(Polyhedron, "from_inequalities", staticmethod(refuse))
+    monkeypatch.setattr(Polyhedron, "from_generators", staticmethod(refuse))
+    for module in (geometry, cuts):
+        monkeypatch.setattr(module, "convex_hull", refuse)
+    cone = lift(TYPE1_MODEL, TYPE1_T, floor=4)
+    report = probe_rounds(cone, EnumerateStrategy(1, PROBE_BOX), 2, [TYPE1_MODEL.f])
+    assert report.rounds_applied == 2
+    assert lift(lp_model, lp, floor=1).x_dim == 3
+    program = (SplitSequence.make([Split.make((0, 1), 0)]), Split.make((1, 0), 0))
+    assert execute_finite_rank(lift(T2_MODEL, T2, floor=8), program).q == 5
+    assert rotate_facet(rotate_body, 2).contains_polyhedron(rotate_body)
+    with pytest.raises(GeometryError, match="every tilted facet is redundant"):
+        rotate_facet(S_EMPTY_BODIES[0], 2)

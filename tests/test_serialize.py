@@ -55,6 +55,17 @@ def test_empty_polyhedron_round_trip(dim):
     assert serialize.polyhedron_from_dict(serialize.polyhedron_to_dict(e)) == e
 
 
+@pytest.mark.parametrize("dim", [True, False, 0, "1", 1.0])
+def test_polyhedron_dimension_must_be_a_positive_integer(dim):
+    """A bool is an int to isinstance, so true would read as dimension 1;
+    it is refused like every other non-integer, as parse_rational does."""
+    doc = {"dim": dim, "vertices": [["0"], ["1/2"]]}
+    with pytest.raises(GeometryError, match="^polyhedron dimension must be a positive integer$"):
+        serialize.polyhedron_from_dict(doc)
+    doc["dim"] = 1
+    assert serialize.polyhedron_from_dict(doc) == convex_hull([(0,), (F(1, 2),)])
+
+
 def test_polyhedron_representation_mismatch():
     with pytest.raises(GeometryError):
         serialize.polyhedron_from_dict(
