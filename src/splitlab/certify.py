@@ -215,7 +215,7 @@ def classify_2d(l: Polyhedron) -> Classification2D:
         raise GeometryError("classification is only defined in dimension 2")
     if not l.is_bounded:
         raise GeometryError("classification needs a bounded polyhedron")
-    if l.is_empty or l.affine_dim() != 2:
+    if l.affine_dim() != 2:
         raise GeometryError("classification needs a full-dimensional polytope")
     require_lattice_free(l)
     homog = [q + (1,) for q in l._lattice_points]

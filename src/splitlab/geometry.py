@@ -22,8 +22,11 @@ full-dimensional polyhedron and further generators (``_join_rows``), for
 a split a piece and the other piece's section by its plane, come from
 the same steps in the polar: the seed rays are its facet rows, its
 generators the rows, and each new generator one more row.  A row that
-cuts no ray only marks the rays it is tight on.  All arithmetic is
-integer or :class:`fractions.Fraction`, never floating point; membership,
+cuts no ray only marks the rays it is tight on.  An infeasible
+inequality becomes the empty set's row t <= 0, which cuts every vertex,
+and only ``_canonical`` and ``_from_homogeneous`` decide emptiness (no
+generator at t > 0).  All arithmetic is integer or
+:class:`fractions.Fraction`, never floating point; membership,
 containment and split tests compare integers only, and so do
 lattice-point enumeration and the relative-interior test, which read the
 box off the generators and the equality rows off the incidence.  Every
@@ -262,17 +265,11 @@ def _unrivalled(masks: Sequence[int]) -> list[int]:
     return [k for k, m in enumerate(masks) if [o & m for o in masks].count(m) == 1]
 
 
-def _homog_rows(ineqs: Sequence[tuple[Sequence, Fraction]], dim: int) -> Optional[list[IntVec]]:
+def _homog_rows(ineqs: Sequence[tuple[Sequence, Fraction]], dim: int) -> list[IntVec]:
     """Distinct primitive integer rows a·x − b·t <= 0 of the inequalities
-    a·x <= b, then the homogenizing row −t <= 0; None if some 0·x <= b
-    has b < 0."""
-    rows = []
-    for a, b in ineqs:
-        if not any(a):
-            if b < 0:
-                return None
-            continue
-        rows.append(scale_primitive(tuple(a) + (-b,)))
+    a·x <= b with a ≠ 0 or b < 0, then the homogenizing row −t <= 0: an
+    infeasible 0·x <= b becomes the empty set's row t <= 0."""
+    rows = [scale_primitive(tuple(a) + (-b,)) for a, b in ineqs if any(a) or b < 0]
     rows.append((0,) * dim + (-1,))
     return list(dict.fromkeys(rows))
 
@@ -349,12 +346,15 @@ def _polyhedron(
 def _canonical(dim: int, rows: list[IntVec], gens: list[IntVec], masks: list[int]) -> "Polyhedron":
     """The polyhedron of a pointed double description over ``rows``.
 
-    The rows are distinct, so a row is a facet iff no other row is tight on
-    all of its tight generators (which also rules out an empty tight set);
-    the homogenizing row takes part but is not a facet.  A row tight on
-    every generator means a lower-dimensional set, whose equalities come
-    from one ``_v_to_h`` pass.
+    With no generator at t > 0 it is the empty set.  The rows are distinct,
+    so a row is a facet iff no other row is tight on all of its tight
+    generators (which also rules out an empty tight set); the homogenizing
+    row takes part but is not a facet.  A row tight on every generator
+    means a lower-dimensional set, whose equalities come from one
+    ``_v_to_h`` pass.
     """
+    if not any(g[-1] for g in gens):
+        return Polyhedron.empty(dim)
     tight = _transpose(masks, len(rows))
     if (1 << len(gens)) - 1 in tight:
         facets, masks = _v_to_h(gens, dim)
@@ -366,9 +366,11 @@ def _canonical(dim: int, rows: list[IntVec], gens: list[IntVec], masks: list[int
 
 def _from_homogeneous(dim: int, gens: list[IntVec]) -> "Polyhedron":
     """The polyhedron generated by the distinct primitive homogeneous
-    generators ``gens`` (at least one with t > 0), by one V->H pass: in a
-    pointed cone, a generator is extreme iff no other generator is tight
-    on every row it is tight on."""
+    generators ``gens``, by one V->H pass: in a pointed cone, a generator
+    is extreme iff no other generator is tight on every row it is tight
+    on.  The empty set if no generator has t > 0."""
+    if not any(g[-1] for g in gens):
+        return Polyhedron.empty(dim)
     rows, masks = _v_to_h(gens, dim)
     if not all(g[-1] for g in gens) and rank([r[:-1] for r in rows], dim) < dim:
         raise LinealityError("polyhedron contains a line")
@@ -461,6 +463,7 @@ class Polyhedron:
 
     @staticmethod
     def from_generators(points: Sequence[Sequence], rays: Sequence[Sequence] = ()) -> "Polyhedron":
+        """Hull of the points plus the cone of the rays: empty with no point."""
         pts = [as_point(p) for p in points]
         rays = [as_point(r) for r in rays]
         if not all(any(r) for r in rays):
@@ -468,16 +471,12 @@ class Polyhedron:
         dims = {len(p) for p in pts} | {len(r) for r in rays}
         if len(dims) > 1:
             raise GeometryError("generators have mismatched dimensions")
-        if not pts:
-            if not dims:
-                raise GeometryError("cannot infer dimension from empty input")
-            return Polyhedron.empty(dims.pop())
+        if not dims:
+            raise GeometryError("cannot infer dimension from empty input")
         dim = dims.pop()
         _check_dim(dim)
-        gens = [scale_primitive(p + (1,)) for p in pts]
-        return _from_homogeneous(
-            dim, list(dict.fromkeys(gens + [scale_primitive(r) + (0,) for r in rays]))
-        )
+        gens = [scale_primitive(p + (1,)) for p in pts] + [scale_primitive(r) + (0,) for r in rays]
+        return _from_homogeneous(dim, list(dict.fromkeys(gens)))
 
     @staticmethod
     def from_inequalities(ineqs: Sequence[tuple[Sequence, object]], dim: int) -> "Polyhedron":
@@ -486,10 +485,7 @@ class Polyhedron:
         if any(len(a) != dim for a, _ in pairs):
             raise GeometryError("inequality dimension mismatch")
         rows = _homog_rows(pairs, dim)
-        gens, masks = _h_to_v(rows, dim) if rows is not None else ([], [])
-        if not gens:
-            return Polyhedron.empty(dim)
-        return _canonical(dim, rows, gens, masks)
+        return _canonical(dim, rows, *_h_to_v(rows, dim))
 
     # -- views --------------------------------------------------------------
 
@@ -576,8 +572,6 @@ class Polyhedron:
         n, d = _over_denominator(point)
         if len(n) != self.dim:
             raise GeometryError("point dimension mismatch")
-        if self.is_empty:
-            return False
         h, eq = (*n, d), self._equalities
         return all(
             dot(r, h) == 0 if eq >> k & 1 else dot(r, h) < 0 for k, r in enumerate(self.rows[:-1])
@@ -602,18 +596,16 @@ class Polyhedron:
         return self._cut(_homog_rows([(as_point(a), Fraction(b))], self.dim))
 
     def intersect(self, other: "Polyhedron") -> "Polyhedron":
+        """self cut by other's rows; the empty other's row t <= 0 cuts every vertex."""
         if self.dim != other.dim:
             raise GeometryError("dimension mismatch in intersection")
-        return self._cut(None if other.is_empty else other.rows)
+        return self._cut(other.rows)
 
-    def _cut(self, rows: Optional[Sequence[IntVec]]) -> "Polyhedron":
-        """self intersected with the distinct primitive homogeneous rows
-        (None: infeasible), by DD steps from self's state for the rows it
-        does not have yet, in order; self itself if none of them cuts it."""
-        if self.is_empty:
-            return self
-        if rows is None:
-            return Polyhedron.empty(self.dim)
+    def _cut(self, rows: Sequence[IntVec]) -> "Polyhedron":
+        """self intersected with the distinct primitive homogeneous rows, by
+        DD steps from self's state for the rows it does not have yet, in
+        order; self itself if none of them cuts it, as none cuts the empty
+        self, which has no generator.  ``_canonical`` decides emptiness."""
         have = set(self.rows)
         rows = [*self.rows, *(r for r in rows if r not in have)]
         if len(rows) == len(self.rows):
@@ -624,8 +616,6 @@ class Polyhedron:
         # a cut drops a generator, so the extreme rays change
         if tuple(out) == self.gens:
             return self
-        if not any(g[-1] for g in out):
-            return Polyhedron.empty(self.dim)
         return _canonical(self.dim, rows, out, out_masks)
 
     def contains_polyhedron(self, other: "Polyhedron") -> bool:
@@ -718,8 +708,6 @@ def apply_unimodular(p: Polyhedron, u: Sequence[Sequence[int]], shift: Sequence[
     t = as_point(shift)
     if len(t) != p.dim:
         raise GeometryError("shift dimension mismatch")
-    if p.is_empty:
-        return p
     # (n, t) maps to (U n + shift·t, t), a bijection of generators
     gens = [
         scale_primitive(tuple(dot(r, g[:-1]) + c * g[-1] for r, c in zip(rows, t)) + (g[-1],))
@@ -739,8 +727,6 @@ def interior_integer_point(p: Polyhedron) -> Optional[Point]:
     scan that finds no interior point has listed every integer point of p,
     so it becomes the cached scan; a scan that stops early is not kept.
     """
-    if p.is_empty:
-        return None
     cached = "_lattice_points" in p.__dict__
     scanned: list[IntVec] = []
     for q in p._lattice_points if cached else _iter_lattice_points(p):

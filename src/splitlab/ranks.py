@@ -169,15 +169,14 @@ def height_at(q: Polyhedron, x: Sequence) -> Optional[Fraction]:
     <= 0 of q, with x = n/d over a common denominator d: row r gives
     s = a·n + e·d, and a row with c = r[-2] = 0 needs s <= 0, while one
     with c > 0 bounds z above by −s/(c·d).  The least bound is the height
-    unless a row with c < 0 cuts it off.  The result is finite for
-    truncated lifts since the floor bounds z below and the apex bounds it
-    above.
+    unless a row with c < 0 cuts it off.  The empty q's row t <= 0 has
+    c = 0 and s = d > 0, so its fiber is empty at every x.  The result
+    is finite for truncated lifts since the floor bounds z below and the
+    apex bounds it above.
     """
     n, d = _over_denominator(x)
     if len(n) != q.dim - 1:
         raise GeometryError("witness point must live in the x-space of q")
-    if q.is_empty:
-        return None
     # the homogenizing row −t <= 0 has c = 0 and s = −d, so it always holds
     rows = [(r[-2], dot(r[:-2], n) + r[-1] * d) for r in q.rows]
     if any(c == 0 and s > 0 for c, s in rows):
@@ -369,7 +368,7 @@ def rotate_facet(l: Polyhedron, facet_index: int) -> Polyhedron:
       adds that integer; that is refused.
     That the result contains l and has its integer points is checked.
     """
-    if not l.is_bounded or l.is_empty or l.affine_dim() != l.dim:
+    if not l.is_bounded or l.affine_dim() != l.dim:
         raise GeometryError("facet repair needs a full-dimensional polytope")
     facets = sorted(l._facet_rows, key=_row_ineq)
     if not 0 <= facet_index < len(facets):

@@ -51,13 +51,13 @@ def emit_rational(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def emit_decimal(x: Fraction, digits: int = DECIMAL_DIGITS) -> str:
-    """Truncated (toward minus infinity) fixed-point rendering."""
+def emit_decimal(x: Fraction) -> str:
+    """Truncated (toward minus infinity) rendering to ``DECIMAL_DIGITS`` places."""
     x = Fraction(x)
-    scaled = (x.numerator * 10**digits) // x.denominator
+    scaled = (x.numerator * 10**DECIMAL_DIGITS) // x.denominator
     sign = "-" if scaled < 0 else ""
-    whole, frac = divmod(abs(scaled), 10**digits)
-    return f"{sign}{whole}.{frac:0{digits}d}"
+    whole, frac = divmod(abs(scaled), 10**DECIMAL_DIGITS)
+    return f"{sign}{whole}.{frac:0{DECIMAL_DIGITS}d}"
 
 
 def _list(value: Any, what: str) -> list:
@@ -234,18 +234,15 @@ def _height_fields(h: Optional[Fraction]) -> dict:
 
 
 def _profile_to_dict(round_index: int, profile: HeightProfile) -> dict:
+    top = _height_fields(profile.global_max)
     return {
         "round": round_index,
         "samples": [
             {"point": emit_point(p), **_height_fields(h)}
             for p, h in profile.samples
         ],
-        "max_height": None
-        if profile.global_max is None
-        else emit_rational(profile.global_max),
-        "max_height_decimal": None
-        if profile.global_max is None
-        else emit_decimal(profile.global_max),
+        "max_height": top["height"],
+        "max_height_decimal": top["height_decimal"],
     }
 
 

@@ -158,8 +158,8 @@ def _split_rows(
     """Homogeneous rows that cut q down to the convex hull H of the two
     pieces of q cut out by the split a·x <= lo or a·x >= lo + 1, with vals
     = a·n over q's generators (n, t) and a vertex of q strictly between the
-    planes; None when both pieces are empty (no point, as in
-    ``_homog_rows``).
+    planes; None when both pieces are empty (no point), so that
+    ``apply_round`` stops there.
 
     With one piece that has a point (``_sides``) this is its own row, with
     no DD step.  With two, the piece P1 of one side, taken
@@ -235,7 +235,7 @@ def facet_splits(qx: Polyhedron) -> list[Split]:
     sits at the next integer level inward, so when the facet plane holds
     integer points one boundary plane supports the facet itself.
     """
-    if qx.is_empty or qx.affine_dim() != qx.dim:
+    if qx.affine_dim() != qx.dim:
         raise GeometryError("facet splits need a full-dimensional polyhedron")
     return [Split(a, ceil(b) - 1) for a, b in qx.facet_inequalities()]
 

@@ -13,6 +13,7 @@ from splitlab.geometry import (
     NotLatticeFreeError,
     Polyhedron,
     _adjacent,
+    _homog_rows,
     _iter_lattice_points,
     _pointed_cone_rays,
     _row_ineq,
@@ -100,6 +101,20 @@ def test_empty():
     e = Polyhedron.from_inequalities([((1,), F(0)), ((-1,), F(-1))], 1)
     assert e.is_empty
     assert e == Polyhedron.empty(1)
+    # an infeasible 0·x <= b is the empty set's row t <= 0; a trivial one gives no row
+    assert _homog_rows([((0, 0), F(-1))], 2) == [(0, 0, 1), (0, 0, -1)]
+    assert _homog_rows([((0, 0), F(1)), ((1, 0), F(2))], 2) == [(1, 0, -2), (0, 0, -1)]
+    for d in (1, 2, 3):
+        empty = Polyhedron.empty(d)
+        cube = convex_hull(list(product((0, 1), repeat=d)))
+        unit = [tuple(int(i == j) for j in range(d)) for i in range(d)]
+        box = [(u, F(1)) for u in unit] + [(tuple(-x for x in u), F(0)) for u in unit]
+        assert cube.intersect(empty) == empty
+        assert empty.intersect(cube) == empty
+        assert Polyhedron.from_generators([], unit) == empty
+        assert apply_unimodular(empty, unit, (1,) * d) == empty
+        assert Polyhedron.from_inequalities([*box, ((0,) * d, F(-1))], d) == empty
+        assert empty._cut(cube.rows) is empty
 
 
 def test_intersection_dimensions_must_agree():

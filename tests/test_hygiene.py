@@ -89,9 +89,10 @@ def test_no_unused_imports(path):
 
 # the integer kernel: elimination, primitive scaling, the double description
 # with its one step, its adjacency test, its incidence bitmasks and both
-# conversion directions, the stored state of a polyhedron, its cuts, its
-# membership and containment tests, its equality rows, facet rows and edge
-# list, lattice-point enumeration and its cached scan, a split direction's
+# conversion directions, the stored state of a polyhedron, its cuts and
+# intersections, its membership, relative-interior and containment tests,
+# its equality rows, facet rows and edge list, lattice-point enumeration,
+# its cached scan and the interior-point scan, a split direction's
 # levels, the row values of a split's sides, the pieces, the plane section
 # and the hull of a split, the start line and apex sector of the 2D sweep,
 # the face incidence of the 2-hyperplane check and the affine-basis
@@ -104,7 +105,8 @@ INTEGER_ONLY = {
         "_polyhedron", "_canonical", "_join_rows", "_from_homogeneous", "Polyhedron._cut",
         "Polyhedron.contains", "Polyhedron.contains_polyhedron", "Polyhedron._equalities",
         "Polyhedron._facet_rows", "Polyhedron._edges", "Polyhedron._lattice_points",
-        "_iter_lattice_points",
+        "Polyhedron.relint_contains", "Polyhedron.intersect", "_iter_lattice_points",
+        "interior_integer_point",
     ),
     "splits.py": ("_levels", "_sides", "_piece", "_section", "_split_rows", "_sweep_sector"),
     "certify.py": ("_faces", "is_2partitionable"),

@@ -286,6 +286,8 @@ def test_heights_match_fraction_reference(dim):
         assert_heights_match(q, witnesses)
     with pytest.raises(GeometryError, match="x-space"):
         height_at(convex_hull([(0,) * dim]), (0,) * dim)
+    # the empty q's row t <= 0 cuts every fiber
+    assert height_at(Polyhedron.empty(dim), (F(1, 3),) * (dim - 1)) is None
 
 
 def test_heights_match_reference_on_probe_rounds():
