@@ -258,6 +258,12 @@ def infinite_rank_2d(model: CornerModel, l: Polyhedron) -> bool:
     same point.  The hull is l itself when the rays hit l's corners
     (``boundary_hull``), and both checks then read l's one lattice scan.
     """
+    return _infinite_rank_2d(model, l, None)
+
+
+def _infinite_rank_2d(model: CornerModel, l: Polyhedron, known: Optional[Classification2D]) -> bool:
+    """``infinite_rank_2d``, reading ``known``, l's classification if not
+    None, instead of classifying l again when the hull is l itself."""
     if model.dim != 2 or l.dim != 2:
         raise GeometryError("the predicate is only defined in dimension 2")
     # the rays positively span the plane iff their dual cone is {0}
@@ -267,7 +273,7 @@ def infinite_rank_2d(model: CornerModel, l: Polyhedron) -> bool:
     if dual_lines or dual_rays:
         raise GeometryError("model rays must positively span the plane")
     hull = boundary_hull(model, l)
-    cls = classify_2d(hull)
+    cls = known if hull is l and known is not None else classify_2d(hull)
     verdict = cls.kind == "triangle_type1"
     report = has_2hyperplane_property(hull)
     if verdict != (not report.overall):

@@ -17,7 +17,7 @@ from functools import cache
 from typing import Optional
 
 from . import serialize
-from .certify import classify_2d, has_2hyperplane_property, infinite_rank_2d
+from .certify import _infinite_rank_2d, classify_2d, has_2hyperplane_property
 from .cuts import intersection_cut
 from .geometry import GeometryError, NotLatticeFreeError, Polyhedron
 from .ranks import (
@@ -121,7 +121,7 @@ def cmd_classify2d(args) -> str:
     model = serialize.corner_model_from_dict(_load_json(args.model))
     l = serialize.polyhedron_from_dict(_load_json(args.body))
     cls = classify_2d(l)
-    verdict = infinite_rank_2d(model, l)
+    verdict = _infinite_rank_2d(model, l, cls)
     if args.format == "text":
         return f"classification: {cls.kind}\ninfinite rank: {verdict}\n"
     out = serialize.classification_to_dict(cls)

@@ -11,25 +11,24 @@ leaves: the extreme generators and the facet rows are the ones whose
 tight sets no other generator or row contains.  Rank-deficient input,
 such as the generators of a lower-dimensional face, takes the same pass:
 the lines no row cuts span the lineality space, and integer elimination
-puts them and the rays in canonical form.  One function, ``_dd_step``,
-cuts a double description by one more row, combining the generator pairs
-that one combinatorial test, ``_adjacent``, finds adjacent; conversions,
-cuts and split pieces all run it.  Intersecting with further rows runs
+puts them and the rays in canonical form.  One function,
+``_pointed_cone_rays``, cuts a double description by further rows, one
+step per row, combining the generator pairs that one combinatorial
+test, ``_adjacent``, finds adjacent; conversions, cuts and the polar
+joins of split hulls all run it.  Intersecting with further rows runs
 it from the stored state, a batch of rows, such as a whole round of split
-hulls, in one pass; a split's slices run it over the stored edge list
-(``Polyhedron._edges``).  The facet rows of the hull of a
-full-dimensional polyhedron and further generators (``_join_rows``), for
-a split a piece and the other piece's section by its plane, come from
-the same steps in the polar: the seed rays are its facet rows, its
-generators the rows, and each new generator one more row.  A row that
-cuts no ray only marks the rays it is tight on.  An infeasible
-inequality becomes the empty set's row t <= 0, which cuts every vertex,
-and only ``_canonical`` and ``_from_homogeneous`` decide emptiness (no
-generator at t > 0).  All arithmetic is integer or
-:class:`fractions.Fraction`, never floating point; membership,
-containment and split tests compare integers only, and so do
-lattice-point enumeration and the relative-interior test, which read the
-box off the generators and the equality rows off the incidence.  Every
+hulls, in one pass; a split's plane sections are read off the stored
+edge list (``Polyhedron._edges``).  A row that cuts no ray only marks
+the rays it is tight on.  A facet is found by comparing tight sets
+(``_unrivalled``) among the entries with enough tight elements to be
+one.  An infeasible inequality becomes the empty set's row t <= 0,
+which cuts every vertex, and only ``_canonical`` and
+``_from_homogeneous`` decide emptiness (no generator at t > 0).  All
+arithmetic is integer or :class:`fractions.Fraction`, never floating
+point; membership, containment and split tests compare integers only,
+and so do lattice-point enumeration and the relative-interior test,
+which read the box off the generators and the equality rows off the
+incidence.  Every
 facet test reads one cached list of facet rows
 (``Polyhedron._facet_rows``), and a bounded polyhedron keeps its one full
 lattice scan as a cached view (``Polyhedron._lattice_points``).
@@ -46,7 +45,7 @@ from fractions import Fraction
 from functools import cached_property, reduce
 from math import gcd, lcm
 from operator import and_, mul
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .linalg import (
     _echelon,
@@ -126,33 +125,6 @@ def _adjacent(masks: Sequence[int], common: int) -> bool:
     return [common & m for m in masks].count(common) == 2
 
 
-def _dd_step(
-    gens: Sequence[IntVec],
-    masks: Sequence[int],
-    w: Sequence[int],
-    bit: int,
-    pairs: Iterable[tuple[int, int, int]],
-) -> tuple[list[IntVec], list[int]]:
-    """One double-description step: the generators and tight masks of the
-    cone over ``gens`` cut by one more row, whose value on each generator
-    is w and whose mask bit is ``bit``.
-
-    The generators with w <= 0 stay, tight on the row where w = 0, and
-    each adjacent pair (i, j, common) of ``pairs`` whose ends lie on
-    opposite sides gives the generator where its edge crosses the row's
-    hyperplane, tight exactly where both ends are and on the row.
-    """
-    keep = [k for k, x in enumerate(w) if x <= 0]
-    out = [gens[k] for k in keep]
-    out_masks = [masks[k] | bit if w[k] == 0 else masks[k] for k in keep]
-    for i, j, common in pairs:
-        if w[i] * w[j] < 0:
-            p, n = (i, j) if w[i] > 0 else (j, i)
-            out.append(_combine(w[p], gens[n], w[n], gens[p]))
-            out_masks.append(common | bit)
-    return out, out_masks
-
-
 def _pointed_cone_rays(
     rows: list[IntVec], d: int, seed: Optional[tuple[int, list[IntVec], list[int]]] = None
 ) -> tuple[list[IntVec], list[IntVec], list[int]]:
@@ -168,9 +140,11 @@ def _pointed_cone_rays(
     rays, masks)`` is the double description of the pointed cone cut out
     by rows[:k]; only rows[k:] are then processed, and no line comes out.
     A row that cuts no ray only marks the rays it is tight on.  Every
-    other row is one ``_dd_step`` over the pointed part, whose pairs are
-    the positive × negative ones that share at least (pointed dimension −
-    2) tight rows and pass ``_adjacent``.
+    other row is one DD step over the pointed part: the rays with r·x <= 0
+    stay, tight on the row where r·x = 0, and each positive × negative
+    pair that shares at least (pointed dimension − 2) tight rows and
+    passes ``_adjacent`` gives the ray where its edge crosses the row's
+    hyperplane, tight exactly where both ends are and on the row.
     """
     if seed is None:
         start, rays, masks = 0, [], []
@@ -196,13 +170,15 @@ def _pointed_cone_rays(
             continue
         need = d - len(lines) - 2
         neg = [j for j, v in enumerate(vals) if v < 0]
-        pairs = [
-            (i, j, common)
-            for i in pos
-            for j in neg
-            if (common := masks[i] & masks[j]).bit_count() >= need and _adjacent(masks, common)
-        ]
-        rays, masks = _dd_step(rays, masks, vals, bit, pairs)
+        out = [r for r, v in zip(rays, vals) if v <= 0]
+        out_masks = [m | bit if v == 0 else m for m, v in zip(masks, vals) if v <= 0]
+        for i in pos:
+            for j in neg:
+                common = masks[i] & masks[j]
+                if common.bit_count() >= need and _adjacent(masks, common):
+                    out.append(_combine(vals[i], rays[j], vals[j], rays[i]))
+                    out_masks.append(common | bit)
+        rays, masks = out, out_masks
     return lines, rays, masks
 
 
@@ -260,9 +236,14 @@ def _transpose(masks: Sequence[int], n: int) -> list[int]:
     return cols
 
 
-def _unrivalled(masks: Sequence[int]) -> list[int]:
-    """Indices k such that no other entry has every bit of masks[k]."""
-    return [k for k, m in enumerate(masks) if [o & m for o in masks].count(m) == 1]
+def _unrivalled(masks: Sequence[int], least: int) -> list[int]:
+    """Indices k such that masks[k] has at least ``least`` bits and no other
+    entry has every bit of it.  An entry with every bit of masks[k] has at
+    least as many bits, so only the entries with ``least`` bits or more
+    are compared: the filter is exact."""
+    big = [(k, m) for k, m in enumerate(masks) if m.bit_count() >= least]
+    rivals = [m for _, m in big]
+    return [k for k, m in big if [o & m for o in rivals].count(m) == 1]
 
 
 def _homog_rows(ineqs: Sequence[tuple[Sequence, Fraction]], dim: int) -> list[IntVec]:
@@ -346,12 +327,13 @@ def _polyhedron(
 def _canonical(dim: int, rows: list[IntVec], gens: list[IntVec], masks: list[int]) -> "Polyhedron":
     """The polyhedron of a pointed double description over ``rows``.
 
-    With no generator at t > 0 it is the empty set.  The rows are distinct,
-    so a row is a facet iff no other row is tight on all of its tight
-    generators (which also rules out an empty tight set); the homogenizing
-    row takes part but is not a facet.  A row tight on every generator
-    means a lower-dimensional set, whose equalities come from one
-    ``_v_to_h`` pass.
+    With no generator at t > 0 it is the empty set.  A row tight on every
+    generator means a lower-dimensional set, whose equalities come from
+    one ``_v_to_h`` pass.  Otherwise the cone is full-dimensional, so a
+    facet is tight on at least dim of its extreme generators, and as the
+    rows are distinct a row is a facet iff no other row is tight on all
+    of its tight generators; the homogenizing row takes part but is not
+    a facet.
     """
     if not any(g[-1] for g in gens):
         return Polyhedron.empty(dim)
@@ -359,7 +341,7 @@ def _canonical(dim: int, rows: list[IntVec], gens: list[IntVec], masks: list[int
     if (1 << len(gens)) - 1 in tight:
         facets, masks = _v_to_h(gens, dim)
         return _polyhedron(dim, facets, gens, masks)
-    keep = _unrivalled(tight)
+    keep = _unrivalled(tight, dim)
     facets, masks = _facets(gens, [rows[k] for k in keep], [tight[k] for k in keep])
     return _polyhedron(dim, facets, gens, masks)
 
@@ -368,39 +350,17 @@ def _from_homogeneous(dim: int, gens: list[IntVec]) -> "Polyhedron":
     """The polyhedron generated by the distinct primitive homogeneous
     generators ``gens``, by one V->H pass: in a pointed cone, a generator
     is extreme iff no other generator is tight on every row it is tight
-    on.  The empty set if no generator has t > 0."""
+    on.  An extreme ray of a pointed cone of dimension dim + 1 − e, with e
+    equalities (each two opposite rows), is tight on at least dim − e
+    facets and the 2e equality rows, so on at least dim rows.  The empty
+    set if no generator has t > 0."""
     if not any(g[-1] for g in gens):
         return Polyhedron.empty(dim)
     rows, masks = _v_to_h(gens, dim)
     if not all(g[-1] for g in gens) and rank([r[:-1] for r in rows], dim) < dim:
         raise LinealityError("polyhedron contains a line")
-    keep = _unrivalled(masks)
+    keep = _unrivalled(masks, dim)
     return _polyhedron(dim, rows, [gens[k] for k in keep], [masks[k] for k in keep])
-
-
-def _join_rows(
-    dim: int, seed: tuple[list[IntVec], list[IntVec], list[int]], other_gens: list[IntVec]
-) -> list[IntVec]:
-    """The facet rows of the convex hull of a full-dimensional polyhedron,
-    given by its pointed double description ``seed`` = (generators,
-    distinct rows, masks), and the homogeneous generators ``other_gens``,
-    such as a split's other piece's section by its plane.
-
-    The polar of a hull is the intersection of the polars, so this is a
-    double-description step in the polar from the seed's state: its rays
-    are the seed's facet rows, tight on their generators, and its rows are
-    the seed's generators, to which the new ones of ``other_gens`` are
-    added as further rows.  The rays that come out are the hull's facets.
-    """
-    gens, rows, masks = seed
-    tight = _transpose(masks, len(rows))
-    facets = _unrivalled(tight)
-    have = set(gens)
-    polar_rows = [*gens, *(g for g in other_gens if g not in have)]
-    _, polar, _ = _pointed_cone_rays(
-        polar_rows, dim + 1, (len(gens), [rows[k] for k in facets], [tight[k] for k in facets])
-    )
-    return polar
 
 
 # ---------------------------------------------------------------------------

@@ -9,15 +9,15 @@ direction's values over the generators are computed once per round
 (``_levels``); they tell which splits leave the polyhedron unchanged and
 give both pieces' row values (``_sides``), which tell whether a piece is
 empty, and so whether a split is Chvatal for q or confines it.
-A piece is a double-description (DD) step read off the polyhedron's edge
-list, built once per round, and a hull's facet rows come from a seeded
-DD step in the polar, since the polar of a hull is the intersection of
-the polars.  It starts from a full-dimensional piece, whose facet rows
-are the rays, and adds the other piece's section by its plane as rows,
-read off the same edge list (``_section``); the plane's row is then
-dropped.  Only two lower-dimensional pieces take a fresh conversion.  The
-round's distinct hull rows, in lexmin order, then cut the polyhedron in
-one more DD step; one split is a round of one.
+Both planes' sections are read off the polyhedron's edge list, built
+once per round (``_section``), and a hull's facet rows come from one
+double-description (DD) step in the polar (``_join``), since the polar
+of a hull is the intersection of the polars: its seed is a
+full-dimensional piece's row and those of its facets that meet its own
+plane, its rows that plane's section and then the other plane's, whose
+row is then dropped.  Only two lower-dimensional pieces take a fresh
+conversion.  The round's distinct hull rows, in lexmin order, then cut
+the polyhedron in one more DD step; one split is a round of one.
 
 The 2D sweep reads its segment off the edge list (``_section``) and finds
 its start line and apex sector in closed form, in integers
@@ -28,8 +28,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import product
 from math import ceil, gcd
+from operator import and_, or_
 from typing import Optional, Sequence
 
 from .geometry import (
@@ -40,10 +42,10 @@ from .geometry import (
     as_point,
     _combine,
     _from_homogeneous,
-    _dd_step,
     _integer,
     _over_denominator,
-    _join_rows,
+    _pointed_cone_rays,
+    _transpose,
 )
 from .linalg import dot, integer_solve_rows, scale_primitive
 
@@ -131,25 +133,64 @@ def _levels(q: Polyhedron, a: IntVec) -> tuple[list[int], set[int]]:
     return vals, {v // g[-1] for v, g in zip(vals, q.gens) if g[-1] and v % g[-1]}
 
 
-def _piece(q: Polyhedron, w: Sequence[int]) -> tuple[list[IntVec], list[int]]:
-    """The generators and masks of q cut by one more row, whose value on
-    each generator is w and whose bit follows q's rows: one ``_dd_step``
-    over q's edge list."""
-    return _dd_step(q.gens, q.masks, w, 1 << len(q.rows), q._edges)
-
-
-def _section(q: Polyhedron, w: Sequence[int]) -> list[IntVec]:
+def _section(q: Polyhedron, w: Sequence[int]) -> tuple[list[IntVec], list[int]]:
     """The homogeneous generators of q's section by the hyperplane of a
-    row whose value on each generator is w: the generators on it, and one
-    crossing point per edge of q (``Polyhedron._edges``) whose ends lie
-    on opposite sides, as in ``_dd_step``."""
-    gens = q.gens
-    out = [g for g, x in zip(gens, w) if x == 0]
-    for i, j, _ in q._edges:
+    row whose value on each generator is w, with their tight masks over
+    q's rows: the generators on it, each with its own mask, and one
+    crossing point per edge of q (``Polyhedron._edges``) whose ends lie on
+    opposite sides, tight on the edge's common rows."""
+    gens, masks = q.gens, q.masks
+    on = [k for k, x in enumerate(w) if x == 0]
+    out, out_masks = [gens[k] for k in on], [masks[k] for k in on]
+    for i, j, common in q._edges:
         if w[i] * w[j] < 0:
             p, n = (i, j) if w[i] > 0 else (j, i)
             out.append(_combine(w[p], gens[n], w[n], gens[p]))
-    return out
+            out_masks.append(common)
+    return out, out_masks
+
+
+def _join(q: Polyhedron, row: IntVec, w: Sequence[int], far: Sequence[int]) -> list[IntVec]:
+    """The facet rows of conv(P ∪ F) less P's facets that miss N: P the
+    piece of a full-dimensional q cut out by ``row`` (values w on q's
+    generators, some negative), N its section by its own plane and F q's
+    section by the hyperplane of the row with values ``far``.
+
+    The polar of a hull is the intersection of the polars, so these are
+    the rays of a double-description step in the polar from P's facets,
+    with F's points as new rows.  Every row of q is <= 0 on F,
+    so only rays descended from P's row are ever positive, and their tight
+    sets lie in N and F.  A facet of P other than its row is tight on a
+    generator strictly inside P, so if it misses N it misses F too: it
+    never shares the dim − 1 >= 1 tight rows a pair needs, nor holds a
+    pair's common set in ``_adjacent``, and stays a ray, a row of q.  So
+    the step runs on N's points as processed rows and, as seed rays, P's
+    row (tight on all of N) and q's rows tight on a point of N and on a
+    generator strictly inside P, which are P's other facets that meet N,
+    with masks over N.  The row −t <= 0 passes that test when N and P hold
+    rays, but is a facet of P only if no other row is tight on all of P's
+    rays, and is a seed ray only then.  In dimension 1 a pair needs no
+    common row, but a vertex of q strictly between the planes leaves one
+    piece empty, so the join is not reached.  The new rows are F's points
+    not in N: a ray of q parallel to the planes lies in both and enters
+    once.
+    """
+    near, near_masks = _section(q, w)
+    have = set(near)
+    rows = [*near, *(g for g in _section(q, far)[0] if g not in have)]
+    gens, masks, homog = q.gens, q.masks, 1 << (len(q.rows) - 1)
+    inside = [k for k, x in enumerate(w) if x < 0]
+    seeds = reduce(or_, (masks[k] for k in inside)) & reduce(or_, near_masks)
+    if seeds & homog:
+        # P's rays: q's rays strictly inside it and N's rays
+        rays = [masks[k] for k in inside if not gens[k][-1]]
+        rays += [m for g, m in zip(near, near_masks) if not g[-1]]
+        if reduce(and_, rays) & ~homog:
+            seeds ^= homog
+    cols = _transpose(near_masks, len(q.rows))
+    ks = [k for k in range(len(q.rows)) if seeds >> k & 1]
+    seed = [row, *(q.rows[k] for k in ks)], [(1 << len(near)) - 1, *(cols[k] for k in ks)]
+    return _pointed_cone_rays(rows, q.dim + 1, (len(near), *seed))[1]
 
 
 def _split_rows(
@@ -163,15 +204,16 @@ def _split_rows(
 
     With one piece that has a point (``_sides``) this is its own row, with
     no DD step.  With two, the piece P1 of one side, taken
-    full-dimensional (the lo piece first), seeds one double-description
-    step in the polar (``_join_rows``), and the other piece enters only by
-    its section F2 by its plane (``_section``): a point of H on P1's side
-    of that plane lies on a segment from P1 to the other piece, which
-    crosses the plane inside q, so H cut by the plane's row is conv(P1 ∪
-    F2).  Every row of H that is not a row of q reaches that side of the
-    plane, so the join's rows other than the plane's are the rows of H
-    that cut q.  A lower-dimensional q, or two lower-dimensional pieces,
-    take a fresh V->H pass of both pieces.
+    full-dimensional (the lo piece first), is joined in the polar with
+    the other piece's section F2 by its plane (``_join``), both sections
+    read off q's edge list: a point of H on P1's side of that plane lies
+    on a segment from P1 to the other piece, which crosses the plane
+    inside q, so H cut by the plane's row is conv(P1 ∪ F2).  Every row of
+    H that is not a row of q reaches that side of the plane, so the
+    join's rows other than the plane's are rows of q or of H, and they
+    cut q down to H.  A lower-dimensional q, or two lower-dimensional
+    pieces, take a fresh V->H pass of both pieces, each q's generators
+    strictly on its side and its section.
     """
     sides = _sides(q, a, vals, lo)
     live = [row for row, _, has_point in sides if has_point]
@@ -182,16 +224,13 @@ def _split_rows(
     # a piece of a full-dimensional q is full-dimensional iff some
     # generator lies strictly on its side
     if not q._equalities:
-        for k, (row, w, _) in enumerate(sides):
+        for (row, w, _), (other, far, _) in (sides, sides[::-1]):
             if min(w) < 0:
-                gens, masks = _piece(q, w)
-                other_row, other_w, _ = sides[1 - k]
-                rows = _join_rows(q.dim, (gens, (*q.rows, row), masks), _section(q, other_w))
                 # the other plane's row from this side: a·x <= lo + 1 or a·x >= lo
-                plane = tuple(-x for x in other_row)
-                return [r for r in rows if r != plane]
-    pieces = [_piece(q, w)[0] for _, w, _ in sides]
-    return _from_homogeneous(q.dim, list(dict.fromkeys((*pieces[0], *pieces[1])))).rows
+                plane = tuple(-x for x in other)
+                return [r for r in _join(q, row, w, far) if r != plane]
+    pieces = [[g for g, x in zip(q.gens, w) if x < 0] + _section(q, w)[0] for _, w, _ in sides]
+    return _from_homogeneous(q.dim, list(dict.fromkeys(pieces[0] + pieces[1]))).rows
 
 
 def apply_split(q: Polyhedron, s: Split) -> Polyhedron:
@@ -251,17 +290,20 @@ def apply_round(q: Polyhedron, splits: Sequence[Split]) -> Polyhedron:
     in canonical form once; q itself comes back when no split changes it,
     and the empty polyhedron when some split leaves no point.
     """
-    rows: set[IntVec] = set()
-    by_dir: dict[IntVec, tuple[list[int], set[int]]] = {}
+    by_dir: dict[IntVec, list[int]] = {}
     for s in splits:
-        a = embed_normal(s.pi, q.dim)
-        vals, levels = by_dir[a] if a in by_dir else by_dir.setdefault(a, _levels(q, a))
-        if s.pi0 not in levels:
-            continue
-        hull = _split_rows(q, a, vals, s.pi0)
-        if hull is None:
-            return Polyhedron.empty(q.dim)
-        rows.update(hull)
+        by_dir.setdefault(s.pi, []).append(s.pi0)
+    rows: set[IntVec] = set()
+    for pi, pi0s in by_dir.items():
+        a = embed_normal(pi, q.dim)
+        vals, levels = _levels(q, a)
+        for lo in pi0s:
+            if lo not in levels:
+                continue
+            hull = _split_rows(q, a, vals, lo)
+            if hull is None:
+                return Polyhedron.empty(q.dim)
+            rows.update(hull)
     return q._cut(sorted(rows))
 
 
@@ -355,7 +397,7 @@ def sweep_sequence_2d(q: Polyhedron, chv: Split, p: Sequence) -> SplitSequence:
         )
     if max(below) <= 0:
         return SplitSequence.make([], [])  # nothing above the near plane
-    seg = _section(q, below)
+    seg = _section(q, below)[0]
     if len(seg) != 2:
         raise GeometryError("sweep hypothesis failed: near plane section of q is not a segment")
     if not all(g[-1] for g in seg):

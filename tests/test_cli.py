@@ -107,6 +107,26 @@ def test_classify2d(files, capsys):
     assert data["infinite_rank"] is True
 
 
+def test_classify2d_classifies_the_body_once(monkeypatch, capsys):
+    """On the type-1 golden input the rays hit the body's corners, so the
+    infinite-rank check reads the body's own classification: one
+    ``classify_2d`` call per command, and the golden bytes."""
+    import splitlab.certify as certify
+
+    calls = []
+    classify = certify.classify_2d
+
+    def spy(l):
+        calls.append(l)
+        return classify(l)
+
+    monkeypatch.setattr(certify, "classify_2d", spy)
+    monkeypatch.setattr(cli, "classify_2d", spy)
+    code, out, _ = run(capsys, *CASES["classify2d"], "--format", "json")
+    assert code == 0 and out == (GOLDEN / "classify2d.json").read_text()
+    assert len(calls) == 1
+
+
 def test_probe_csv(files, capsys):
     code, out, _ = run(
         capsys,

@@ -527,7 +527,7 @@ HULL_CASES = 400
 
 def test_hull_paths_match_reference(monkeypatch):
     """Every path of a split's hull rows against the from-scratch reference:
-    the polar join seeded from the lo piece or the hi piece, the fresh pass
+    the polar join from the lo piece or the hi piece, the fresh pass
     for two lower-dimensional pieces, and the slice rows of the one
     nonempty piece when the other is empty."""
     import splitlab.splits as splits
@@ -548,8 +548,7 @@ def test_hull_paths_match_reference(monkeypatch):
                 return out
             if path == "join":
                 a, lo = current["split"]
-                side = all(dot(a, g[:-1]) <= lo * g[-1] for g in args[1][0])
-                current["path"] = "seed_lo" if side else "seed_hi"
+                current["path"] = "seed_lo" if args[1] == (*a, -lo) else "seed_hi"
             else:
                 current["path"] = path
             return fn(*args)
@@ -557,7 +556,7 @@ def test_hull_paths_match_reference(monkeypatch):
         return run
 
     monkeypatch.setattr(splits, "_split_rows", watch("rows", splits._split_rows))
-    monkeypatch.setattr(splits, "_join_rows", watch("join", splits._join_rows))
+    monkeypatch.setattr(splits, "_join", watch("join", splits._join))
     monkeypatch.setattr(splits, "_from_homogeneous", watch("fallback", splits._from_homogeneous))
     # a tetrahedron with one edge on each plane is the hull of two
     # lower-dimensional pieces
@@ -580,37 +579,64 @@ def test_hull_paths_match_reference(monkeypatch):
             p = Polyhedron.from_generators(pts, rays)
         except LinealityError:
             continue
-        current["split"] = (s.pi, s.pi0)
+        current["split"] = (embed_normal(s.pi, d), s.pi0)
         seen["rays"] += bool(p.rays)
         got = _outcome(apply_split, p, s)
         assert got == _outcome(ref_apply_split, p, s), (pts, rays, s)
         if p.affine_dim() < d:
             continue
-        # a cut row that p already has: the slice keeps p's own generators,
-        # tight on the new row where they are on its copy, and a split whose
-        # plane carries a facet englobes p
+        # a cut row that p already has: its section is p's facet, whose
+        # generators keep their own masks, and a split whose plane carries
+        # a facet englobes p
         a, b = rng.choice(p.facet_inequalities())
         if b.denominator == 1:
             assert apply_split(p, Split(a, int(b))) is p
             assert apply_split(p, Split(a, int(b)).partner()) is p
         row = scale_primitive(a + (-b,))
         k = p.rows.index(row)
-        gens, masks = splits._piece(p, [dot(row, g) for g in p.gens])
-        assert gens == list(p.gens)
-        assert masks == [m | (m >> k & 1) << len(p.rows) for m in p.masks]
+        gens, masks = splits._section(p, [dot(row, g) for g in p.gens])
+        on = [i for i, m in enumerate(p.masks) if m >> k & 1]
+        assert (gens, masks) == ([p.gens[i] for i in on], [p.masks[i] for i in on])
         seen["dup_row"] += 1
     assert min(seen.values()) >= 20, seen
 
 
+def ref_piece_join(q, row, far_row):
+    """The hull rows that the section join replaced: the piece of q cut by
+    ``row`` from one seeded double-description step from q's state, its
+    facets re-derived from the step's transposed masks, seeding a polar
+    step with every facet of the piece as a ray and all of its generators
+    as processed rows, to which the points of q's section by the plane of
+    ``far_row``, taken from a second seeded step, are added as rows."""
+    n = len(q.rows)
+    _, gens, masks = _pointed_cone_rays([*q.rows, row], q.dim + 1, (n, q.gens, q.masks))
+    _, fgens, fmasks = _pointed_cone_rays([*q.rows, far_row], q.dim + 1, (n, q.gens, q.masks))
+    section = [g for g, m in zip(fgens, fmasks) if m >> n & 1]
+    tight = [sum(1 << i for i, m in enumerate(masks) if m >> k & 1) for k in range(n + 1)]
+    facets = [k for k, m in enumerate(tight) if [o & m for o in tight].count(m) == 1]
+    have = set(gens)
+    rows = [*gens, *(g for g in section if g not in have)]
+    piece_rows = [(*q.rows, row)[k] for k in facets]
+    seed = (len(gens), piece_rows, [tight[k] for k in facets])
+    return _pointed_cone_rays(rows, q.dim + 1, seed)[1], piece_rows, gens
+
+
 def test_pieces_match_seeded_step():
-    """Each piece read off the edge list against one seeded double-
-    description step from the same state, compared as sets of (generator,
-    mask), on the slab bodies in dimensions 1-4, unbounded and lower-
-    dimensional ones included."""
+    """Each side's plane section read off the edge list, with its masks,
+    against the generators of one seeded double-description step from the
+    same state that lie on the row; and the polar join seeded from the
+    piece's row and its facets that meet the near section against the
+    piece-seeded join it replaced (``ref_piece_join``): the same rays, less
+    exactly the facets of the piece that miss the near section.  On the
+    slab bodies in dimensions 1-4, unbounded and lower-dimensional ones
+    included; the join wherever it runs (a full-dimensional q with a
+    vertex strictly between the planes and two pieces with a point)."""
     import splitlab.splits as splits
 
     rng = make_rng()
-    seen = dict.fromkeys(("rays", "lower", "created"), 0)
+    seen = dict.fromkeys(
+        ("rays", "lower", "created", "joins", "parallel", "dropped", "homog_in", "homog_out"), 0
+    )
     kinds = ("cross", "touch_lo", "touch_hi", "slab", "miss")
     for case in range(HULL_CASES):
         d = 1 + case % 4
@@ -621,6 +647,12 @@ def test_pieces_match_seeded_step():
             # the equality rows but no edge
             dirs = [tuple(rng.randint(-2, 2) for _ in range(d)) for _ in range(d - 1)]
             pts = [_on_span(rng, pts[-1], dirs) for _ in range(rng.randint(3, 7))] + [pts[-1]]
+        elif d > 1 and case % 5 > 1:
+            # rays along the planes and one into the lo side: the lo piece's
+            # recession cone is full-dimensional iff all d - 1 are there, and
+            # −t <= 0 then is one of its facets
+            frame = [scale_primitive(v) for v in _reference_nullspace([s.pi], d)]
+            rays = frame[: d - 1 - (case % 5 == 3)] + [tuple(-x for x in s.pi)]
         try:
             p = Polyhedron.from_generators(pts, rays)
         except LinealityError:
@@ -628,34 +660,64 @@ def test_pieces_match_seeded_step():
         seen["rays"] += bool(p.rays)
         seen["lower"] += p.affine_dim() < d
         a = embed_normal(s.pi, d)
-        for row in (a + (-s.pi0,), tuple(-x for x in a) + (s.pi0 + 1,)):
-            gens, masks = splits._piece(p, [dot(row, g) for g in p.gens])
-            _, want, want_masks = _pointed_cone_rays(
-                [*p.rows, row], d + 1, (len(p.rows), p.gens, p.masks)
-            )
-            assert len(gens) == len(want)
-            assert set(zip(gens, masks)) == set(zip(want, want_masks)), (pts, rays, row)
+        sides = (a + (-s.pi0,), tuple(-x for x in a) + (s.pi0 + 1,))
+        values = [[dot(row, g) for g in p.gens] for row in sides]
+        n = len(p.rows)
+        for row, w in zip(sides, values):
+            gens, masks = splits._section(p, w)
+            _, want, want_masks = _pointed_cone_rays([*p.rows, row], d + 1, (n, p.gens, p.masks))
+            on = {(g, m ^ 1 << n) for g, m in zip(want, want_masks) if m >> n & 1}
+            assert len(gens) == len(on)
+            assert set(zip(gens, masks)) == on, (pts, rays, row)
             seen["created"] += len(set(gens) - set(p.gens))
+        # the join's domain: a full-dimensional q, a vertex strictly between
+        # the planes and two pieces with a point
+        vals, levels = splits._levels(p, a)
+        if p.affine_dim() < d or s.pi0 not in levels:
+            continue
+        if not all(has_point for *_, has_point in splits._sides(p, a, vals, s.pi0)):
+            continue
+        for k in (0, 1):
+            if min(values[k]) < 0:
+                got = splits._join(p, sides[k], values[k], values[1 - k])
+                want, facets, piece = ref_piece_join(p, sides[k], sides[1 - k])
+                near = [g for g in piece if dot(sides[k], g) == 0]
+                missing = {r for r in facets if all(dot(r, g) for g in near)}
+                assert sorted(got) == sorted(set(want) - missing), (pts, rays, s)
+                seen["joins"] += 1
+                seen["dropped"] += bool(missing)
+                seen["parallel"] += any(dot(a, r) == 0 for r in p.rays)
+                # −t <= 0 is tight on a point of N and on a ray strictly
+                # inside the piece: a seed ray only if it is a facet
+                homog = (0,) * d + (-1,)
+                if any(not g[-1] for g in near) and any(
+                    not g[-1] and x < 0 for g, x in zip(p.gens, values[k])
+                ):
+                    seen["homog_in" if homog in facets else "homog_out"] += 1
     assert min(seen.values()) >= 20, seen
 
 
 def test_section_join_matches_reference(monkeypatch):
-    """A split's hull rows from one piece joined with the other piece's
-    section by its plane, against the from-scratch reference, on the slab
-    bodies in dimensions 1-4, unbounded and lower-dimensional ones
-    included: q cut by the rows equals the reference hull, the join's
-    plane row is dropped and stays out of the result when the other piece
-    reaches past its plane, and each split runs one piece step (two in the
-    fallback for two lower-dimensional pieces, none with one nonempty
-    piece)."""
+    """A split's hull rows from one piece's near section joined in the
+    polar with the other piece's section by its plane, against the
+    from-scratch reference, on the slab bodies in dimensions 1-4,
+    unbounded and lower-dimensional ones included: q cut by the rows
+    equals the reference hull, the join's plane row is dropped and stays
+    out of the result when the other piece reaches past its plane, each
+    point enters the polar step once, and each split reads two sections
+    (two in the fallback for two lower-dimensional pieces, none with one
+    nonempty piece)."""
     import splitlab.splits as splits
 
-    pieces, joins = [], []
-    piece, join = splits._piece, splits._join_rows
-    monkeypatch.setattr(splits, "_piece", lambda *args: pieces.append(args) or piece(*args))
-    monkeypatch.setattr(splits, "_join_rows", lambda *args: joins.append(args) or join(*args))
+    sections, joins, polar = [], [], []
+    section, join, dd = splits._section, splits._join, splits._pointed_cone_rays
+    monkeypatch.setattr(splits, "_section", lambda *args: sections.append(args) or section(*args))
+    monkeypatch.setattr(splits, "_join", lambda *args: joins.append(args) or join(*args))
+    monkeypatch.setattr(splits, "_pointed_cone_rays", lambda *args: polar.append(args) or dd(*args))
     rng = make_rng()
-    seen = dict.fromkeys(("rays", "lower", "one", "join_lo", "join_hi", "fallback", "past"), 0)
+    seen = dict.fromkeys(
+        ("rays", "lower", "one", "join_lo", "join_hi", "fallback", "past"), 0
+    )
     kinds = ("cross", "touch_lo", "touch_hi", "slab", "miss")
     for case in range(HULL_CASES):
         d = 1 + case % 4
@@ -671,8 +733,9 @@ def test_section_join_matches_reference(monkeypatch):
         vals = [dot(a, g[:-1]) for g in p.gens]
         if s.pi0 not in splits._levels(p, a)[1]:
             continue
-        pieces.clear()
+        sections.clear()
         joins.clear()
+        polar.clear()
         rows = splits._split_rows(p, a, vals, s.pi0)
         got = _outcome(Polyhedron.empty, d) if rows is None else _outcome(p._cut, sorted(rows))
         assert got == _outcome(ref_apply_split, p, s), (pts, rays, s)
@@ -684,21 +747,23 @@ def test_section_join_matches_reference(monkeypatch):
             for r in (lo_row, hi_row)
         )
         if not (lo_live and hi_live):
-            assert pieces == [] and (rows is None) == (not (lo_live or hi_live)), (pts, rays, s)
+            assert sections == [] and (rows is None) == (not (lo_live or hi_live)), (pts, rays, s)
             seen["one"] += lo_live or hi_live
             continue
+        assert len(sections) == 2, (pts, rays, s)
         if not joins:
-            assert len(pieces) == 2, (pts, rays, s)
             seen["fallback"] += 1
             continue
-        assert len(pieces) == 1 and len(joins) == 1, (pts, rays, s)
-        (_, (_, seed_rows, _), section), = joins
+        assert len(joins) == 1 and len(polar) == 1, (pts, rays, s)
+        (_, seed_row, _, far), = joins
         # the lo piece seeds whenever it is full-dimensional
-        lo_seed = seed_rows[-1] == lo_row
+        lo_seed = seed_row == lo_row
         assert lo_seed == any(dot(lo_row, g) < 0 for g in p.gens), (pts, rays, s)
         seen["join_lo" if lo_seed else "join_hi"] += 1
         other = hi_row if lo_seed else lo_row
-        assert section and all(dot(other, g) == 0 for g in section), (pts, rays, s)
+        assert far == [dot(other, g) for g in p.gens]
+        (polar_rows, _, _), = polar
+        assert len(set(polar_rows)) == len(polar_rows), (pts, rays, s)
         # the join's plane row: a·x <= lo + 1 from the lo side, a·x >= lo
         # from the hi side
         plane = tuple(-x for x in other)
@@ -706,6 +771,28 @@ def test_section_join_matches_reference(monkeypatch):
             assert plane not in rows and plane not in p._cut(sorted(rows)).rows, (pts, rays, s)
             seen["past"] += 1
     assert min(seen.values()) >= 20, seen
+
+
+def test_parallel_ray_enters_the_join_once(monkeypatch):
+    """A ray of q parallel to the split's planes lies in both plane
+    sections: it is one processed row of the polar step, and the far
+    section adds only its points off the near plane."""
+    import splitlab.splits as splits
+
+    polar = []
+    dd = splits._pointed_cone_rays
+    monkeypatch.setattr(splits, "_pointed_cone_rays", lambda *args: polar.append(args) or dd(*args))
+    for pts, ray in (
+        ([(-1, 0), (2, 0), (F(1, 2), -1)], (0, 1)),
+        ([(-1, 0, 0), (2, 0, 0), (F(1, 2), -1, 0), (0, 0, 1)], (0, 1, 1)),
+    ):
+        q = Polyhedron.from_generators(pts, [ray])
+        s = Split((1,) + (0,) * (q.dim - 1), 0)
+        polar.clear()
+        assert _state(apply_split(q, s)) == _state(ref_apply_split(q, s))
+        (rows, _, (processed, _, _)), = polar
+        assert rows.count(ray + (0,)) == 1 and rows.index(ray + (0,)) < processed
+        assert all(dot(s.pi, g[:-1]) == g[-1] for g in rows[processed:])
 
 
 def test_levels_match_vertex_scan():

@@ -446,12 +446,14 @@ def test_dd_masks_and_rows_that_cut_no_ray(rng, monkeypatch):
     tight set by dot products and every ray satisfies every row, also
     after a seeded pass over a row that is tight on some rays but cuts
     none (a positive combination of two rows tight on a common ray); such
-    a row only marks its tight rays and runs no DD step."""
+    a row only marks its tight rays and runs no DD step: no pair is tested
+    for adjacency and no ray is combined."""
     import splitlab.geometry as geometry
 
     steps = []
-    step = geometry._dd_step
-    monkeypatch.setattr(geometry, "_dd_step", lambda *args: steps.append(args) or step(*args))
+    for name in ("_adjacent", "_combine"):
+        fn = getattr(geometry, name)
+        monkeypatch.setattr(geometry, name, lambda *args, fn=fn: steps.append(args) or fn(*args))
     no_cut = 0
     for case in range(240):
         d = 2 + case % 4

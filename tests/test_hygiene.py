@@ -93,22 +93,22 @@ def test_no_unused_imports(path):
 # intersections, its membership, relative-interior and containment tests,
 # its equality rows, facet rows and edge list, lattice-point enumeration,
 # its cached scan and the interior-point scan, a split direction's
-# levels, the row values of a split's sides, the pieces, the plane section
-# and the hull of a split, the start line and apex sector of the 2D sweep,
+# levels, the row values of a split's sides, the plane sections, the
+# polar join and the hull of a split, the start line and apex sector of the 2D sweep,
 # the face incidence of the 2-hyperplane check and the affine-basis
 # labeling of the 2-partitionability search, and facet repair
 INTEGER_ONLY = {
     "linalg.py": ("_integer_rows", "_echelon", "scale_primitive"),
     "geometry.py": (
-        "_adjacent", "_dd_step", "_pointed_cone_rays", "_combine", "_primitive", "cone_rays",
+        "_adjacent", "_pointed_cone_rays", "_combine", "_primitive", "cone_rays",
         "_h_to_v", "_v_to_h", "_transpose", "_unrivalled", "_facets", "_incidence",
-        "_polyhedron", "_canonical", "_join_rows", "_from_homogeneous", "Polyhedron._cut",
+        "_polyhedron", "_canonical", "_from_homogeneous", "Polyhedron._cut",
         "Polyhedron.contains", "Polyhedron.contains_polyhedron", "Polyhedron._equalities",
         "Polyhedron._facet_rows", "Polyhedron._edges", "Polyhedron._lattice_points",
         "Polyhedron.relint_contains", "Polyhedron.intersect", "_iter_lattice_points",
         "interior_integer_point",
     ),
-    "splits.py": ("_levels", "_sides", "_piece", "_section", "_split_rows", "_sweep_sector"),
+    "splits.py": ("_levels", "_sides", "_section", "_join", "_split_rows", "_sweep_sector"),
     "certify.py": ("_faces", "is_2partitionable"),
     "ranks.py": ("rotate_facet",),
 }
