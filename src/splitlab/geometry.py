@@ -16,8 +16,8 @@ puts them and the rays in canonical form.  One function,
 step per row, combining the generator pairs that one combinatorial
 test, ``_adjacent``, finds adjacent; conversions, cuts and the polar
 joins of split hulls all run it.  Intersecting with further rows runs
-it from the stored state, a batch of rows, such as a whole round of split
-hulls, in one pass; a split's plane sections are read off the stored
+it from the stored state in one pass, and a round of splits once per split
+it does not skip; a split's plane sections are read off the stored
 edge list (``Polyhedron._edges``).  A row that cuts no ray only marks
 the rays it is tight on.  A facet is found by comparing tight sets
 (``_unrivalled``) among the entries with enough tight elements to be

@@ -7,8 +7,9 @@ lifted into (x, z).  A round of splits cuts a polyhedron by the convex
 hulls of each split's two clipped pieces, in integers.  Each split
 direction's values over the generators are computed once per round
 (``_levels``); they tell which splits leave the polyhedron unchanged and
-give both pieces' row values (``_sides``), which tell whether a piece is
-empty, and so whether a split is Chvatal for q or confines it.
+how deep the others are, and give both pieces' row values (``_sides``),
+which tell whether a piece is empty, and so whether a split is Chvatal
+for q or confines it.
 Both planes' sections are read off the polyhedron's edge list, built
 once per round (``_section``), and a hull's facet rows come from one
 double-description (DD) step in the polar (``_join``), since the polar
@@ -16,8 +17,9 @@ of a hull is the intersection of the polars: its seed is a
 full-dimensional piece's row and those of its facets that meet its own
 plane, its rows that plane's section and then the other plane's, whose
 row is then dropped.  Only two lower-dimensional pieces take a fresh
-conversion.  The round's distinct hull rows, in lexmin order, then cut
-the polyhedron in one more DD step; one split is a round of one.
+conversion.  A round takes its splits deepest first and cuts as it
+goes, skipping a split whose hull holds what is left; one split is a
+round of one.
 
 The 2D sweep reads its segment off the edge list (``_section``) and finds
 its start line and apex sector in closed form, in integers
@@ -26,12 +28,13 @@ its length has a budget measured from the segment's endpoints."""
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import product
 from math import ceil, gcd
-from operator import and_, or_
+from operator import and_, itemgetter, or_
 from typing import Optional, Sequence
 
 from .geometry import (
@@ -40,6 +43,7 @@ from .geometry import (
     Point,
     Polyhedron,
     as_point,
+    _canonical,
     _combine,
     _from_homogeneous,
     _integer,
@@ -125,12 +129,12 @@ def _sides(q: Polyhedron, a: IntVec, vals: Sequence[int], lo: int) -> list[tuple
     ]
 
 
-def _levels(q: Polyhedron, a: IntVec) -> tuple[list[int], set[int]]:
-    """a·n for each generator (n, t) of q, and the levels k with a vertex of q
-    strictly between a·x = k and k + 1.  A split off these levels leaves q
-    unchanged, as every generator lies in one of its pieces."""
+def _levels(q: Polyhedron, a: IntVec) -> tuple[list[int], Counter]:
+    """a·n for each generator (n, t) of q, and the depth of each level k: how
+    many vertices of q lie strictly between a·x = k and k + 1.  A split off
+    these levels leaves q unchanged, as every generator lies in one of its pieces."""
     vals = [dot(a, g[:-1]) for g in q.gens]
-    return vals, {v // g[-1] for v, g in zip(vals, q.gens) if g[-1] and v % g[-1]}
+    return vals, Counter(v // g[-1] for v, g in zip(vals, q.gens) if g[-1] and v % g[-1])
 
 
 def _section(q: Polyhedron, w: Sequence[int]) -> tuple[list[IntVec], list[int]]:
@@ -284,27 +288,38 @@ def apply_round(q: Polyhedron, splits: Sequence[Split]) -> Polyhedron:
 
     Each split acts on q's leading coordinates (``embed_normal``), so a
     round of x-space splits applies to a cone lifted into (x, z) as it is.
-    The distinct hull rows of every split with a vertex of q strictly
-    between its planes (``_levels``), in lexmin order (ascending tuples),
-    cut q in one seeded double-description step, and the result is put
-    in canonical form once; q itself comes back when no split changes it,
+    The splits with a vertex of q strictly between their planes are taken
+    deepest first (``_levels``; ties in the given order).  Each cuts the
+    round's running intersection R, a raw double description seeded from
+    q's, by its hull rows on q (``_split_rows``) that R lacks, in one DD
+    step, unless no vertex of R lies strictly between its planes: R lies
+    in q, so each vertex of R lies in one closed piece, and R's rays are
+    q's, which the hull keeps (with two pieces its recession cone is q's;
+    with one, q has no ray into the empty side), so R lies in the hull.
+    R is the same intersection in any order, put in canonical form once;
+    q itself comes back when no split changes it (no generator is cut),
     and the empty polyhedron when some split leaves no point.
     """
-    by_dir: dict[IntVec, list[int]] = {}
+    levels, live = {}, []
     for s in splits:
-        by_dir.setdefault(s.pi, []).append(s.pi0)
-    rows: set[IntVec] = set()
-    for pi, pi0s in by_dir.items():
-        a = embed_normal(pi, q.dim)
-        vals, levels = _levels(q, a)
-        for lo in pi0s:
-            if lo not in levels:
-                continue
-            hull = _split_rows(q, a, vals, lo)
-            if hull is None:
-                return Polyhedron.empty(q.dim)
-            rows.update(hull)
-    return q._cut(sorted(rows))
+        if s.pi not in levels:
+            levels[s.pi] = (a := embed_normal(s.pi, q.dim), *_levels(q, a))
+        a, vals, depth = levels[s.pi]
+        if s.pi0 in depth:
+            live.append((-depth[s.pi0], a, vals, s.pi0))
+    rows, gens, masks = list(q.rows), q.gens, q.masks
+    have = set(rows)
+    for _, a, vals, lo in sorted(live, key=itemgetter(0)):
+        if not any(lo * g[-1] < dot(a, g[:-1]) < (lo + 1) * g[-1] for g in gens):
+            continue
+        hull = _split_rows(q, a, vals, lo)
+        if hull is None:
+            return Polyhedron.empty(q.dim)
+        new = [r for r in hull if r not in have]
+        have.update(new)
+        rows += new
+        _, gens, masks = _pointed_cone_rays(rows, q.dim + 1, (len(rows) - len(new), gens, masks))
+    return q if tuple(gens) == q.gens else _canonical(q.dim, rows, gens, masks)
 
 
 def enumerate_splits(bound: int, box: Sequence[tuple[Fraction, Fraction]]) -> list[Split]:

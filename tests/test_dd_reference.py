@@ -776,7 +776,8 @@ def test_section_join_matches_reference(monkeypatch):
 def test_parallel_ray_enters_the_join_once(monkeypatch):
     """A ray of q parallel to the split's planes lies in both plane
     sections: it is one processed row of the polar step, and the far
-    section adds only its points off the near plane."""
+    section adds only its points off the near plane.  The round then cuts
+    q by the hull rows in one more step, seeded from q's state."""
     import splitlab.splits as splits
 
     polar = []
@@ -790,9 +791,11 @@ def test_parallel_ray_enters_the_join_once(monkeypatch):
         s = Split((1,) + (0,) * (q.dim - 1), 0)
         polar.clear()
         assert _state(apply_split(q, s)) == _state(ref_apply_split(q, s))
-        (rows, _, (processed, _, _)), = polar
+        (rows, _, (processed, _, _)), (cut_rows, d, seed) = polar
         assert rows.count(ray + (0,)) == 1 and rows.index(ray + (0,)) < processed
         assert all(dot(s.pi, g[:-1]) == g[-1] for g in rows[processed:])
+        assert d == q.dim + 1 and seed == (len(q.rows), q.gens, q.masks)
+        assert cut_rows[: len(q.rows)] == list(q.rows)
 
 
 def test_levels_match_vertex_scan():
@@ -933,6 +936,53 @@ def test_round_matches_sequential_reference():
     assert min(seen.values()) >= 20, seen
 
 
+def test_round_is_order_independent_and_skips_held_splits(monkeypatch):
+    """apply_round gives the same generators, rows and masks for a round's
+    splits as given, reversed and shuffled, equal to the sequential
+    reference, and q itself whenever no split changes q, on seeded bodies
+    in dims 1-4 (unbounded and lower-dimensional ones, and every 9th round
+    planted empty).  A split that is live on q (a vertex of q strictly
+    between its planes) is skipped without building its hull when the
+    running intersection already lies in it: a spy on ``_split_rows``
+    counts those skips in rounds that run to the end."""
+    import splitlab.splits as splits
+
+    hulls = []
+    real = splits._split_rows
+    monkeypatch.setattr(splits, "_split_rows", lambda *args: hulls.append(real(*args)) or hulls[-1])
+    rng = make_rng()
+    seen = dict.fromkeys(("rays", "lower", "empty", "unchanged", "changed", "skipped"), 0)
+    for case in range(ROUND_CASES // 2):
+        d = 1 + case % 4
+        if case % 9 == 0:
+            p, given = _slab_round(rng, d)
+        else:
+            try:
+                p = Polyhedron.from_generators(*_generators(rng, d))
+            except LinealityError:
+                continue
+            given = [s for _ in range(3) for s in _round_splits(rng, p, d)]
+        shuffled = rng.sample(given, len(given))
+        states = []
+        for order in (given, given[::-1], shuffled):
+            hulls.clear()
+            got = apply_round(p, order)
+            states.append((got.gens, got.rows, got.masks))
+        assert states[0] == states[1] == states[2], (p, given)
+        assert _state(got) == _outcome(ref_apply_round, p, given), (p, given)
+        if _state(got) == _state(p):
+            assert got is p, (p, given)
+        seen["unchanged" if got is p else "changed"] += 1
+        seen["rays"] += bool(p.rays)
+        seen["lower"] += p.affine_dim() < d
+        seen["empty"] += got.is_empty
+        if None not in hulls:
+            live = [s for s in shuffled if s.pi0 in splits._levels(p, embed_normal(s.pi, d))[1]]
+            assert len(hulls) <= len(live)
+            seen["skipped"] += len(live) - len(hulls)
+    assert min(seen.values()) >= 20, seen
+
+
 def test_t3_rounds_match_reference():
     """The 3D growth body T3 of the ROADMAP (lifted over its vertex
     centroid, floor 2, every split of max-norm 1 touching its box ± 1):
@@ -962,6 +1012,25 @@ def test_t3_rounds_match_reference():
     assert (len(q.vertices), len(q.facet_inequalities()), len(q.inequalities)) == (397, 141, 141)
     assert max_height(q) == F(1651345240132, 6539326790093)
     assert height_at(q, f) == F(1951, 78264)
+
+
+def test_t3_wide_rounds_keep_their_sizes():
+    """A wide round, where the order of the splits sets the cost: T3 on the
+    untruncated cone (apex (f, 1), rays (v − f, −1)) under every split of
+    max-norm 2 touching its box ± 1, rounds 1 and 2, keeps the generators,
+    rows and maximum heights recorded before rounds took their splits
+    deepest first."""
+    verts = [(0, F(3, 2), F(1, 2)), (1, 2, 0), (F(3, 2), F(5, 2), -1), (3, 0, F(-3, 2))]
+    body = Polyhedron.from_generators(verts)
+    f = tuple(sum(F(v[i]) for v in verts) / 4 for i in range(3))
+    rays = [tuple(F(c) - x for c, x in zip(v, f)) + (-1,) for v in verts]
+    q = Polyhedron.from_generators([f + (1,)], rays)
+    box = tuple((lo - 1, hi + 1) for lo, hi in body.bounding_box())
+    splits = EnumerateStrategy(2, box).splits_for_round(1)
+    assert len(splits) == 840
+    for gens, rows, height in ((22, 13, F(4, 13)), (118, 48, F(116, 4069))):
+        q = apply_round(q, splits)
+        assert (len(q.gens), len(q.rows), max_height(q)) == (gens, rows, height)
 
 
 # ---------------------------------------------------------------------------

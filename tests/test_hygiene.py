@@ -94,7 +94,8 @@ def test_no_unused_imports(path):
 # its equality rows, facet rows and edge list, lattice-point enumeration,
 # its cached scan and the interior-point scan, a split direction's
 # levels, the row values of a split's sides, the plane sections, the
-# polar join and the hull of a split, the start line and apex sector of the 2D sweep,
+# polar join and the hull of a split, a round of splits with its skip test,
+# the start line and apex sector of the 2D sweep,
 # the face incidence of the 2-hyperplane check and the affine-basis
 # labeling of the 2-partitionability search, and facet repair
 INTEGER_ONLY = {
@@ -108,7 +109,9 @@ INTEGER_ONLY = {
         "Polyhedron.relint_contains", "Polyhedron.intersect", "_iter_lattice_points",
         "interior_integer_point",
     ),
-    "splits.py": ("_levels", "_sides", "_section", "_join", "_split_rows", "_sweep_sector"),
+    "splits.py": (
+        "_levels", "_sides", "_section", "_join", "_split_rows", "apply_round", "_sweep_sector",
+    ),
     "certify.py": ("_faces", "is_2partitionable"),
     "ranks.py": ("rotate_facet",),
 }
