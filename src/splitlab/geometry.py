@@ -15,9 +15,10 @@ puts them and the rays in canonical form.  One function,
 ``_pointed_cone_rays``, cuts a double description by further rows, one
 step per row, combining the generator pairs that one combinatorial
 test, ``_adjacent``, finds adjacent; conversions, cuts and the polar
-joins of split hulls all run it.  Intersecting with further rows runs
-it from the stored state in one pass, and a round of splits once per split
-it does not skip; a split's plane sections are read off the stored
+joins of split hulls all run it.  Seeded with a stored state, it takes
+only the rows still to process: intersecting with further rows is one
+pass, a round of splits one per split it does not skip, and a join's
+rows are one plane's section; the split planes are read off the stored
 edge list (``Polyhedron._edges``).  A row that cuts no ray only marks
 the rays it is tight on.  A facet is found by comparing tight sets
 (``_unrivalled``) among the entries with enough tight elements to be
@@ -28,8 +29,7 @@ arithmetic is integer or :class:`fractions.Fraction`, never floating
 point; membership, containment and split tests compare integers only,
 and so do lattice-point enumeration and the relative-interior test,
 which read the box off the generators and the equality rows off the
-incidence.  Every
-facet test reads one cached list of facet rows
+incidence.  Every facet test reads one cached list of facet rows
 (``Polyhedron._facet_rows``), and a bounded polyhedron keeps its one full
 lattice scan as a cached view (``Polyhedron._lattice_points``).
 
@@ -137,8 +137,9 @@ def _pointed_cone_rays(
     row that cuts a remaining line l turns l into the ray on its feasible
     side and projects the other lines and every ray along l onto the row's
     hyperplane; the lines that no row cuts are returned.  ``seed = (k,
-    rays, masks)`` is the double description of the pointed cone cut out
-    by rows[:k]; only rows[k:] are then processed, and no line comes out.
+    rays, masks)`` is the DD of a pointed cone cut out by k processed rows
+    (bits 0..k−1); ``rows`` are the rows left, bit k + i for rows[i], and
+    no line phase runs.
     A row that cuts no ray only marks the rays it is tight on.  Every
     other row is one DD step over the pointed part: the rays with r·x <= 0
     stay, tight on the row where r·x = 0, and each positive × negative
@@ -151,18 +152,19 @@ def _pointed_cone_rays(
         lines = [tuple(int(i == j) for j in range(d)) for i in range(d)]
     else:
         (start, rays, masks), lines = seed, []
-    for idx in range(start, len(rows)):
-        a, bit = rows[idx], 1 << idx
-        lvals = [sum(map(mul, a, l)) for l in lines]
-        cut = next((i for i, v in enumerate(lvals) if v != 0), None)
-        if cut is not None:
-            l, al = lines.pop(cut), lvals.pop(cut)
-            sgn = 1 if al > 0 else -1
-            lines = [_combine(al, m, am, l) for m, am in zip(lines, lvals)]
-            rays = [_combine(abs(al), r, sgn * dot(a, r), l) for r in rays]
-            rays.append(tuple(-sgn * y for y in l))
-            masks = [m | bit for m in masks] + [bit - 1]
-            continue
+    for idx, a in enumerate(rows, start):
+        bit = 1 << idx
+        if lines:
+            lvals = [sum(map(mul, a, l)) for l in lines]
+            cut = next((i for i, v in enumerate(lvals) if v != 0), None)
+            if cut is not None:
+                l, al = lines.pop(cut), lvals.pop(cut)
+                sgn = 1 if al > 0 else -1
+                lines = [_combine(al, m, am, l) for m, am in zip(lines, lvals)]
+                rays = [_combine(abs(al), r, sgn * dot(a, r), l) for r in rays]
+                rays.append(tuple(-sgn * y for y in l))
+                masks = [m | bit for m in masks] + [bit - 1]
+                continue
         vals = [sum(map(mul, a, r)) for r in rays]
         pos = [i for i, v in enumerate(vals) if v > 0]
         if not pos:
@@ -567,16 +569,14 @@ class Polyhedron:
         order; self itself if none of them cuts it, as none cuts the empty
         self, which has no generator.  ``_canonical`` decides emptiness."""
         have = set(self.rows)
-        rows = [*self.rows, *(r for r in rows if r not in have)]
-        if len(rows) == len(self.rows):
-            return self
+        new = [r for r in rows if r not in have]
         _, out, out_masks = _pointed_cone_rays(
-            rows, self.dim + 1, (len(self.rows), self.gens, self.masks)
+            new, self.dim + 1, (len(self.rows), self.gens, self.masks)
         )
         # a cut drops a generator, so the extreme rays change
         if tuple(out) == self.gens:
             return self
-        return _canonical(self.dim, rows, out, out_masks)
+        return _canonical(self.dim, [*self.rows, *new], out, out_masks)
 
     def contains_polyhedron(self, other: "Polyhedron") -> bool:
         if other.dim != self.dim:

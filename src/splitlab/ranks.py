@@ -28,9 +28,11 @@ from .geometry import (
     Point,
     Polyhedron,
     _canonical,
+    _facets,
     _h_to_v,
     _integer,
     _over_denominator,
+    _polyhedron,
     _primitive,
     _row_ineq,
     as_point,
@@ -134,10 +136,12 @@ def lift(model: CornerModel, l: Polyhedron, floor: int = DEFAULT_FLOOR) -> Lifte
     (see probe_rounds).
 
     The double description is read off l's, in integers, with f = nf/df:
-    a row (a, c) of l gives the cone row (df·a, −c·df − a·nf, c·df), the
-    floor adds −z − floor·t <= 0, and the generators are the apex
-    (nf, df, df) and, for each vertex (n, t) of l, its image on the floor
-    ((floor + 1)·n·df − floor·nf·t, −floor·t·df, t·df).
+    the apex (nf, df, df) and the floor images ((floor + 1)·n·df −
+    floor·nf·t, −floor·t·df, t·df) of l's vertices (n, t) span a pyramid
+    with the floor row −z − floor·t <= 0, tight on every image, and for
+    each facet row (a, c) of l the facet (df·a, −c·df − a·nf, c·df), tight
+    on the apex and where it is df²·(floor + 1)·(a·n + c·t) = 0: on the
+    images of that facet's vertices.  l's −t <= 0 gives z <= 1, no facet.
     """
     if l.dim >= MAX_DIM:
         raise GeometryError(f"lift needs a body of dimension at most {MAX_DIM - 1}, got {l.dim}")
@@ -150,16 +154,17 @@ def lift(model: CornerModel, l: Polyhedron, floor: int = DEFAULT_FLOOR) -> Lifte
     nf, df = _over_denominator(model.f)
     m, up = model.dim, (floor + 1) * df
     rows = [
-        _primitive((*(df * x for x in a), -c * df - dot(a, nf), c * df), 1) for *a, c in l.rows
+        _primitive((*(df * x for x in a), -c * df - dot(a, nf), c * df), 1)
+        for *a, c in l.rows[:-1]
     ]
-    rows += [(0,) * m + (-1, -floor), (0,) * (m + 1) + (-1,)]
     gens = [(*nf, df, df)] + [
         _primitive((*(up * x - floor * y * t for x, y in zip(n, nf)), -floor * t * df, t * df), 1)
         for *n, t in l.gens
     ]
-    masks = [sum(1 << k for k, r in enumerate(rows) if dot(r, g) == 0) for g in gens]
+    tight = [1 | sum(2 << i for i, b in enumerate(l.masks) if b >> k & 1) for k in range(len(rows))]
+    facets, masks = _facets(gens, [*rows, (0,) * m + (-1, -floor)], tight + [(1 << len(gens)) - 2])
     apex = tuple(model.f) + (Fraction(1),)
-    return LiftedCone(_canonical(m + 1, rows, gens, masks), apex, floor, l)
+    return LiftedCone(_polyhedron(m + 1, facets, gens, masks), apex, floor, l)
 
 
 def height_at(q: Polyhedron, x: Sequence) -> Optional[Fraction]:

@@ -9,17 +9,16 @@ direction's values over the generators are computed once per round
 (``_levels``); they tell which splits leave the polyhedron unchanged and
 how deep the others are, and give both pieces' row values (``_sides``),
 which tell whether a piece is empty, and so whether a split is Chvatal
-for q or confines it.
-Both planes' sections are read off the polyhedron's edge list, built
-once per round (``_section``), and a hull's facet rows come from one
-double-description (DD) step in the polar (``_join``), since the polar
-of a hull is the intersection of the polars: its seed is a
-full-dimensional piece's row and those of its facets that meet its own
-plane, its rows that plane's section and then the other plane's, whose
-row is then dropped.  Only two lower-dimensional pieces take a fresh
-conversion.  A round takes its splits deepest first and cuts as it
-goes, skipping a split whose hull holds what is left; one split is a
-round of one.
+for q or confines it.  A hull's facet rows come from one
+double-description (DD) step in the polar (``_join``), as the polar of a
+hull is the intersection of the polars: its seed is a full-dimensional
+piece's row and its facets that meet its own plane, with masks over that
+plane's section, and its new rows are the other plane's section, whose
+row is then dropped; one pass over the polyhedron's edge list, built
+once per round, reads both planes.  Only two lower-dimensional pieces
+take a fresh conversion.  A round takes its splits deepest first and
+cuts as it goes, skipping a split whose hull holds what is left; one
+split is a round of one.
 
 The 2D sweep reads its segment off the edge list (``_section``) and finds
 its start line and apex sector in closed form, in integers
@@ -49,7 +48,6 @@ from .geometry import (
     _integer,
     _over_denominator,
     _pointed_cone_rays,
-    _transpose,
 )
 from .linalg import dot, integer_solve_rows, scale_primitive
 
@@ -137,19 +135,24 @@ def _levels(q: Polyhedron, a: IntVec) -> tuple[list[int], Counter]:
     return vals, Counter(v // g[-1] for v, g in zip(vals, q.gens) if g[-1] and v % g[-1])
 
 
+def _crossing(gens: Sequence[IntVec], w: Sequence[int], i: int, j: int) -> IntVec:
+    """The point where the edge of generators i and j (w of opposite signs) crosses w = 0."""
+    p, n = (i, j) if w[i] > 0 else (j, i)
+    return _combine(w[p], gens[n], w[n], gens[p])
+
+
 def _section(q: Polyhedron, w: Sequence[int]) -> tuple[list[IntVec], list[int]]:
     """The homogeneous generators of q's section by the hyperplane of a
     row whose value on each generator is w, with their tight masks over
     q's rows: the generators on it, each with its own mask, and one
-    crossing point per edge of q (``Polyhedron._edges``) whose ends lie on
-    opposite sides, tight on the edge's common rows."""
+    crossing point (``_crossing``) per edge of q (``Polyhedron._edges``)
+    whose ends lie on opposite sides, tight on the edge's common rows."""
     gens, masks = q.gens, q.masks
     on = [k for k, x in enumerate(w) if x == 0]
     out, out_masks = [gens[k] for k in on], [masks[k] for k in on]
     for i, j, common in q._edges:
         if w[i] * w[j] < 0:
-            p, n = (i, j) if w[i] > 0 else (j, i)
-            out.append(_combine(w[p], gens[n], w[n], gens[p]))
+            out.append(_crossing(gens, w, i, j))
             out_masks.append(common)
     return out, out_masks
 
@@ -175,26 +178,38 @@ def _join(q: Polyhedron, row: IntVec, w: Sequence[int], far: Sequence[int]) -> l
     rays, but is a facet of P only if no other row is tight on all of P's
     rays, and is a seed ray only then.  In dimension 1 a pair needs no
     common row, but a vertex of q strictly between the planes leaves one
-    piece empty, so the join is not reached.  The new rows are F's points
-    not in N: a ray of q parallel to the planes lies in both and enters
-    once.
+    piece empty, so the join is not reached.  The step never reads a
+    processed row, so one pass over q's generators and edges reads N's
+    masks, with no coordinates, and F's points at t > 0, its new rows: as
+    far = t − w, F's points at t = 0, rays of q parallel to the planes and
+    crossings of edges of two rays, lie in N and enter once.
     """
-    near, near_masks = _section(q, w)
-    have = set(near)
-    rows = [*near, *(g for g in _section(q, far)[0] if g not in have)]
     gens, masks, homog = q.gens, q.masks, 1 << (len(q.rows) - 1)
-    inside = [k for k, x in enumerate(w) if x < 0]
-    seeds = reduce(or_, (masks[k] for k in inside)) & reduce(or_, near_masks)
-    if seeds & homog:
-        # P's rays: q's rays strictly inside it and N's rays
-        rays = [masks[k] for k in inside if not gens[k][-1]]
-        rays += [m for g, m in zip(near, near_masks) if not g[-1]]
-        if reduce(and_, rays) & ~homog:
-            seeds ^= homog
-    cols = _transpose(near_masks, len(q.rows))
+    inside, near, rays, new = 0, [], [], []  # P's inside, N's masks, P's rays, F's new rows
+    for g, m, x, y in zip(gens, masks, w, far):
+        if x < 0:
+            inside |= m
+        elif x == 0:
+            near.append(m)
+        elif y == 0:
+            new.append(g)
+        if x <= 0 and not g[-1]:
+            rays.append(m)
+    for i, j, common in q._edges:
+        if w[i] * w[j] < 0:
+            near.append(common)
+            if not (gens[i][-1] or gens[j][-1]):
+                rays.append(common)
+                continue
+        if far[i] * far[j] < 0:
+            new.append(_crossing(gens, far, i, j))
+    seeds = inside & reduce(or_, near)
+    if seeds & homog and reduce(and_, rays) & ~homog:
+        seeds ^= homog
     ks = [k for k in range(len(q.rows)) if seeds >> k & 1]
-    seed = [row, *(q.rows[k] for k in ks)], [(1 << len(near)) - 1, *(cols[k] for k in ks)]
-    return _pointed_cone_rays(rows, q.dim + 1, (len(near), *seed))[1]
+    cols = [sum(1 << i for i, m in enumerate(near) if m >> k & 1) for k in ks]
+    seed = [row, *(q.rows[k] for k in ks)], [(1 << len(near)) - 1, *cols]
+    return _pointed_cone_rays(new, q.dim + 1, (len(near), *seed))[1]
 
 
 def _split_rows(
@@ -318,7 +333,7 @@ def apply_round(q: Polyhedron, splits: Sequence[Split]) -> Polyhedron:
         new = [r for r in hull if r not in have]
         have.update(new)
         rows += new
-        _, gens, masks = _pointed_cone_rays(rows, q.dim + 1, (len(rows) - len(new), gens, masks))
+        _, gens, masks = _pointed_cone_rays(new, q.dim + 1, (len(rows) - len(new), gens, masks))
     return q if tuple(gens) == q.gens else _canonical(q.dim, rows, gens, masks)
 
 

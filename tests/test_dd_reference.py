@@ -609,16 +609,16 @@ def ref_piece_join(q, row, far_row):
     as processed rows, to which the points of q's section by the plane of
     ``far_row``, taken from a second seeded step, are added as rows."""
     n = len(q.rows)
-    _, gens, masks = _pointed_cone_rays([*q.rows, row], q.dim + 1, (n, q.gens, q.masks))
-    _, fgens, fmasks = _pointed_cone_rays([*q.rows, far_row], q.dim + 1, (n, q.gens, q.masks))
+    _, gens, masks = _pointed_cone_rays([row], q.dim + 1, (n, q.gens, q.masks))
+    _, fgens, fmasks = _pointed_cone_rays([far_row], q.dim + 1, (n, q.gens, q.masks))
     section = [g for g, m in zip(fgens, fmasks) if m >> n & 1]
     tight = [sum(1 << i for i, m in enumerate(masks) if m >> k & 1) for k in range(n + 1)]
     facets = [k for k, m in enumerate(tight) if [o & m for o in tight].count(m) == 1]
     have = set(gens)
-    rows = [*gens, *(g for g in section if g not in have)]
+    new = [g for g in section if g not in have]
     piece_rows = [(*q.rows, row)[k] for k in facets]
     seed = (len(gens), piece_rows, [tight[k] for k in facets])
-    return _pointed_cone_rays(rows, q.dim + 1, seed)[1], piece_rows, gens
+    return _pointed_cone_rays(new, q.dim + 1, seed)[1], piece_rows, gens
 
 
 def test_pieces_match_seeded_step():
@@ -665,7 +665,7 @@ def test_pieces_match_seeded_step():
         n = len(p.rows)
         for row, w in zip(sides, values):
             gens, masks = splits._section(p, w)
-            _, want, want_masks = _pointed_cone_rays([*p.rows, row], d + 1, (n, p.gens, p.masks))
+            _, want, want_masks = _pointed_cone_rays([row], d + 1, (n, p.gens, p.masks))
             on = {(g, m ^ 1 << n) for g, m in zip(want, want_masks) if m >> n & 1}
             assert len(gens) == len(on)
             assert set(zip(gens, masks)) == on, (pts, rays, row)
@@ -703,20 +703,28 @@ def test_section_join_matches_reference(monkeypatch):
     from-scratch reference, on the slab bodies in dimensions 1-4,
     unbounded and lower-dimensional ones included: q cut by the rows
     equals the reference hull, the join's plane row is dropped and stays
-    out of the result when the other piece reaches past its plane, each
-    point enters the polar step once, and each split reads two sections
-    (two in the fallback for two lower-dimensional pieces, none with one
-    nonempty piece)."""
+    out of the result when the other piece reaches past its plane, and the
+    join equals ``ref_piece_join`` less the piece's facets that miss its
+    near section N.  The join reads both planes in its own pass and no
+    ``_section``: its polar step has N's points, as many as ``_section``
+    finds, as processed rows and evaluates only the far section's points
+    off N, each once and each on the far plane.  The fallback for two
+    lower-dimensional pieces reads two sections, one nonempty piece none."""
     import splitlab.splits as splits
 
     sections, joins, polar = [], [], []
     section, join, dd = splits._section, splits._join, splits._pointed_cone_rays
+
+    def spy_join(*args):
+        joins.append((args, join(*args)))
+        return joins[-1][1]
+
     monkeypatch.setattr(splits, "_section", lambda *args: sections.append(args) or section(*args))
-    monkeypatch.setattr(splits, "_join", lambda *args: joins.append(args) or join(*args))
+    monkeypatch.setattr(splits, "_join", spy_join)
     monkeypatch.setattr(splits, "_pointed_cone_rays", lambda *args: polar.append(args) or dd(*args))
     rng = make_rng()
     seen = dict.fromkeys(
-        ("rays", "lower", "one", "join_lo", "join_hi", "fallback", "past"), 0
+        ("rays", "lower", "one", "join_lo", "join_hi", "fallback", "past", "dropped"), 0
     )
     kinds = ("cross", "touch_lo", "touch_hi", "slab", "miss")
     for case in range(HULL_CASES):
@@ -750,20 +758,27 @@ def test_section_join_matches_reference(monkeypatch):
             assert sections == [] and (rows is None) == (not (lo_live or hi_live)), (pts, rays, s)
             seen["one"] += lo_live or hi_live
             continue
-        assert len(sections) == 2, (pts, rays, s)
         if not joins:
+            assert len(sections) == 2, (pts, rays, s)
             seen["fallback"] += 1
             continue
-        assert len(joins) == 1 and len(polar) == 1, (pts, rays, s)
-        (_, seed_row, _, far), = joins
+        assert sections == [] and len(joins) == 1 and len(polar) == 1, (pts, rays, s)
+        ((_, seed_row, w, far), out), = joins
         # the lo piece seeds whenever it is full-dimensional
         lo_seed = seed_row == lo_row
         assert lo_seed == any(dot(lo_row, g) < 0 for g in p.gens), (pts, rays, s)
         seen["join_lo" if lo_seed else "join_hi"] += 1
         other = hi_row if lo_seed else lo_row
-        assert far == [dot(other, g) for g in p.gens]
-        (polar_rows, _, _), = polar
-        assert len(set(polar_rows)) == len(polar_rows), (pts, rays, s)
+        assert w == [dot(seed_row, g) for g in p.gens] and far == [dot(other, g) for g in p.gens]
+        want, facets, piece = ref_piece_join(p, seed_row, other)
+        near = [g for g in piece if dot(seed_row, g) == 0]
+        missing = {r for r in facets if all(dot(r, g) for g in near)}
+        assert sorted(out) == sorted(set(want) - missing), (pts, rays, s)
+        seen["dropped"] += bool(missing)
+        (new, dim, (processed, _, _)), = polar
+        assert dim == d + 1 and processed == len(section(p, w)[0]) == len(near), (pts, rays, s)
+        assert new == [g for g in section(p, far)[0] if g not in near], (pts, rays, s)
+        assert len(set(new)) == len(new) and all(dot(other, g) == 0 for g in new)
         # the join's plane row: a·x <= lo + 1 from the lo side, a·x >= lo
         # from the hi side
         plane = tuple(-x for x in other)
@@ -775,9 +790,10 @@ def test_section_join_matches_reference(monkeypatch):
 
 def test_parallel_ray_enters_the_join_once(monkeypatch):
     """A ray of q parallel to the split's planes lies in both plane
-    sections: it is one processed row of the polar step, and the far
-    section adds only its points off the near plane.  The round then cuts
-    q by the hull rows in one more step, seeded from q's state."""
+    sections: it is one processed row of the polar step, as a point of the
+    near section, and not one of its new rows, which are the far section's
+    points off the near plane.  The round then cuts q by the hull rows in
+    one more step, seeded from q's state with q's rows first."""
     import splitlab.splits as splits
 
     polar = []
@@ -791,11 +807,12 @@ def test_parallel_ray_enters_the_join_once(monkeypatch):
         s = Split((1,) + (0,) * (q.dim - 1), 0)
         polar.clear()
         assert _state(apply_split(q, s)) == _state(ref_apply_split(q, s))
-        (rows, _, (processed, _, _)), (cut_rows, d, seed) = polar
-        assert rows.count(ray + (0,)) == 1 and rows.index(ray + (0,)) < processed
-        assert all(dot(s.pi, g[:-1]) == g[-1] for g in rows[processed:])
+        (new, _, (processed, _, _)), (cut_rows, d, seed) = polar
+        near = splits._section(q, [dot(s.pi, g[:-1]) for g in q.gens])[0]
+        assert near.count(ray + (0,)) == 1 and processed == len(near)
+        assert ray + (0,) not in new and all(dot(s.pi, g[:-1]) == g[-1] for g in new)
         assert d == q.dim + 1 and seed == (len(q.rows), q.gens, q.masks)
-        assert cut_rows[: len(q.rows)] == list(q.rows)
+        assert cut_rows and not set(cut_rows) & set(q.rows)
 
 
 def test_levels_match_vertex_scan():

@@ -13,6 +13,7 @@ from splitlab.geometry import (
     NotLatticeFreeError,
     Polyhedron,
     _adjacent,
+    _canonical,
     _homog_rows,
     _iter_lattice_points,
     _pointed_cone_rays,
@@ -472,12 +473,52 @@ def test_dd_masks_and_rows_that_cut_no_ray(rng, monkeypatch):
         if not any(extra) or extra in rows:
             continue
         steps.clear()
-        _, out, out_masks = _pointed_cone_rays([*rows, extra], d, (len(rows), rays, masks))
+        _, out, out_masks = _pointed_cone_rays([extra], d, (len(rows), rays, masks))
         assert steps == [] and out == rays
         _check_dd([*rows, extra], [], out, out_masks)
         assert out_masks[k] >> len(rows) & 1
         no_cut += 1
     assert no_cut >= 20, no_cut
+
+
+def test_seeded_pass_takes_only_the_rows_left(rng):
+    """A pass seeded with p's double description takes only the new rows,
+    numbered after p's, and gives the same rays and masks as the unseeded
+    pass over p's rows and then the new ones, and the same polyhedron
+    after ``_canonical``: seeded 2D-4D polyhedra, with rays or
+    lower-dimensional among them, cut by one to three fresh rows."""
+    seen = dict.fromkeys(("rays", "lower", "cut", "kept", "empty"), 0)
+    for case in range(300):
+        dim = 2 + case % 3
+        pts = [tuple(rng.randint(-3, 3) for _ in range(dim)) for _ in range(rng.randint(2, dim + 3))]
+        if case % 4 == 1:
+            pts = [p[:-1] + (p[0],) for p in pts]  # on the plane x_dim = x_1
+        rays = [tuple(rng.randint(-2, 2) for _ in range(dim)) for _ in range(case % 4 == 2)]
+        try:
+            p = Polyhedron.from_generators(pts, [r for r in rays if any(r)])
+        except LinealityError:
+            continue
+        new, count = [], rng.randint(1, 3)
+        while len(new) < count:
+            if case % 5 == 0:
+                # a positive combination of two of p's rows cuts no generator
+                (r, e), c, k = rng.sample(p.rows, 2), rng.randint(1, 3), rng.randint(1, 3)
+                row = tuple(c * x + k * y for x, y in zip(r, e))
+            else:
+                row = tuple(rng.randint(-3, 3) for _ in range(dim + 1))
+            if any(row[:-1]) and (row := scale_primitive(row)) not in (*p.rows, *new):
+                new.append(row)
+        rows = [*p.rows, *new]
+        lines, want, want_masks = _pointed_cone_rays(rows, dim + 1)
+        _, got, got_masks = _pointed_cone_rays(new, dim + 1, (len(p.rows), p.gens, p.masks))
+        assert lines == [] and sorted(zip(got, got_masks)) == sorted(zip(want, want_masks))
+        q, ref = _canonical(dim, rows, got, got_masks), _canonical(dim, rows, want, want_masks)
+        assert (q.gens, q.rows, q.masks) == (ref.gens, ref.rows, ref.masks), (pts, rays, new)
+        seen["rays"] += bool(p.rays)
+        seen["lower"] += p.affine_dim() < dim
+        seen["empty"] += q.is_empty
+        seen["cut" if tuple(got) != p.gens else "kept"] += 1
+    assert min(seen.values()) >= 20, seen
 
 
 def test_lattice_free():

@@ -93,9 +93,9 @@ def test_no_unused_imports(path):
 # intersections, its membership, relative-interior and containment tests,
 # its equality rows, facet rows and edge list, lattice-point enumeration,
 # its cached scan and the interior-point scan, a split direction's
-# levels, the row values of a split's sides, the plane sections, the
-# polar join and the hull of a split, a round of splits with its skip test,
-# the start line and apex sector of the 2D sweep,
+# levels, the row values of a split's sides, an edge's crossing point and
+# the plane sections, the polar join and the hull of a split, a round of
+# splits with its skip test, the start line and apex sector of the 2D sweep,
 # the face incidence of the 2-hyperplane check and the affine-basis
 # labeling of the 2-partitionability search, and facet repair
 INTEGER_ONLY = {
@@ -110,7 +110,8 @@ INTEGER_ONLY = {
         "interior_integer_point",
     ),
     "splits.py": (
-        "_levels", "_sides", "_section", "_join", "_split_rows", "apply_round", "_sweep_sector",
+        "_levels", "_sides", "_crossing", "_section", "_join", "_split_rows", "apply_round",
+        "_sweep_sector",
     ),
     "certify.py": ("_faces", "is_2partitionable"),
     "ranks.py": ("rotate_facet",),

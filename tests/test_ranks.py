@@ -82,6 +82,60 @@ def test_lift_floor_is_an_integer():
         lift(TYPE1_MODEL, TYPE1_T, floor=0)
 
 
+def _lift_by_dot_products(model, l, floor):
+    """The lifted cone as ``_canonical`` over every lifted row of l, its
+    row −t <= 0 included, the floor and −t <= 0, with each generator's
+    tight mask from dot products."""
+    nf, df = geometry._over_denominator(model.f)
+    m, up = model.dim, (floor + 1) * df
+    rows = [
+        geometry._primitive((*(df * x for x in a), -c * df - dot(a, nf), c * df), 1)
+        for *a, c in l.rows
+    ]
+    rows += [(0,) * m + (-1, -floor), (0,) * (m + 1) + (-1,)]
+    gens = [(*nf, df, df)] + [
+        geometry._primitive(
+            (*(up * x - floor * y * t for x, y in zip(n, nf)), -floor * t * df, t * df), 1
+        )
+        for *n, t in l.gens
+    ]
+    masks = [sum(1 << k for k, r in enumerate(rows) if dot(r, g) == 0) for g in gens]
+    return geometry._canonical(m + 1, rows, gens, masks)
+
+
+def test_lift_reads_incidence_off_the_body():
+    """lift reads the cone's facet rows and incidence off l's double
+    description; the result equals ``_canonical`` over the same rows and
+    generators with dot-product masks, in generators, rows and masks,
+    which ``==`` ignores and so are compared on their own.  Seeded
+    lattice-free bodies in 1D, 2D and 3D and T3's vertices, floors 1, 2
+    and 64; a floor image's mask that loses a bit is caught."""
+    rng = make_rng()
+    t3 = [(0, F(3, 2), F(1, 2)), (1, 2, 0), (F(3, 2), F(5, 2), -1), (3, 0, F(-3, 2))]
+    bodies = [convex_hull(t3)]
+    while len(bodies) < 31:
+        d = 1 + len(bodies) % 3
+        pts = [
+            tuple(F(rng.randint(0, 6), rng.randint(1, 3)) for _ in range(d))
+            for _ in range(rng.randint(d + 1, d + 3))
+        ]
+        l = convex_hull(pts)
+        if l.affine_dim() == d and interior_integer_point(l) is None:
+            bodies.append(l)
+    for l in bodies:
+        f = tuple(sum(c) / len(l.vertices) for c in zip(*l.vertices))
+        model = CornerModel.make(f, [tuple(F(c) - x for c, x in zip(v, f)) for v in l.vertices])
+        for floor in (1, 2, 64):
+            got, want = lift(model, l, floor).poly, _lift_by_dot_products(model, l, floor)
+            assert (got.gens, got.rows, got.masks) == (want.gens, want.rows, want.masks), l
+            # a floor image (z < 0) whose mask loses its lowest bit
+            k = next(i for i, g in enumerate(got.gens) if g[-2] < 0)
+            masks = list(got.masks)
+            masks[k] &= masks[k] - 1
+            broken = Polyhedron(got.dim, got.gens, got.rows, tuple(masks))
+            assert broken == want and broken.masks != want.masks
+
+
 def test_lift_refuses_a_body_above_dimension_3():
     """The lifted cone adds a coordinate to the body's, and the ambient
     dimension is capped at 4: the 4D simplex x >= 0, sum(x) <= 2 is
