@@ -1,8 +1,11 @@
 """Command-line surface of the split-rank laboratory.
 
 One binary with subcommands; every command reads JSON inputs, runs the
-exact-arithmetic computation and writes a deterministic report.  Exit
-code 0 on success, 2 on any validation error in the inputs.  ``main(argv)``
+exact-arithmetic computation and writes a deterministic report, JSON by
+default.  ``--format`` offers only what a command renders: ``text`` for
+cut, check2hp and classify2d, ``csv`` and ``text`` for probe; rotate-facet
+and sweep2d write JSON and take no ``--format``.  Exit code 0 on success,
+2 on any validation error in the inputs or arguments.  ``main(argv)``
 may be called repeatedly in one process: the argument parser is built on
 the first call and reused, and nothing else carries over between calls.
 """
@@ -88,6 +91,8 @@ def cmd_check2hp(args) -> str:
 
 
 def cmd_probe(args) -> str:
+    if args.program is not None and args.bound is not None:
+        raise GeometryError("--bound applies to enumerated splits, not to --program")
     model = serialize.corner_model_from_dict(_load_json(args.model))
     l = serialize.polyhedron_from_dict(_load_json(args.body))
     cone = lift(model, l, floor=args.floor)
@@ -96,7 +101,7 @@ def cmd_probe(args) -> str:
         strategy = ExplicitStrategy(seq)
         budget = args.rounds if args.rounds is not None else len(seq.splits)
     else:
-        strategy = EnumerateStrategy(args.bound, _expanded_box(l))
+        strategy = EnumerateStrategy(1 if args.bound is None else args.bound, _expanded_box(l))
         budget = args.rounds if args.rounds is not None else 3
     witnesses = [_parse_witness(w) for w in args.witness] or [model.f]
     for w in witnesses:
@@ -150,26 +155,27 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--format", choices=["json", "csv", "text"], default="json")
+    def add_common(p, *formats):
+        if formats:
+            p.add_argument("--format", choices=["json", *formats], default="json")
         p.add_argument("--out", default=None, help="write the report to a file")
 
     p = sub.add_parser("cut", help="intersection cut of a corner model")
     p.add_argument("model", help="corner model JSON file")
     p.add_argument("body", help="lattice-free polytope JSON file")
-    add_common(p)
+    add_common(p, "text")
     p.set_defaults(func=cmd_cut)
 
     p = sub.add_parser("check2hp", help="decide the two-hyperplane property")
     p.add_argument("body", help="lattice-free polytope JSON file")
-    add_common(p)
+    add_common(p, "text")
     p.set_defaults(func=cmd_check2hp)
 
     p = sub.add_parser("probe", help="probe split rank of the lifted cone")
     p.add_argument("model", help="corner model JSON file")
     p.add_argument("body", help="lattice-free polytope JSON file")
     p.add_argument("--floor", type=int, default=DEFAULT_FLOOR, help="truncation depth")
-    p.add_argument("--bound", type=int, default=1, help="max-norm bound for enumerated splits")
+    p.add_argument("--bound", type=int, help="max-norm bound for enumerated splits (default 1)")
     p.add_argument("--rounds", type=int, default=None, help="round budget")
     p.add_argument(
         "--witness",
@@ -179,13 +185,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="height witness point (repeatable; default: the corner point)",
     )
     p.add_argument("--program", default=None, help="explicit split sequence JSON file")
-    add_common(p)
+    add_common(p, "csv", "text")
     p.set_defaults(func=cmd_probe)
 
     p = sub.add_parser("classify2d", help="classify a 2D body and test infinite rank")
     p.add_argument("model", help="corner model JSON file")
     p.add_argument("body", help="lattice-free polytope JSON file")
-    add_common(p)
+    add_common(p, "text")
     p.set_defaults(func=cmd_classify2d)
 
     p = sub.add_parser("rotate-facet", help="repair a facet hyperplane missing the lattice")

@@ -366,36 +366,6 @@ def _from_homogeneous(dim: int, gens: list[IntVec]) -> "Polyhedron":
 
 
 # ---------------------------------------------------------------------------
-# hyperplanes
-
-
-@dataclass(frozen=True)
-class Hyperplane:
-    """The set {x : normal·x = offset} in canonical form.
-
-    The normal is a coprime integer vector whose leading nonzero entry is
-    positive; the offset is a reduced rational.
-    """
-
-    normal: IntVec
-    offset: Fraction
-
-    @staticmethod
-    def make(normal: Sequence, offset) -> "Hyperplane":
-        if not any(Fraction(x) for x in normal):
-            raise GeometryError("hyperplane normal must be nonzero")
-        a, b = _row_ineq(scale_primitive(tuple(normal) + (-offset,)))
-        lead = next(x for x in a if x != 0)
-        if lead < 0:
-            a, b = tuple(-x for x in a), -b
-        return Hyperplane(a, b)
-
-    def has_integer_point(self) -> bool:
-        # with a coprime integer normal, Bezout gives a point iff offset is integer
-        return self.offset.denominator == 1
-
-
-# ---------------------------------------------------------------------------
 # the polyhedron type
 
 

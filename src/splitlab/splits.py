@@ -141,20 +141,15 @@ def _crossing(gens: Sequence[IntVec], w: Sequence[int], i: int, j: int) -> IntVe
     return _combine(w[p], gens[n], w[n], gens[p])
 
 
-def _section(q: Polyhedron, w: Sequence[int]) -> tuple[list[IntVec], list[int]]:
+def _section(q: Polyhedron, w: Sequence[int]) -> list[IntVec]:
     """The homogeneous generators of q's section by the hyperplane of a
-    row whose value on each generator is w, with their tight masks over
-    q's rows: the generators on it, each with its own mask, and one
+    row whose value on each generator is w: the generators on it and one
     crossing point (``_crossing``) per edge of q (``Polyhedron._edges``)
-    whose ends lie on opposite sides, tight on the edge's common rows."""
-    gens, masks = q.gens, q.masks
-    on = [k for k, x in enumerate(w) if x == 0]
-    out, out_masks = [gens[k] for k in on], [masks[k] for k in on]
-    for i, j, common in q._edges:
-        if w[i] * w[j] < 0:
-            out.append(_crossing(gens, w, i, j))
-            out_masks.append(common)
-    return out, out_masks
+    whose ends lie on opposite sides."""
+    gens = q.gens
+    return [g for g, x in zip(gens, w) if x == 0] + [
+        _crossing(gens, w, i, j) for i, j, _ in q._edges if w[i] * w[j] < 0
+    ]
 
 
 def _join(q: Polyhedron, row: IntVec, w: Sequence[int], far: Sequence[int]) -> list[IntVec]:
@@ -248,7 +243,7 @@ def _split_rows(
                 # the other plane's row from this side: a·x <= lo + 1 or a·x >= lo
                 plane = tuple(-x for x in other)
                 return [r for r in _join(q, row, w, far) if r != plane]
-    pieces = [[g for g, x in zip(q.gens, w) if x < 0] + _section(q, w)[0] for _, w, _ in sides]
+    pieces = [[g for g, x in zip(q.gens, w) if x < 0] + _section(q, w) for _, w, _ in sides]
     return _from_homogeneous(q.dim, list(dict.fromkeys(pieces[0] + pieces[1]))).rows
 
 
@@ -427,7 +422,7 @@ def sweep_sequence_2d(q: Polyhedron, chv: Split, p: Sequence) -> SplitSequence:
         )
     if max(below) <= 0:
         return SplitSequence.make([], [])  # nothing above the near plane
-    seg = _section(q, below)[0]
+    seg = _section(q, below)
     if len(seg) != 2:
         raise GeometryError("sweep hypothesis failed: near plane section of q is not a segment")
     if not all(g[-1] for g in seg):

@@ -16,7 +16,6 @@ from splitlab.certify import (
 )
 from splitlab.cuts import CornerModel
 from splitlab.geometry import (
-    Hyperplane,
     Polyhedron,
     apply_unimodular,
     convex_hull,
@@ -268,13 +267,13 @@ def test_criterion_7_facet_repair():
             idx = next(
                 i
                 for i, (a, b) in enumerate(facets)
-                if not Hyperplane.make(a, b).has_integer_point()
+                if b.denominator != 1
             )
             repaired = rotate_facet(body, idx)
             assert repaired.contains_polyhedron(body)
             assert lattice_points(repaired) == lattice_points(body)
             new = set(repaired.facet_inequalities()) - set(facets)
             assert new and all(
-                Hyperplane.make(a, b).has_integer_point() for a, b in new
+                b.denominator == 1 for a, b in new
             )
             repaired_count += 1

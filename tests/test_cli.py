@@ -8,7 +8,7 @@ import pytest
 from splitlab import cli
 from splitlab.cli import main
 
-from test_golden import CASES, GOLDEN
+from test_golden import CASES, GOLDEN, format_options
 
 MODEL = {
     "f": ["1/2", "1/2"],
@@ -418,14 +418,48 @@ def test_refusal_then_valid_command_gives_golden_bytes(capsys):
         assert out.encode() == (GOLDEN / "probe.text").read_bytes()
 
 
+def test_unrendered_formats_and_bound_with_program_exit_2(capsys):
+    """--format offers only the formats a command renders, so argparse
+    refuses every other one; --bound, which only enumerated splits read, is
+    refused next to --program, also at its default value.  No refusal writes
+    to stdout, and the next call gives golden bytes."""
+    commands = {argv[0]: (case, argv) for case, argv in sorted(CASES.items())}
+    rendered = {
+        (command, fmt)
+        for command in commands
+        for fmt, options in format_options(command).items()
+        if options
+    }
+    assert len(rendered) == 9
+    for command, (case, argv) in sorted(commands.items()):
+        for fmt in ("json", "csv", "text"):
+            if (command, fmt) in rendered:
+                continue
+            with pytest.raises(SystemExit) as exc:
+                main(argv + ["--format", fmt])
+            assert exc.value.code == 2
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("usage: splitlab") and "--format" in err
+            code, out, _ = run(capsys, *argv)
+            assert code == 0
+            assert out.encode() == (GOLDEN / f"{case}.json").read_bytes()
+    for bound in ("1", "2"):
+        code, out, err = run(capsys, *CASES["probe_program"], "--bound", bound)
+        assert (code, out) == (2, "")
+        assert err == "error: --bound applies to enumerated splits, not to --program\n"
+        code, out, _ = run(capsys, *CASES["probe_program"])
+        assert code == 0
+        assert out.encode() == (GOLDEN / "probe_program.json").read_bytes()
+
+
 @pytest.mark.parametrize("command", ["classify2d", "check2hp"])
 def test_one_lattice_scan_per_command(command, lattice_scans, capsys):
     """classify2d classifies the body, and its predicate classifies and
     checks the boundary hull, which is the body itself here; check2hp
     tests lattice-freeness and builds the faces.  Each reads one scan."""
-    for fmt in ("json", "csv", "text"):
+    for fmt, options in format_options(command).items():
         lattice_scans.clear()
-        code, out, _ = run(capsys, *CASES[command], "--format", fmt)
+        code, out, _ = run(capsys, *CASES[command], *options)
         assert code == 0
         assert out.encode() == (GOLDEN / f"{command}.{fmt}").read_bytes()
         assert len(lattice_scans) == 1, fmt

@@ -1,5 +1,6 @@
-"""The CLI contract on arbitrary documents: every subcommand exits 0 or 2,
-writes nothing to stdout when it exits 2, and lets no exception escape.
+"""The CLI contract on arbitrary documents: every subcommand, in each format
+it renders, exits 0 or 2, writes nothing to stdout when it exits 2, and
+lets no exception escape.
 
 The documents are random JSON trees over the file-format keys and
 well-formed random polyhedra, corner models and splits in dimensions 1-4.
@@ -15,6 +16,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from splitlab.cli import main
+
+from test_golden import format_options
 
 # refused: Fraction's parse time grows superlinearly with an exponent's value
 EXPONENTS = ["1e2", "-5E-1", "1e10000000"]
@@ -98,9 +101,10 @@ COMMANDS = {
 @given(
     command=st.sampled_from(sorted(COMMANDS)),
     docs=documents(),
-    fmt=st.sampled_from(["json", "csv", "text"]),
+    data=st.data(),
 )
-def test_every_document_exits_0_or_2(tmp_path_factory, command, docs, fmt):
+def test_every_document_exits_0_or_2(tmp_path_factory, command, docs, data):
+    options = data.draw(st.sampled_from(sorted(format_options(command).values())))
     folder = tmp_path_factory.getbasetemp()
     files = {}
     for name, doc in zip(("model", "body", "split"), docs):
@@ -109,7 +113,7 @@ def test_every_document_exits_0_or_2(tmp_path_factory, command, docs, fmt):
         files[name] = str(path)
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(COMMANDS[command](files) + ["--format", fmt])
+        code = main(COMMANDS[command](files) + options)
     assert code in (0, 2), (command, docs)
     if code == 2:
         assert out.getvalue() == ""

@@ -48,7 +48,7 @@ from splitlab.geometry import (
 from splitlab.cuts import CornerModel
 from splitlab.linalg import _echelon, dot, rank, scale_primitive
 from splitlab.ranks import EnumerateStrategy, height_at, lift, max_height
-from splitlab.splits import Split, apply_round, apply_split, embed_normal
+from splitlab.splits import Split, _section, apply_round, apply_split, embed_normal
 
 from conftest import _reference_nullspace, all_faces, make_rng
 
@@ -525,6 +525,17 @@ def _slab_body(rng, d, kind):
 HULL_CASES = 400
 
 
+def section_with_masks(q, w):
+    """``splits._section`` of q by the plane whose values on q's generators
+    are w, with each point's tight mask over q's rows in the same order: a
+    generator on the plane keeps its own mask, and the crossing point of
+    an edge whose ends lie on opposite sides is tight on the edge's common
+    rows."""
+    masks = [m for m, x in zip(q.masks, w) if x == 0]
+    masks += [common for i, j, common in q._edges if w[i] * w[j] < 0]
+    return _section(q, w), masks
+
+
 def test_hull_paths_match_reference(monkeypatch):
     """Every path of a split's hull rows against the from-scratch reference:
     the polar join from the lo piece or the hi piece, the fresh pass
@@ -594,7 +605,7 @@ def test_hull_paths_match_reference(monkeypatch):
             assert apply_split(p, Split(a, int(b)).partner()) is p
         row = scale_primitive(a + (-b,))
         k = p.rows.index(row)
-        gens, masks = splits._section(p, [dot(row, g) for g in p.gens])
+        gens, masks = section_with_masks(p, [dot(row, g) for g in p.gens])
         on = [i for i, m in enumerate(p.masks) if m >> k & 1]
         assert (gens, masks) == ([p.gens[i] for i in on], [p.masks[i] for i in on])
         seen["dup_row"] += 1
@@ -622,12 +633,13 @@ def ref_piece_join(q, row, far_row):
 
 
 def test_pieces_match_seeded_step():
-    """Each side's plane section read off the edge list, with its masks,
-    against the generators of one seeded double-description step from the
-    same state that lie on the row; and the polar join seeded from the
-    piece's row and its facets that meet the near section against the
-    piece-seeded join it replaced (``ref_piece_join``): the same rays, less
-    exactly the facets of the piece that miss the near section.  On the
+    """Each side's plane section read off the edge list, with its masks
+    (``section_with_masks``), against the generators of one seeded
+    double-description step from the same state that lie on the row; and
+    the polar join seeded from the piece's row and its facets that meet
+    the near section against the piece-seeded join it replaced
+    (``ref_piece_join``): the same rays, less exactly the facets of the
+    piece that miss the near section.  On the
     slab bodies in dimensions 1-4, unbounded and lower-dimensional ones
     included; the join wherever it runs (a full-dimensional q with a
     vertex strictly between the planes and two pieces with a point)."""
@@ -664,7 +676,7 @@ def test_pieces_match_seeded_step():
         values = [[dot(row, g) for g in p.gens] for row in sides]
         n = len(p.rows)
         for row, w in zip(sides, values):
-            gens, masks = splits._section(p, w)
+            gens, masks = section_with_masks(p, w)
             _, want, want_masks = _pointed_cone_rays([row], d + 1, (n, p.gens, p.masks))
             on = {(g, m ^ 1 << n) for g, m in zip(want, want_masks) if m >> n & 1}
             assert len(gens) == len(on)
@@ -776,8 +788,8 @@ def test_section_join_matches_reference(monkeypatch):
         assert sorted(out) == sorted(set(want) - missing), (pts, rays, s)
         seen["dropped"] += bool(missing)
         (new, dim, (processed, _, _)), = polar
-        assert dim == d + 1 and processed == len(section(p, w)[0]) == len(near), (pts, rays, s)
-        assert new == [g for g in section(p, far)[0] if g not in near], (pts, rays, s)
+        assert dim == d + 1 and processed == len(section(p, w)) == len(near), (pts, rays, s)
+        assert new == [g for g in section(p, far) if g not in near], (pts, rays, s)
         assert len(set(new)) == len(new) and all(dot(other, g) == 0 for g in new)
         # the join's plane row: a·x <= lo + 1 from the lo side, a·x >= lo
         # from the hi side
@@ -808,7 +820,7 @@ def test_parallel_ray_enters_the_join_once(monkeypatch):
         polar.clear()
         assert _state(apply_split(q, s)) == _state(ref_apply_split(q, s))
         (new, _, (processed, _, _)), (cut_rows, d, seed) = polar
-        near = splits._section(q, [dot(s.pi, g[:-1]) for g in q.gens])[0]
+        near = splits._section(q, [dot(s.pi, g[:-1]) for g in q.gens])
         assert near.count(ray + (0,)) == 1 and processed == len(near)
         assert ray + (0,) not in new and all(dot(s.pi, g[:-1]) == g[-1] for g in new)
         assert d == q.dim + 1 and seed == (len(q.rows), q.gens, q.masks)

@@ -8,7 +8,6 @@ import pytest
 
 from splitlab.geometry import (
     GeometryError,
-    Hyperplane,
     LinealityError,
     NotLatticeFreeError,
     Polyhedron,
@@ -142,13 +141,16 @@ def test_affine_hull_segment():
     # each equality is kept as a pair of opposite rows, and they are the non-facets
     paired = [(a, b) for a, b in seg.inequalities if (tuple(-x for x in a), -b) in rows]
     assert set(paired) == rows - set(seg.facet_inequalities())
-    planes = {Hyperplane.make(a, b) for a, b in paired}
+    # each plane once, its normal's leading nonzero entry positive
+    planes = {
+        (a, b) if next(x for x in a if x) > 0 else (tuple(-x for x in a), -b) for a, b in paired
+    }
     assert seg.affine_dim() == 1
-    normals = {h.normal for h in planes}
+    normals = {a for a, _ in planes}
     assert len(paired) == 4
     assert len(planes) == 2
     # the two planes are x1 = 0 and x3 = 1 up to sign conventions
-    assert all(h.has_integer_point() for h in planes)
+    assert all(b.denominator == 1 for _, b in planes)
     assert (1, 0, 0) in normals
     assert (0, 0, 1) in normals
 
@@ -649,6 +651,25 @@ def test_apply_unimodular_preserves_lattice_counts_randomized():
 
 
 def test_hyperplane_integer_points():
-    assert Hyperplane.make((2, 2), F(2)).has_integer_point()
-    assert not Hyperplane.make((2, 2), F(1)).has_integer_point()
-    assert not Hyperplane.make((2, 0), F(1)).has_integer_point()
+    """Every row of a body has a coprime integer normal, so by Bezout its
+    plane a·x = b holds an integer point iff b is an integer: the facet
+    repair tests read that as ``b.denominator == 1``."""
+    square = Polyhedron.from_inequalities(
+        [((2, 2), F(2)), ((2, 0), F(1)), ((-2, 0), F(1)), ((0, -2), F(1))], 2
+    )
+    assert square.facet_inequalities() == [
+        ((-1, 0), F(1, 2)), ((0, -1), F(1, 2)), ((1, 0), F(1, 2)), ((1, 1), F(1))
+    ]
+    rng, seen = make_rng(), set()
+    for _ in range(60):
+        dim = rng.randint(1, 3)
+        body = convex_hull(
+            [tuple(F(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(dim))
+             for _ in range(dim + 2)]
+        )
+        for a, b in body.inequalities:
+            assert gcd(*a) == 1
+            point = integer_solve([(tuple(b.denominator * x for x in a), b.numerator)])
+            assert (point is not None) == (b.denominator == 1), (a, b)
+            seen.add(point is not None)
+    assert seen == {True, False}

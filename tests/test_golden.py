@@ -1,4 +1,4 @@
-"""Byte-for-byte CLI reports: every subcommand in every --format.
+"""Byte-for-byte CLI reports: every subcommand in every --format it offers.
 
 The inputs are the README examples (body, corner model and split), the
 rotate-facet and sweep2d bodies of ``test_cli.py``, the 3D bodies ``L_P``
@@ -6,7 +6,9 @@ and ``L_PRIME`` of the acceptance tests, and the unit square with its
 four unit rays and the one split x <= 0 or x >= 1, a probe that reaches
 height 0 at round 1 and has an empty fiber at its second witness; the
 expected
-stdout of each case lives in ``tests/golden/<case>.<format>``.  After a
+stdout of each case lives in ``tests/golden/<case>.<format>``, for each
+format the subcommand's parser offers (``json`` alone, passed as no
+option, for a subcommand without ``--format``).  After a
 deliberate change of a report, rewrite the files with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -14,6 +16,7 @@ deliberate change of a report, rewrite the files with
 and record the change.
 """
 
+import argparse
 import contextlib
 import io
 import sys
@@ -21,10 +24,19 @@ from pathlib import Path
 
 import pytest
 
-from splitlab.cli import main
+from splitlab.cli import build_parser, main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
-FORMATS = ("json", "csv", "text")
+
+
+def format_options(command: str) -> dict[str, list[str]]:
+    """The formats a subcommand renders, read off the parser, each with the
+    options that select it: a subcommand without ``--format`` writes JSON."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    fmt = next((a for a in sub.choices[command]._actions if a.dest == "format"), None)
+    if fmt is None:
+        return {"json": []}
+    return {f: ["--format", f] for f in fmt.choices}
 
 
 def _input(name: str) -> str:
@@ -65,18 +77,24 @@ def _run(argv: list[str]) -> tuple[int, str]:
     return code, out.getvalue()
 
 
-@pytest.mark.parametrize("fmt", FORMATS)
-@pytest.mark.parametrize("case", sorted(CASES))
-def test_golden_stdout(case, fmt):
-    code, out = _run(CASES[case] + ["--format", fmt])
+# (case, format, argv) for every case in every format its command renders
+RUNS = [
+    (case, fmt, argv + options)
+    for case, argv in sorted(CASES.items())
+    for fmt, options in format_options(argv[0]).items()
+]
+
+
+@pytest.mark.parametrize("case, fmt, argv", RUNS, ids=[f"{c}-{f}" for c, f, _ in RUNS])
+def test_golden_stdout(case, fmt, argv):
+    code, out = _run(argv)
     assert code == 0
     assert out.encode() == (GOLDEN / f"{case}.{fmt}").read_bytes()
 
 
 if __name__ == "__main__":
-    for case, argv in sorted(CASES.items()):
-        for fmt in FORMATS:
-            code, out = _run(argv + ["--format", fmt])
-            if code != 0:
-                sys.exit(f"{case} --format {fmt} exited {code}")
-            (GOLDEN / f"{case}.{fmt}").write_bytes(out.encode())
+    for case, fmt, argv in RUNS:
+        code, out = _run(argv)
+        if code != 0:
+            sys.exit(f"{case} {fmt} exited {code}")
+        (GOLDEN / f"{case}.{fmt}").write_bytes(out.encode())

@@ -9,7 +9,6 @@ from splitlab import cuts, geometry, ranks
 from splitlab.cuts import CornerModel
 from splitlab.geometry import (
     GeometryError,
-    Hyperplane,
     Polyhedron,
     convex_hull,
     interior_integer_point,
@@ -476,7 +475,7 @@ def _reference_rotate_facet(l, facet_index):
     if not 0 <= facet_index < len(facets):
         raise GeometryError("facet index out of range")
     a1, b1 = facets[facet_index]
-    if Hyperplane.make(a1, b1).has_integer_point():
+    if b1.denominator == 1:
         raise GeometryError("facet hyperplane already contains integer points")
     m = l.dim
     beta = ceil(b1)
@@ -505,9 +504,7 @@ def _reference_rotate_facet(l, facet_index):
             and lattice_points(candidate) == lattice_points(l)
         ):
             new_facets = set(candidate.facet_inequalities()) - set(others)
-            if new_facets and all(
-                Hyperplane.make(aa, bb).has_integer_point() for aa, bb in new_facets
-            ):
+            if new_facets and all(bb.denominator == 1 for _, bb in new_facets):
                 return candidate
         lam *= 2
     raise GeometryError("facet repair did not converge")
@@ -562,7 +559,7 @@ def test_rotate_facet_matches_doubling_reference():
     repaired = refused = 0
     for body in _lattice_free_polytopes(make_rng(), 80):
         for index, (a, b) in enumerate(body.facet_inequalities()):
-            if Hyperplane.make(a, b).has_integer_point():
+            if b.denominator == 1:
                 continue
             got = _repair(rotate_facet, body, index)
             want = _repair(_reference_rotate_facet, body, index)
