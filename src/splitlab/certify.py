@@ -34,10 +34,9 @@ from .geometry import (
     _integer,
     as_point,
     cone_rays,
-    integer_solve,
     require_lattice_free,
 )
-from .linalg import _echelon, dot, scale_primitive
+from .linalg import _echelon, dot, integer_solve_rows, scale_primitive
 from .splits import Split
 
 
@@ -160,7 +159,7 @@ def is_2partitionable(points: Sequence[Sequence]) -> PartitionCertificate:
     lhs = [q + (-1,) for q in ints]
     for combo in sorted(candidates, key=lambda c: (len(c), c)):
         chosen = set(combo)
-        sol = integer_solve([(a, 0 if i in chosen else 1) for i, a in enumerate(lhs)])
+        sol = integer_solve_rows([(a, 0 if i in chosen else 1) for i, a in enumerate(lhs)])
         if sol is None:
             continue
         split = Split(sol[:m], sol[m])

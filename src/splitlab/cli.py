@@ -159,6 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
         if formats:
             p.add_argument("--format", choices=["json", *formats], default="json")
         p.add_argument("--out", default=None, help="write the report to a file")
+        p.set_defaults(parser=p)
 
     p = sub.add_parser("cut", help="intersection cut of a corner model")
     p.add_argument("model", help="corner model JSON file")
@@ -218,7 +219,11 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    args = _parser().parse_args(argv)
+    # parse_args would refuse a subcommand's leftover arguments under the
+    # top-level usage; the subcommand refuses them under its own
+    args, extra = _parser().parse_known_args(argv)
+    if extra:
+        args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         _write(args.func(args), args.out)
     except NotLatticeFreeError as exc:

@@ -56,15 +56,6 @@ class CutCoefficients:
     psi: tuple[Fraction, ...]
 
 
-def _check_gauge_input(l: Polyhedron, f: Point, r: Point) -> None:
-    if not l.is_bounded:
-        raise GeometryError("gauge requires a bounded set")
-    if not any(r):
-        raise GeometryError("gauge of the zero ray is undefined")
-    if not l.interior_contains(f):
-        raise GeometryError("reference point must lie in the interior")
-
-
 def gauge(l: Polyhedron, f: Sequence, r: Sequence) -> Fraction:
     """psi(r) = 1/max{lambda >= 0 : f + lambda r in L}.
 
@@ -76,7 +67,12 @@ def gauge(l: Polyhedron, f: Sequence, r: Sequence) -> Fraction:
     since f is interior; the largest is kept by cross-multiplying.
     """
     fp, rp = as_point(f), as_point(r)
-    _check_gauge_input(l, fp, rp)
+    if not l.is_bounded:
+        raise GeometryError("gauge requires a bounded set")
+    if not any(rp):
+        raise GeometryError("gauge of the zero ray is undefined")
+    if not l.interior_contains(fp):
+        raise GeometryError("reference point must lie in the interior")
     (F, d), (R, e) = _over_denominator(fp), _over_denominator(rp)
     h = (*F, d)
     num, den = 0, 1
@@ -104,18 +100,6 @@ def intersection_cut(model: CornerModel, l: Polyhedron) -> CutCoefficients:
     return CutCoefficients(tuple(gauge(l, model.f, r) for r in model.rays))
 
 
-def _boundary_points(model: CornerModel, l: Polyhedron) -> list[Point]:
-    """The boundary point of L on each ray of the model, in ray order."""
-    if not l.interior_contains(model.f):
-        raise GeometryError("reference point must lie in the interior")
-    return [boundary_point(l, model.f, r) for r in model.rays]
-
-
-def rays_into_corners(model: CornerModel, l: Polyhedron) -> bool:
-    """True iff every vertex of L is hit by the boundary point of some ray."""
-    return set(_boundary_points(model, l)) >= set(l.vertices)
-
-
 def boundary_hull(model: CornerModel, l: Polyhedron) -> Polyhedron:
     """Convex hull of the ray boundary points of L; L itself when it is.
 
@@ -123,5 +107,7 @@ def boundary_hull(model: CornerModel, l: Polyhedron) -> Polyhedron:
     every vertex of L.  L is then returned as it is, without a conversion
     pass, and it keeps its cached views, such as its lattice scan.
     """
-    pts = _boundary_points(model, l)
+    if not l.interior_contains(model.f):
+        raise GeometryError("reference point must lie in the interior")
+    pts = [boundary_point(l, model.f, r) for r in model.rays]
     return l if set(pts) >= set(l.vertices) else convex_hull(pts)

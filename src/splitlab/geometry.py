@@ -51,7 +51,6 @@ from .linalg import (
     _echelon,
     det,
     dot,
-    integer_solve_rows,
     rank,
     scale_primitive,
 )
@@ -301,19 +300,12 @@ def _facets(
     """The sorted rows with a nonzero normal that are tight on some
     generator (a point's polar has a ray tight on none), whose generator
     masks are ``row_masks``, and each generator's tight mask over them
-    followed by the homogenizing row −t <= 0."""
+    followed by the homogenizing row −t <= 0 (tight on rays)."""
     out = {r: m for r, m in zip(rows, row_masks) if m and any(r[:-1])}
     facets = sorted(out)
-    return facets, _incidence([out[r] for r in facets], gens)
-
-
-def _incidence(row_masks: list[int], gens: list[IntVec]) -> list[int]:
-    """Each generator's tight mask over the rows whose generator masks are
-    ``row_masks``, followed by the homogenizing row −t <= 0 (tight on rays)."""
-    homog = 1 << len(row_masks)
-    return [
-        m | (0 if g[-1] else homog) for m, g in zip(_transpose(row_masks, len(gens)), gens)
-    ]
+    homog = 1 << len(facets)
+    tight = _transpose([out[r] for r in facets], len(gens))
+    return facets, [m | (0 if g[-1] else homog) for m, g in zip(tight, gens)]
 
 
 def _polyhedron(
@@ -621,11 +613,6 @@ def _iter_lattice_points(p: Polyhedron) -> Iterator[IntVec]:
             prefix.pop()
 
     yield from recurse([], 0)
-
-
-def integer_solve(rows: Sequence[tuple[Sequence[int], int]]) -> Optional[IntVec]:
-    """An integer solution of the equality system {a_i·x = b_i}, if any."""
-    return integer_solve_rows([(tuple(_integer(x) for x in a), _integer(b)) for a, b in rows])
 
 
 def apply_unimodular(p: Polyhedron, u: Sequence[Sequence[int]], shift: Sequence[int]) -> Polyhedron:

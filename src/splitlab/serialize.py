@@ -171,9 +171,7 @@ def sequence_from_dict(data: dict) -> SplitSequence:
         raise GeometryError("split sequence JSON needs a 'splits' field")
     splits = [split_from_dict(s) for s in _list(data["splits"], "'splits'")]
     prov = data.get("provenance")
-    if prov is not None and len(_list(prov, "'provenance'")) != len(splits):
-        raise GeometryError("one provenance tag per split required")
-    return SplitSequence.make(splits, prov)
+    return SplitSequence.make(splits, None if prov is None else _list(prov, "'provenance'"))
 
 
 # ---------------------------------------------------------------------------

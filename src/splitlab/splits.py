@@ -39,7 +39,6 @@ from typing import Optional, Sequence
 from .geometry import (
     GeometryError,
     IntVec,
-    Point,
     Polyhedron,
     as_point,
     _canonical,
@@ -439,7 +438,7 @@ def sweep_sequence_2d(q: Polyhedron, chv: Split, p: Sequence) -> SplitSequence:
     splits: list[Split] = []
     current = q
     for a0, a1 in ((end0, end1), (end1, end0)):
-        u = scale_dir(a1, a0)
+        u = scale_primitive(tuple(x - y for x, y in zip(a1, a0)))
         ks = _sweep_sector(qbar.rows, a0, u, d, (*pn, ps))
         # the lines in the reference scan's window [-cap, cap], cap = 8·(extent + 2)·scale + 8
         extent = max(abs(c - a0[i]) for v in (*qbar.vertices, pp) for i, c in enumerate(v))
@@ -463,9 +462,3 @@ def sweep_sequence_2d(q: Polyhedron, chv: Split, p: Sequence) -> SplitSequence:
     if not pyramid.contains_polyhedron(upper):
         raise GeometryError("sweep postcondition failed: result escapes the pyramid")
     return SplitSequence.make(splits, ["sweep"] * len(splits))
-
-
-def scale_dir(to_point: Point, from_point: Point) -> IntVec:
-    return scale_primitive(
-        tuple(to_point[i] - from_point[i] for i in range(len(to_point)))
-    )

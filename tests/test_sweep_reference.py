@@ -21,13 +21,12 @@ from typing import Optional
 import pytest
 
 from splitlab.geometry import GeometryError, Polyhedron, apply_unimodular, as_point, convex_hull
-from splitlab.linalg import dot, integer_solve_rows
+from splitlab.linalg import dot, integer_solve_rows, scale_primitive
 from splitlab.splits import (
     Split,
     SplitSequence,
     apply_split,
     embed_normal,
-    scale_dir,
     sweep_sequence_2d,
 )
 
@@ -118,7 +117,7 @@ def ref_sweep(q: Polyhedron, chv: Split, p) -> SplitSequence:
     splits: list[Split] = []
     current = q
     for a0, a1 in ((end0, end1), (end1, end0)):
-        u = scale_dir(a1, a0)
+        u = scale_primitive(tuple(x - y for x, y in zip(a1, a0)))
         if not seg.contains(tuple(a0[i] + u[i] for i in range(2))):
             raise GeometryError("segment too short")
         d = _choose_translation(pi, u)
