@@ -79,10 +79,11 @@ class Classification2D:
 
 
 def _faces(p: Polyhedron, points: Sequence[IntVec]) -> list[tuple[Face, int]]:
-    """The nonempty faces of a polytope p, sorted by affine dimension and
-    then vertices, each with the bitmask of the homogeneous integer
+    """The faces of a bounded nonempty polytope p, sorted by affine dimension
+    and then vertices, each with the bitmask of the homogeneous integer
     ``points`` (n, t) on it (bit i is points[i]).  The points must lie in
-    p and include its generators, in primitive form.
+    p and include its generators, in primitive form.  The one caller passes
+    l itself or the hull of l's lattice points, once l has a lattice point.
 
     A face's points are those tight on some of p's kept rows, so with one
     integer incidence of the points with the rows, the faces' point sets
@@ -94,10 +95,6 @@ def _faces(p: Polyhedron, points: Sequence[IntVec]) -> list[tuple[Face, int]]:
     largest of its proper subfaces' (each has fewer points), and 0 for a
     vertex, which has none.
     """
-    if p.is_empty:
-        return []
-    if not p.is_bounded:
-        raise GeometryError("face enumeration needs a bounded polyhedron")
     # p.vertices: the generators over a common denominator, sorted
     t = lcm(*(g[-1] for g in p.gens))
     order = sorted(p.gens, key=lambda g: [c * (t // g[-1]) for c in g[:-1]])
@@ -208,7 +205,9 @@ def classify_2d(l: Polyhedron) -> Classification2D:
     Slab pattern first (two parallel facets on consecutive integer
     levels of a common normal), then the maximality criterion: every
     facet must carry an integer point in its relative interior.
-    Maximal sets are a triangle of type 1, 2 or 3 or a quadrilateral.
+    Maximal sets are a triangle of type 1, 2 or 3 or a quadrilateral: a
+    bounded maximal lattice-free set in the plane has 3 or 4 facets
+    (Lovász 1989; Basu, Conforti, Cornuéjols and Zambelli 2010).
     """
     if l.dim != 2:
         raise GeometryError("classification is only defined in dimension 2")
@@ -241,9 +240,7 @@ def classify_2d(l: Polyhedron) -> Classification2D:
         if any(c >= 2 for c in relint_counts):
             return Classification2D("triangle_type2", pts)
         return Classification2D("triangle_type3", pts)
-    if len(facets) == 4:
-        return Classification2D("quadrilateral", pts)
-    return Classification2D("other", pts)
+    return Classification2D("quadrilateral", pts)
 
 
 def infinite_rank_2d(model: CornerModel, l: Polyhedron) -> bool:

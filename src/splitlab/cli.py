@@ -22,7 +22,7 @@ from typing import Optional
 from . import serialize
 from .certify import _infinite_rank_2d, classify_2d, has_2hyperplane_property
 from .cuts import intersection_cut
-from .geometry import GeometryError, NotLatticeFreeError, Polyhedron
+from .geometry import GeometryError, Polyhedron
 from .ranks import (
     DEFAULT_FLOOR,
     EnumerateStrategy,
@@ -226,10 +226,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         _write(args.func(args), args.out)
-    except NotLatticeFreeError as exc:
-        w = ", ".join(serialize.emit_rational(c) for c in exc.witness)
-        sys.stderr.write(f"error: body is not lattice-free; interior integer point ({w})\n")
-        return 2
     except GeometryError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -64,7 +64,9 @@ def gauge(l: Polyhedron, f: Sequence, r: Sequence) -> Fraction:
     rows the ray moves toward, so psi is the largest reciprocal.  With
     f = F/d and r = R/e over common denominators, a row with a·R > 0
     gives psi = d·(a·R) / (−e·(a·F + c·d)), whose denominator is positive
-    since f is interior; the largest is kept by cross-multiplying.
+    since f is interior; the largest is kept by cross-multiplying.  A
+    bounded L with an interior point has no recession direction, so some
+    row has a·R > 0 and every nonzero ray exits.
     """
     fp, rp = as_point(f), as_point(r)
     if not l.is_bounded:
@@ -82,8 +84,6 @@ def gauge(l: Polyhedron, f: Sequence, r: Sequence) -> Fraction:
             top, bottom = d * slope, -e * dot(row, h)
             if top * den > num * bottom:
                 num, den = top, bottom
-    if not num:
-        raise GeometryError("ray never exits the set; input is unbounded")
     return Fraction(num, den)
 
 

@@ -74,7 +74,8 @@ class NotLatticeFreeError(GeometryError):
     """Raised when a set required to be lattice-free has an interior integer point."""
 
     def __init__(self, witness: Point):
-        super().__init__(f"set is not lattice-free, interior integer point {witness}")
+        w = ", ".join(map(str, witness))
+        super().__init__(f"body is not lattice-free; interior integer point ({w})")
         self.witness = witness
 
 
@@ -396,7 +397,7 @@ class Polyhedron:
         if len(dims) > 1:
             raise GeometryError("generators have mismatched dimensions")
         if not dims:
-            raise GeometryError("cannot infer dimension from empty input")
+            raise GeometryError("cannot infer dimension from empty input; use Polyhedron.empty")
         dim = dims.pop()
         _check_dim(dim)
         gens = [scale_primitive(p + (1,)) for p in pts] + [scale_primitive(r) + (0,) for r in rays]
@@ -553,8 +554,6 @@ class Polyhedron:
 
 def convex_hull(points: Sequence[Sequence], rays: Sequence[Sequence] = ()) -> Polyhedron:
     """Hull of the given points plus conic combinations of the rays."""
-    if not points and not rays:
-        raise GeometryError("convex_hull of empty input needs a dimension; use Polyhedron.empty")
     return Polyhedron.from_generators(points, rays)
 
 

@@ -134,9 +134,7 @@ def _column_echelon(matrix: Sequence[Sequence[int]], m: int):
 
 
 def integer_solve_rows(rows: Sequence[tuple[Sequence[int], int]]) -> Optional[IntVector]:
-    """An integer solution of {a_i·x = b_i}, or None when none exists."""
-    if not rows:
-        return None
+    """An integer solution of {a_i·x = b_i}, one row or more, or None when none exists."""
     m = len(rows[0][0])
     H, U, pivots = _column_echelon([a for a, _ in rows], m)
     y = [0] * m

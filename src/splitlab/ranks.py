@@ -309,18 +309,15 @@ def necessity_witness(l: Polyhedron) -> Optional[tuple[Face, Point]]:
 def execute_finite_rank(
     cone: LiftedCone,
     program: tuple[SplitSequence, Split],
-    cap: int = 64,
 ) -> ProbeReport:
     """Drive the lifted cone's height to zero with a validated program.
 
     One iteration performs, for each program split, a round of facet
     splits around the current shadow polytope followed by the split
-    itself, and finishes with the englobing split.  Up to cap iterations
+    itself, and finishes with the englobing split.  Up to 64 iterations
     run through ``_drive``, the loop shared with probe_rounds.  Every
     application is counted toward q, the reported split-rank upper bound.
     """
-    if cap < 1:
-        raise GeometryError("cap must be a positive number of iterations")
     sequence, englobing = program
     _in_x_space(cone, [*sequence.splits, englobing])
     # validate against the shadow sequence in x-space
@@ -341,7 +338,7 @@ def execute_finite_rank(
     for shadow, s in zip(shadows, sequence.splits):
         steps += [(facet_splits(shadow), "facet-round"), ([s], "user")]
     steps.append(([englobing], "user"))
-    return _drive(cone, [steps] * cap, [cone.apex[:-1]], count_splits=True)
+    return _drive(cone, [steps] * 64, [cone.apex[:-1]], count_splits=True)
 
 
 # ---------------------------------------------------------------------------

@@ -103,9 +103,6 @@ def polyhedron_from_dict(data: dict) -> Polyhedron:
     for v in verts + rays:
         if len(v) != dim:
             raise GeometryError("generator dimension mismatch")
-    for a, _ in ineqs:
-        if len(a) != dim:
-            raise GeometryError("inequality dimension mismatch")
     if verts or rays:
         p = Polyhedron.from_generators(verts, rays)
         if ineqs:
@@ -171,7 +168,9 @@ def sequence_from_dict(data: dict) -> SplitSequence:
         raise GeometryError("split sequence JSON needs a 'splits' field")
     splits = [split_from_dict(s) for s in _list(data["splits"], "'splits'")]
     prov = data.get("provenance")
-    return SplitSequence.make(splits, None if prov is None else _list(prov, "'provenance'"))
+    if prov is not None and not all(isinstance(t, str) for t in _list(prov, "'provenance'")):
+        raise GeometryError("provenance tags must be strings")
+    return SplitSequence.make(splits, prov)
 
 
 # ---------------------------------------------------------------------------

@@ -68,8 +68,7 @@ def test_cut_text_and_slab(files, capsys):
 def test_cut_rejects_non_lattice_free(files, capsys):
     code, _, err = run(capsys, "cut", files("m.json", MODEL), files("l.json", FAT))
     assert code == 2
-    assert "not lattice-free" in err
-    assert "(1, 1)" in err
+    assert err == "error: body is not lattice-free; interior integer point (1, 1)\n"
 
 
 def test_check2hp(files, capsys):
@@ -316,6 +315,17 @@ def test_probe_program_splits_must_live_in_x_space(files, capsys, pi):
     assert code == 2
     assert out == ""
     assert err == "error: split coordinates do not fit the ambient dimension\n"
+
+
+def test_probe_program_provenance_tags_must_be_strings(files, capsys):
+    program = {"splits": [{"pi": ["1", "0"], "pi0": "0"}], "provenance": [{"x": 1}]}
+    code, out, err = run(
+        capsys, "probe", files("m.json", MODEL), files("l.json", BODY),
+        "--program", files("p.json", program),
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: provenance tags must be strings\n"
 
 
 def test_exponent_exits_2_at_once(files, capsys, tmp_path):

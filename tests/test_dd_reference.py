@@ -1262,6 +1262,15 @@ BODIES_2D = [
 ]
 
 
+# a bounded lattice-free body is a split, not maximal, or maximal, and a
+# bounded maximal lattice-free set in the plane is a triangle or a
+# quadrilateral (Lovász 1989; Basu, Conforti, Cornuéjols, Zambelli 2010)
+KINDS_2D = {
+    "split", "non_maximal", "triangle_type1", "triangle_type2", "triangle_type3",
+    "quadrilateral",
+}
+
+
 def test_classify_2d_matches_reference():
     """classify_2d on integer rows, points and corners against the
     classification on the Fraction views, on seeded lattice-free bodies
@@ -1277,11 +1286,9 @@ def test_classify_2d_matches_reference():
         if l.affine_dim() < 2:
             continue
         got = classify_2d(l)
+        assert got.kind in KINDS_2D, l
         want = ref_classify_2d(l)
         assert (got.kind, got.integer_points_on_boundary) == want, l
         assert all(type(c) is Fraction for q in got.integer_points_on_boundary for c in q)
         kinds[got.kind] = kinds.get(got.kind, 0) + 1
-    assert set(kinds) >= {
-        "split", "non_maximal", "triangle_type1", "triangle_type2", "triangle_type3",
-        "quadrilateral",
-    }, kinds
+    assert set(kinds) == KINDS_2D, kinds

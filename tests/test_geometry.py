@@ -530,6 +530,9 @@ def test_lattice_free():
     w = err.value.witness
     assert fat.interior_contains(w)
     assert all(c.denominator == 1 for c in w)
+    # the message renders the witness as the reports render rationals
+    message = "body is not lattice-free; interior integer point (1, 1/2)"
+    assert str(NotLatticeFreeError((F(1), F(1, 2)))) == message
 
 
 def test_interior_integer_point():

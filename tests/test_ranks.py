@@ -411,16 +411,11 @@ def test_executor_rejects_type1_programs():
         )
 
 
-def test_executor_refuses_a_cap_below_one():
-    # as probe_rounds refuses a budget below one: no split would be applied
+def test_probe_rounds_refuses_a_budget_below_one():
+    # no split would be applied
     cone = lift(SQ_MODEL, UNIT_SQ, floor=8)
-    program = (SplitSequence.make([]), Split.make((1, 0), 0))
-    for cap in (0, -3):
-        with pytest.raises(GeometryError, match="cap must be a positive"):
-            execute_finite_rank(cone, program, cap)
     with pytest.raises(GeometryError, match="budget must be a positive"):
-        probe_rounds(cone, ExplicitStrategy(program[0]), 0, [SQ_MODEL.f])
-    assert execute_finite_rank(cone, program, 1).q == 1
+        probe_rounds(cone, ExplicitStrategy(SplitSequence.make([])), 0, [SQ_MODEL.f])
 
 
 def test_executor_refuses_splits_outside_x_space():

@@ -36,11 +36,11 @@ REFUSALS = {
     ),
     "no_generators": (
         lambda: Polyhedron.from_generators([]),
-        "cannot infer dimension from empty input",
+        "cannot infer dimension from empty input; use Polyhedron.empty",
     ),
     "hull_of_nothing": (
         lambda: convex_hull([]),
-        "convex_hull of empty input needs a dimension; use Polyhedron.empty",
+        "cannot infer dimension from empty input; use Polyhedron.empty",
     ),
     "box_of_empty": (lambda: EMPTY.bounding_box(), "empty polyhedron has no bounding box"),
     "box_of_unbounded": (lambda: RAY.bounding_box(), "unbounded polyhedron has no bounding box"),
@@ -109,6 +109,12 @@ REFUSALS = {
             {"splits": [{"pi": ["1", "0"], "pi0": "0"}], "provenance": ["a", "b"]}
         ),
         "one provenance tag per split required",
+    ),
+    "provenance_not_strings": (
+        lambda: serialize.sequence_from_dict(
+            {"splits": [{"pi": ["1", "0"], "pi0": "0"}], "provenance": [{"x": 1}]}
+        ),
+        "provenance tags must be strings",
     ),
     "rational_of_bool": (lambda: serialize.parse_rational(True), "not a rational: True"),
 }
