@@ -99,7 +99,8 @@ def cmd_probe(args) -> str:
     if args.program is not None:
         seq = serialize.sequence_from_dict(_load_json(args.program))
         strategy = ExplicitStrategy(seq)
-        budget = args.rounds if args.rounds is not None else len(seq.splits)
+        # at least one round, so that the strategy refuses an empty program
+        budget = args.rounds if args.rounds is not None else len(seq.splits) or 1
     else:
         strategy = EnumerateStrategy(1 if args.bound is None else args.bound, _expanded_box(l))
         budget = args.rounds if args.rounds is not None else 3

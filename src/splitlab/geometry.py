@@ -80,13 +80,15 @@ class NotLatticeFreeError(GeometryError):
 
 
 def as_point(coords: Sequence) -> Point:
-    return tuple(Fraction(c) for c in coords)
+    return tuple(c if type(c) is Fraction else Fraction(c) for c in coords)
 
 
 def _over_denominator(v: Sequence) -> tuple[IntVec, int]:
     """(n, d) with v = n/d: the rational vector v over its least common
     denominator d >= 1, so that signs of integer row products with (n, d)
-    are the signs with (v, 1)."""
+    are the signs with (v, 1).  (*n, d) is primitive: each prime power
+    exactly dividing d exactly divides some entry's denominator, and the
+    prime then divides neither that entry's numerator nor d over it."""
     v = [x if type(x) is int or type(x) is Fraction else Fraction(x) for x in v]
     d = lcm(*(x.denominator for x in v))
     return tuple(x.numerator * (d // x.denominator) for x in v), d
@@ -140,12 +142,15 @@ def _pointed_cone_rays(
     rays, masks)`` is the DD of a pointed cone cut out by k processed rows
     (bits 0..k−1); ``rows`` are the rows left, bit k + i for rows[i], and
     no line phase runs.
-    A row that cuts no ray only marks the rays it is tight on.  Every
-    other row is one DD step over the pointed part: the rays with r·x <= 0
-    stay, tight on the row where r·x = 0, and each positive × negative
-    pair that shares at least (pointed dimension − 2) tight rows and
-    passes ``_adjacent`` gives the ray where its edge crosses the row's
-    hyperplane, tight exactly where both ends are and on the row.
+    Every row that cuts no remaining line is one DD step over the pointed
+    part, which reads each ray once: the rays with r·x <= 0 stay, in
+    order, tight on the row where r·x = 0, and the positive and negative
+    rays are set aside with their masks and values.  Each positive ×
+    negative pair that shares at least (pointed dimension − 2) tight rows
+    and passes ``_adjacent`` (over the masks before the step) gives the
+    ray where its edge crosses the row's hyperplane, tight exactly where
+    both ends are and on the row.  A row that cuts no ray has no pair,
+    so it only marks the rays it is tight on.
     """
     if seed is None:
         start, rays, masks = 0, [], []
@@ -165,20 +170,24 @@ def _pointed_cone_rays(
                 rays.append(tuple(-sgn * y for y in l))
                 masks = [m | bit for m in masks] + [bit - 1]
                 continue
-        vals = [sum(map(mul, a, r)) for r in rays]
-        pos = [i for i, v in enumerate(vals) if v > 0]
-        if not pos:
-            masks = [m | bit if v == 0 else m for m, v in zip(masks, vals)]
-            continue
+        out, out_masks, pos, neg = [], [], [], []
+        for r, m in zip(rays, masks):
+            v = sum(map(mul, a, r))
+            if v > 0:
+                pos.append((m, v, r))
+                continue
+            if v:
+                neg.append((m, v, r))
+            else:
+                m |= bit
+            out.append(r)
+            out_masks.append(m)
         need = d - len(lines) - 2
-        neg = [j for j, v in enumerate(vals) if v < 0]
-        out = [r for r, v in zip(rays, vals) if v <= 0]
-        out_masks = [m | bit if v == 0 else m for m, v in zip(masks, vals) if v <= 0]
-        for i in pos:
-            for j in neg:
-                common = masks[i] & masks[j]
+        for mi, vi, ri in pos:
+            for mj, vj, rj in neg:
+                common = mi & mj
                 if common.bit_count() >= need and _adjacent(masks, common):
-                    out.append(_combine(vals[i], rays[j], vals[j], rays[i]))
+                    out.append(_combine(vi, rj, vj, ri))
                     out_masks.append(common | bit)
         rays, masks = out, out_masks
     return lines, rays, masks
@@ -400,7 +409,8 @@ class Polyhedron:
             raise GeometryError("cannot infer dimension from empty input; use Polyhedron.empty")
         dim = dims.pop()
         _check_dim(dim)
-        gens = [scale_primitive(p + (1,)) for p in pts] + [scale_primitive(r) + (0,) for r in rays]
+        gens = [(*n, t) for n, t in map(_over_denominator, pts)]
+        gens += [scale_primitive(r) + (0,) for r in rays]
         return _from_homogeneous(dim, list(dict.fromkeys(gens)))
 
     @staticmethod
@@ -595,9 +605,6 @@ def _iter_lattice_points(p: Polyhedron) -> Iterator[IntVec]:
     ]
 
     def recurse(prefix: list[int], depth: int) -> Iterator[IntVec]:
-        if depth == d:
-            yield tuple(prefix)
-            return
         lo_k, hi_k = lo[depth], hi[depth]
         for head, c, tail in bounds[depth]:
             # c·x_k <= rem: x_k <= floor(rem / c) for c > 0, >= ceil(rem / c) for c < 0
@@ -606,6 +613,10 @@ def _iter_lattice_points(p: Polyhedron) -> Iterator[IntVec]:
                 hi_k = min(hi_k, rem // c)
             else:
                 lo_k = max(lo_k, -(rem // -c))
+        if depth == d - 1:
+            for v in range(lo_k, hi_k + 1):
+                yield (*prefix, v)
+            return
         for v in range(lo_k, hi_k + 1):
             prefix.append(v)
             yield from recurse(prefix, depth + 1)

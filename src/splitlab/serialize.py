@@ -45,7 +45,8 @@ def parse_rational(text: Any) -> Fraction:
 
 
 def emit_rational(x: Fraction) -> str:
-    x = Fraction(x)
+    if type(x) is not Fraction:
+        x = Fraction(x)
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"
@@ -53,7 +54,8 @@ def emit_rational(x: Fraction) -> str:
 
 def emit_decimal(x: Fraction) -> str:
     """Truncated (toward minus infinity) rendering to ``DECIMAL_DIGITS`` places."""
-    x = Fraction(x)
+    if type(x) is not Fraction:
+        x = Fraction(x)
     scaled = (x.numerator * 10**DECIMAL_DIGITS) // x.denominator
     sign = "-" if scaled < 0 else ""
     whole, frac = divmod(abs(scaled), 10**DECIMAL_DIGITS)

@@ -27,13 +27,12 @@ its length has a budget measured from the segment's endpoints."""
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import product
 from math import ceil, gcd
-from operator import and_, itemgetter, or_
+from operator import and_, itemgetter, mul, or_
 from typing import Optional, Sequence
 
 from .geometry import (
@@ -47,6 +46,7 @@ from .geometry import (
     _integer,
     _over_denominator,
     _pointed_cone_rays,
+    _transpose,
 )
 from .linalg import dot, integer_solve_rows, scale_primitive
 
@@ -126,12 +126,20 @@ def _sides(q: Polyhedron, a: IntVec, vals: Sequence[int], lo: int) -> list[tuple
     ]
 
 
-def _levels(q: Polyhedron, a: IntVec) -> tuple[list[int], Counter]:
-    """a·n for each generator (n, t) of q, and the depth of each level k: how
-    many vertices of q lie strictly between a·x = k and k + 1.  A split off
-    these levels leaves q unchanged, as every generator lies in one of its pieces."""
-    vals = [dot(a, g[:-1]) for g in q.gens]
-    return vals, Counter(v // g[-1] for v, g in zip(vals, q.gens) if g[-1] and v % g[-1])
+def _levels(q: Polyhedron, a: IntVec) -> tuple[list[int], dict[int, int]]:
+    """a·n for each generator (n, t) of q, and a dict from each level k to
+    its depth: how many vertices of q lie strictly between a·x = k and
+    k + 1.  A split off these levels leaves q unchanged, as every generator
+    lies in one of its pieces.  a has q.dim entries, so its product with a
+    whole generator (n, t) is a·n."""
+    vals = [sum(map(mul, a, g)) for g in q.gens]
+    depth: dict[int, int] = {}
+    for v, g in zip(vals, q.gens):
+        t = g[-1]
+        if t and v % t:
+            k = v // t
+            depth[k] = depth.get(k, 0) + 1
+    return vals, depth
 
 
 def _crossing(gens: Sequence[IntVec], w: Sequence[int], i: int, j: int) -> IntVec:
@@ -201,8 +209,8 @@ def _join(q: Polyhedron, row: IntVec, w: Sequence[int], far: Sequence[int]) -> l
     if seeds & homog and reduce(and_, rays) & ~homog:
         seeds ^= homog
     ks = [k for k in range(len(q.rows)) if seeds >> k & 1]
-    cols = [sum(1 << i for i, m in enumerate(near) if m >> k & 1) for k in ks]
-    seed = [row, *(q.rows[k] for k in ks)], [(1 << len(near)) - 1, *cols]
+    cols = _transpose(near, len(q.rows))
+    seed = [row, *(q.rows[k] for k in ks)], [(1 << len(near)) - 1, *(cols[k] for k in ks)]
     return _pointed_cone_rays(new, q.dim + 1, (len(near), *seed))[1]
 
 
@@ -301,7 +309,9 @@ def apply_round(q: Polyhedron, splits: Sequence[Split]) -> Polyhedron:
     deepest first (``_levels``; ties in the given order).  Each cuts the
     round's running intersection R, a raw double description seeded from
     q's, by its hull rows on q (``_split_rows``) that R lacks, in one DD
-    step, unless no vertex of R lies strictly between its planes: R lies
+    step, unless no vertex of R lies strictly between its planes, that is
+    unless no generator g = (n, t) of R has 0 < r·g < t for the split's row
+    r = (a, −lo), the lo piece's row: R lies
     in q, so each vertex of R lies in one closed piece, and R's rays are
     q's, which the hull keeps (with two pieces its recession cone is q's;
     with one, q has no ray into the empty side), so R lies in the hull.
@@ -319,7 +329,8 @@ def apply_round(q: Polyhedron, splits: Sequence[Split]) -> Polyhedron:
     rows, gens, masks = list(q.rows), q.gens, q.masks
     have = set(rows)
     for _, a, vals, lo in sorted(live, key=itemgetter(0)):
-        if not any(lo * g[-1] < dot(a, g[:-1]) < (lo + 1) * g[-1] for g in gens):
+        row = (*a, -lo)
+        if not any(0 < sum(map(mul, row, g)) < g[-1] for g in gens):
             continue
         hull = _split_rows(q, a, vals, lo)
         if hull is None:

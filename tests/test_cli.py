@@ -328,6 +328,19 @@ def test_probe_program_provenance_tags_must_be_strings(files, capsys):
     assert err == "error: provenance tags must be strings\n"
 
 
+@pytest.mark.parametrize("rounds", [[], ["--rounds", "2"]], ids=["no_rounds", "rounds_2"])
+def test_probe_empty_program_is_refused_as_empty(files, capsys, rounds):
+    # without --rounds the budget is the program's length, which must not
+    # turn an empty program into a budget refusal
+    code, out, err = run(
+        capsys, "probe", files("m.json", MODEL), files("l.json", BODY),
+        "--program", files("p.json", {"splits": []}), *rounds,
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: strategy produced an empty split set\n"
+
+
 def test_exponent_exits_2_at_once(files, capsys, tmp_path):
     # Fraction("1e10000000") alone takes seconds, and longer for larger exponents
     doc = tmp_path / "exponent.json"

@@ -13,11 +13,14 @@ from splitlab.geometry import (
     Polyhedron,
     _adjacent,
     _canonical,
+    _combine,
     _homog_rows,
     _iter_lattice_points,
+    _over_denominator,
     _pointed_cone_rays,
     _row_ineq,
     apply_unimodular,
+    as_point,
     cone_rays,
     convex_hull,
     interior_integer_point,
@@ -519,6 +522,100 @@ def test_seeded_pass_takes_only_the_rows_left(rng):
         seen["lower"] += p.affine_dim() < dim
         seen["empty"] += q.is_empty
         seen["cut" if tuple(got) != p.gens else "kept"] += 1
+    assert min(seen.values()) >= 20, seen
+
+
+def _three_pass_cone_rays(rows, d, seed=None):
+    """Reference copy of ``_pointed_cone_rays`` whose DD step reads the
+    rays in three passes: the positive indices, then the negative ones,
+    then the kept rays with their marked masks."""
+    if seed is None:
+        start, rays, masks = 0, [], []
+        lines = [tuple(int(i == j) for j in range(d)) for i in range(d)]
+    else:
+        (start, rays, masks), lines = seed, []
+    for idx, a in enumerate(rows, start):
+        bit = 1 << idx
+        if lines:
+            lvals = [dot(a, l) for l in lines]
+            cut = next((i for i, v in enumerate(lvals) if v != 0), None)
+            if cut is not None:
+                l, al = lines.pop(cut), lvals.pop(cut)
+                sgn = 1 if al > 0 else -1
+                lines = [_combine(al, m, am, l) for m, am in zip(lines, lvals)]
+                rays = [_combine(abs(al), r, sgn * dot(a, r), l) for r in rays]
+                rays.append(tuple(-sgn * y for y in l))
+                masks = [m | bit for m in masks] + [bit - 1]
+                continue
+        vals = [dot(a, r) for r in rays]
+        pos = [i for i, v in enumerate(vals) if v > 0]
+        if not pos:
+            masks = [m | bit if v == 0 else m for m, v in zip(masks, vals)]
+            continue
+        need = d - len(lines) - 2
+        neg = [j for j, v in enumerate(vals) if v < 0]
+        out = [r for r, v in zip(rays, vals) if v <= 0]
+        out_masks = [m | bit if v == 0 else m for m, v in zip(masks, vals) if v <= 0]
+        for i in pos:
+            for j in neg:
+                common = masks[i] & masks[j]
+                if common.bit_count() >= need and _adjacent(masks, common):
+                    out.append(_combine(vals[i], rays[j], vals[j], rays[i]))
+                    out_masks.append(common | bit)
+        rays, masks = out, out_masks
+    return lines, rays, masks
+
+
+def test_dd_step_matches_the_three_pass_reference(rng):
+    """_pointed_cone_rays gives the same (lines, rays, masks), order
+    included, as the three-pass reference: unseeded on seeded row sets in
+    d = 2-5, and seeded with a pointed prefix's state on the rows left,
+    among them rows that cut no ray (a positive combination of two rows)."""
+    seen = dict.fromkeys(("lines", "pointed", "seeded", "no_cut"), 0)
+    for case in range(400):
+        d = 2 + case % 4
+        rows = [tuple(rng.randint(-3, 3) for _ in range(d)) for _ in range(rng.randint(2, d + 5))]
+        want = _three_pass_cone_rays(rows, d)
+        assert _pointed_cone_rays(rows, d) == want, rows
+        seen["lines" if want[0] else "pointed"] += 1
+        k = rng.randint(1, len(rows) - 1)
+        head, tail = rows[:k], rows[k:]
+        lines, rays, masks = _three_pass_cone_rays(head, d)
+        if lines:
+            continue
+        if case % 2 == 0:
+            (r, e), c, f = rng.sample(head, 2), rng.randint(1, 3), rng.randint(1, 3)
+            tail = [tuple(c * x + f * y for x, y in zip(r, e)), *tail]
+            seen["no_cut"] += 1
+        seed = (k, rays, masks)
+        assert _pointed_cone_rays(tail, d, seed) == _three_pass_cone_rays(tail, d, seed), rows
+        seen["seeded"] += 1
+    assert min(seen.values()) >= 40, seen
+
+
+def test_point_generator_over_its_denominator(rng):
+    """A point's homogeneous generator (*n, t), with (n, t) from
+    ``_over_denominator``, is scale_primitive(p + (1,)) and coprime, on
+    seeded points in 1D-4D with negative, zero, integral and mixed
+    denominators; as_point gives each int, str and Fraction coordinate as
+    the Fraction of its value."""
+    seen = dict.fromkeys(("integral", "common", "mixed", "zero", "negative"), 0)
+    for case in range(400):
+        dim = 1 + case % 4
+        p = tuple(F(rng.randint(-9, 9), rng.choice((1, 1, 2, 3, 4, 6))) for _ in range(dim))
+        n, t = _over_denominator(p)
+        assert (*n, t) == scale_primitive(p + (1,)), p
+        assert gcd(*n, t) == 1 and t >= 1
+        dens = {x.denominator for x in p}
+        seen["integral" if dens == {1} else "mixed" if len(dens) > 1 else "common"] += 1
+        seen["zero"] += 0 in p
+        seen["negative"] += any(x < 0 for x in p)
+        forms = [p, tuple(map(str, p)), tuple(f"{2 * x.numerator}/{2 * x.denominator}" for x in p)]
+        if dens == {1}:
+            forms.append(tuple(x.numerator for x in p))
+        for q in forms:
+            got = as_point(q)
+            assert got == p and all(type(x) is Fraction for x in got), q
     assert min(seen.values()) >= 20, seen
 
 

@@ -5,7 +5,7 @@ from math import ceil, floor
 
 import pytest
 
-from splitlab import cuts, geometry, ranks
+from splitlab import cuts, geometry, ranks, splits
 from splitlab.cuts import CornerModel
 from splitlab.geometry import (
     GeometryError,
@@ -365,6 +365,43 @@ def test_heights_match_reference_on_probe_rounds():
     assert_heights_match(cone.poly, witnesses)
     q = apply_round(cone.poly, EnumerateStrategy(1, box).splits_for_round(1))
     assert_heights_match(q, witnesses)
+
+
+L_P = convex_hull([(F(1, 4), F(1, 4), F(3, 2)), (F(-1, 2), F(-1, 2), 0),
+                   (F(5, 2), F(-1, 2), 0), (F(-1, 2), F(5, 2), 0)])
+L_P_MODEL = CornerModel.make((F(1, 2), F(1, 2), F(1, 2)), [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+
+
+@pytest.mark.parametrize(
+    "model, body, floor, box, rounds, work, tops",
+    [
+        (TYPE1_MODEL, TYPE1_T, 4, PROBE_BOX, 3, [8, 8, 16, 91, 62], [1, F(1, 2), F(1, 4), F(1, 8)]),
+        (L_P_MODEL, L_P, 1, None, 1, [18, 11, 29, 139, 129], [1, F(8, 23)]),
+    ],
+    ids=["type1", "l_p"],
+)
+def test_probe_work_is_pinned(monkeypatch, model, body, floor, box, rounds, work, tops):
+    """The deterministic work of a probe: split hulls, polar joins and DD
+    passes of splits, and the adjacency tests and ray combinations of
+    geometry, counted over an enumerated probe (bound 1; L_P's box is its
+    own widened by 1).  A change to how much DD work a probe does shows
+    up here, with the same maximum heights."""
+    cone = lift(model, body, floor=floor)
+    box = box or tuple((lo - 1, hi + 1) for lo, hi in body.bounding_box())
+    names = [(splits, "_split_rows"), (splits, "_join"), (splits, "_pointed_cone_rays"),
+             (geometry, "_adjacent"), (geometry, "_combine")]
+    calls = dict.fromkeys(names, 0)
+    for mod, name in names:
+        fn = getattr(mod, name)
+
+        def counting(*args, key=(mod, name), fn=fn):
+            calls[key] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(mod, name, counting)
+    report = probe_rounds(cone, EnumerateStrategy(1, box), rounds, [model.f])
+    assert list(calls.values()) == work
+    assert [p.global_max for p in report.profiles] == tops
 
 
 def test_executor_slab():

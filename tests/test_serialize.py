@@ -38,6 +38,31 @@ def test_decimal_rendering():
     assert serialize.emit_decimal(F(2)) == "2.000000000000"
 
 
+def test_rational_views_of_each_input_type(rng):
+    """emit_rational and emit_decimal give the same bytes for an int, a
+    str, a Fraction and an integral Fraction of one value: fixed cases,
+    then seeded values, each rendered from all of its forms."""
+    cases = [
+        (3, "3", "3.000000000000"),
+        (-7, "-7", "-7.000000000000"),
+        ("-6/4", "-3/2", "-1.500000000000"),
+        ("0", "0", "0.000000000000"),
+        (F(-1, 3), "-1/3", "-0.333333333334"),
+        (F(8, 4), "2", "2.000000000000"),
+        (F(0), "0", "0.000000000000"),
+    ]
+    for x, rational, decimal in cases:
+        assert (serialize.emit_rational(x), serialize.emit_decimal(x)) == (rational, decimal)
+    for _ in range(200):
+        value = F(rng.randint(-50, 50), rng.choice((1, 1, 2, 3, 7, 12)))
+        forms = [value, str(value), f"{value.numerator * 3}/{value.denominator * 3}"]
+        if value.denominator == 1:
+            forms.append(value.numerator)
+        emitted = {(serialize.emit_rational(x), serialize.emit_decimal(x)) for x in forms}
+        assert emitted == {(serialize.emit_rational(value), serialize.emit_decimal(value))}
+        assert serialize.parse_rational(emitted.pop()[0]) == value
+
+
 def test_polyhedron_round_trip():
     p = convex_hull([(0, 0), (2, 0), (0, 2)])
     data = serialize.polyhedron_to_dict(p)
