@@ -367,6 +367,16 @@ def _from_homogeneous(dim: int, gens: list[IntVec]) -> "Polyhedron":
     return _polyhedron(dim, rows, [gens[k] for k in keep], [masks[k] for k in keep])
 
 
+def _cut_by(d: int, rows: tuple, gens: Sequence, masks: Sequence, cuts: Sequence) -> tuple:
+    """The double description (rows, gens, masks) in dimension d cut by the
+    distinct primitive homogeneous rows ``cuts`` it lacks, in order, by DD
+    steps seeded from it: raw, with its rows in the order processed."""
+    have = set(rows)
+    new = [r for r in cuts if r not in have]
+    _, gens, masks = _pointed_cone_rays(new, d + 1, (len(rows), gens, masks))
+    return (*rows, *new), gens, masks
+
+
 # ---------------------------------------------------------------------------
 # the polyhedron type
 
@@ -446,14 +456,6 @@ class Polyhedron:
     def is_bounded(self) -> bool:
         return all(g[-1] for g in self.gens)
 
-    def contains(self, point: Sequence) -> bool:
-        """Membership in integers, as in ``relint_contains`` (the empty set's t <= 0 fails)."""
-        n, d = _over_denominator(point)
-        if len(n) != self.dim:
-            raise GeometryError("point dimension mismatch")
-        h = (*n, d)
-        return all(dot(r, h) <= 0 for r in self.rows[:-1])
-
     def facet_inequalities(self) -> list[Inequality]:
         """The sorted views of ``_facet_rows``: 0·x <= −1 for the empty set."""
         return sorted(map(_row_ineq, self._facet_rows))
@@ -530,26 +532,15 @@ class Polyhedron:
             raise GeometryError("dimension mismatch in intersection")
         return self._cut(_homog_rows([(as_point(a), Fraction(b))], self.dim))
 
-    def intersect(self, other: "Polyhedron") -> "Polyhedron":
-        """self cut by other's rows; the empty other's row t <= 0 cuts every vertex."""
-        if self.dim != other.dim:
-            raise GeometryError("dimension mismatch in intersection")
-        return self._cut(other.rows)
-
     def _cut(self, rows: Sequence[IntVec]) -> "Polyhedron":
         """self intersected with the distinct primitive homogeneous rows, by
         DD steps from self's state for the rows it does not have yet, in
-        order; self itself if none of them cuts it, as none cuts the empty
-        self, which has no generator.  ``_canonical`` decides emptiness."""
-        have = set(self.rows)
-        new = [r for r in rows if r not in have]
-        _, out, out_masks = _pointed_cone_rays(
-            new, self.dim + 1, (len(self.rows), self.gens, self.masks)
-        )
+        order (``_cut_by``); self itself if none of them cuts it, as none
+        cuts the empty self, which has no generator.  ``_canonical``
+        decides emptiness."""
+        out = _cut_by(self.dim, self.rows, self.gens, self.masks, rows)
         # a cut drops a generator, so the extreme rays change
-        if tuple(out) == self.gens:
-            return self
-        return _canonical(self.dim, [*self.rows, *new], out, out_masks)
+        return self if tuple(out[1]) == self.gens else _canonical(self.dim, *out)
 
     def contains_polyhedron(self, other: "Polyhedron") -> bool:
         if other.dim != self.dim:

@@ -8,7 +8,9 @@ to truncated lifts, records height profiles, certifies persistence
 witnesses and repairs facets whose hyperplanes miss the integer lattice.
 Strategies (``probe_rounds``) and validated programs
 (``execute_finite_rank``) share one loop, ``_drive``, that applies the
-rounds, profiles the heights and decides the verdict.
+rounds, profiles the heights and decides the verdict.  Nothing reads the
+last round's polyhedron, so it is evaluated only at its top vertex and at
+the witnesses, which is exact: a point in every split's hull lies in it.
 """
 
 from __future__ import annotations
@@ -16,8 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import takewhile
+from itertools import chain, pairwise, takewhile
 from math import gcd
+from operator import mul
 from typing import Iterable, Optional, Sequence, Union
 
 from .certify import Face, has_2hyperplane_property
@@ -25,9 +28,11 @@ from .cuts import CornerModel
 from .geometry import (
     MAX_DIM,
     GeometryError,
+    IntVec,
     Point,
     Polyhedron,
     _canonical,
+    _cut_by,
     _facets,
     _h_to_v,
     _integer,
@@ -42,6 +47,8 @@ from .linalg import _column_echelon, dot, integer_solve_rows, rank
 from .splits import (
     Split,
     SplitSequence,
+    _live,
+    _split_rows,
     apply_round,
     apply_split,
     classify_split,
@@ -199,23 +206,67 @@ def height_at(q: Polyhedron, x: Sequence) -> Optional[Fraction]:
     return Fraction(num, den)
 
 
+def _top(gens: Sequence[IntVec]) -> Optional[IntVec]:
+    """The first vertex (n, t) with the largest n_z/t, in integers; None with none."""
+    top = None
+    for g in gens:
+        if g[-1] and (top is None or g[-2] * top[-1] > top[-2] * g[-1]):
+            top = g
+    return top
+
+
 def max_height(q: Polyhedron) -> Optional[Fraction]:
-    """Maximum z over q, the largest n_z/t over its vertices (n, t);
-    None encodes the empty polyhedron."""
-    if q.is_empty:
-        return None
+    """Maximum z over q, the largest n_z/t over its vertices (n, t); None if empty."""
     if any(g[-2] > 0 and not g[-1] for g in q.gens):
         raise GeometryError("polyhedron is unbounded in the z direction")
-    num, den = 0, 0
-    for g in q.gens:
-        if g[-1] and (den == 0 or g[-2] * den > num * g[-1]):
-            num, den = g[-2], g[-1]
-    return Fraction(num, den)
+    top = _top(q.gens)
+    return None if top is None else Fraction(top[-2], top[-1])
 
 
 def _profile(q: Polyhedron, witnesses: Sequence[Point]) -> HeightProfile:
     samples = tuple((w, height_at(q, w)) for w in witnesses)
     return HeightProfile(samples, max_height(q))
+
+
+def _round_profile(
+    q: Polyhedron, splits: Sequence[Split], witnesses: Sequence[Point]
+) -> HeightProfile:
+    """``_profile(apply_round(q, splits), witnesses)``, read only at the
+    round's top vertex and each witness's fiber top, by separation.  R, q
+    cut by some live splits' hulls (``_live``), holds the round's result Q;
+    it is raw (``_cut_by``), which ``height_at`` and ``max_height`` read as
+    they read any rows and generators.  A point p of R lies in Q iff it
+    lies in every hull, as it does unless strictly between a split's
+    planes.  So R is cut by the hull (``_split_rows``, once per split) of
+    the first live split with p strictly between its planes and outside
+    its hull, until none is: p then lies in Q, highest there as in R."""
+    live, hulls = _live(q, splits), {}
+
+    def cut(r: Polyhedron, p: IntVec) -> Optional[Polyhedron]:
+        for i, (_, row, a, vals, lo) in enumerate(live):
+            if 0 < sum(map(mul, row, p)) < p[-1]:
+                if i not in hulls:  # no rows when R lies in the hull, as in apply_round
+                    held = not any(0 < sum(map(mul, row, g)) < g[-1] for g in r.gens)
+                    hulls[i] = () if held else _split_rows(q, a, vals, lo)
+                if hulls[i] is None:
+                    return Polyhedron.empty(q.dim)
+                if any(sum(map(mul, h, p)) > 0 for h in hulls[i]):
+                    rows, gens, masks = _cut_by(q.dim, r.rows, r.gens, r.masks, hulls[i])
+                    return Polyhedron(q.dim, tuple(gens), rows, tuple(masks))
+        return None  # p lies in every hull
+
+    r = q
+    while (p := _top(r.gens)) and (s := cut(r, p)):
+        r = s
+    top, samples = max_height(r), []
+    for w in witnesses:
+        while (h := height_at(r, w)) is not None:
+            n, d = _over_denominator((*w, h))
+            if not (s := cut(r, (*n, d))):
+                break
+            r = s
+        samples.append((w, h))
+    return HeightProfile(tuple(samples), top)
 
 
 def _in_x_space(cone: LiftedCone, splits: Sequence[Split]) -> Sequence[Split]:
@@ -237,7 +288,8 @@ def _drive(
     ``apply_round`` (one split is a round of one, as in ``apply_split``).
     The heights are profiled after each round, up to the first round
     whose maximum height is nonpositive; q is the number of rounds then,
-    or of splits with count_splits.
+    or of splits with count_splits.  The last round is read only at its
+    top vertex and the witnesses: a point in every split's hull is in it.
     """
     q = cone.poly
     profiles = [_profile(q, witnesses)]
@@ -245,12 +297,14 @@ def _drive(
     tags: list[str] = []
     verdict = "persists_positive_through_budget"
     q_stop: Optional[int] = None
-    for steps in rounds:
-        for splits, tag in steps:
-            q = apply_round(q, splits)
+    for steps, later in pairwise(chain(rounds, [None])):
+        last = later is None  # nothing reads this round's polyhedron
+        for k, (splits, tag) in enumerate(steps, 1):
+            if not last or k < len(steps):
+                q = apply_round(q, splits)
             applied.extend(splits)
             tags.extend([tag] * len(splits))
-        profiles.append(_profile(q, witnesses))
+        profiles.append(_round_profile(q, splits, witnesses) if last else _profile(q, witnesses))
         top = profiles[-1].global_max
         if top is None or top <= 0:
             verdict = "height_nonpositive_at_round_q"
@@ -272,12 +326,14 @@ def probe_rounds(
     round's set (one split per round for an explicit sequence), each a
     split of the cone's x-space; the rounds run through ``_drive``, the
     loop shared with execute_finite_rank, up to the budget or until the
-    strategy has no splits left.  A round at which the maximum height
-    becomes nonpositive certifies that many rounds as an upper bound on
-    the split rank of the floor-truncated set only: the truncation can
-    lower heights, so the untruncated cone may still be positive there
-    (T3 reaches height 0 at round 5 with floor 2 but is about 0.1094
-    without the floor).
+    strategy has no splits left.  The last round is read only at its top
+    vertex and the witnesses (``_round_profile``), exactly, as a point in
+    every split's hull lies in the round.  A round at which the maximum
+    height becomes nonpositive certifies that
+    many rounds as an upper bound on the split rank of the floor-truncated set
+    only: the truncation can lower heights, so the untruncated cone may still
+    be positive there (T3 reaches height 0 at round 5 with floor 2 but is
+    about 0.1094 without the floor).
     """
     if budget < 1:
         raise GeometryError("budget must be a positive number of rounds")

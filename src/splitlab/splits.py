@@ -42,6 +42,7 @@ from .geometry import (
     as_point,
     _canonical,
     _combine,
+    _cut_by,
     _from_homogeneous,
     _integer,
     _over_denominator,
@@ -300,16 +301,30 @@ def facet_splits(qx: Polyhedron) -> list[Split]:
     return [Split(a, ceil(b) - 1) for a, b in qx.facet_inequalities()]
 
 
+def _live(q: Polyhedron, splits: Sequence[Split]) -> list[tuple]:
+    """(−depth, row, a, vals, lo) of each split a·x <= lo or a·x >= lo + 1 with
+    a vertex of q strictly between its planes (``_levels``), deepest first (ties
+    in the given order), a = pi on q's leading coordinates, row = (a, −lo)."""
+    levels, live = {}, []
+    for s in splits:
+        if s.pi not in levels:
+            levels[s.pi] = (a := embed_normal(s.pi, q.dim), *_levels(q, a))
+        a, vals, depth = levels[s.pi]
+        if s.pi0 in depth:
+            live.append((-depth[s.pi0], (*a, -s.pi0), a, vals, s.pi0))
+    return sorted(live, key=itemgetter(0))
+
+
 def apply_round(q: Polyhedron, splits: Sequence[Split]) -> Polyhedron:
     """The intersection over the splits of the hulls of their pieces of q.
 
     Each split acts on q's leading coordinates (``embed_normal``), so a
     round of x-space splits applies to a cone lifted into (x, z) as it is.
     The splits with a vertex of q strictly between their planes are taken
-    deepest first (``_levels``; ties in the given order).  Each cuts the
-    round's running intersection R, a raw double description seeded from
-    q's, by its hull rows on q (``_split_rows``) that R lacks, in one DD
-    step, unless no vertex of R lies strictly between its planes, that is
+    deepest first (``_live``).  Each cuts the round's running
+    intersection R, a raw double description seeded from q's, by its hull
+    rows on q (``_split_rows``) that R lacks, in one DD step (``_cut_by``),
+    unless no vertex of R lies strictly between its planes, that is
     unless no generator g = (n, t) of R has 0 < r·g < t for the split's row
     r = (a, −lo), the lo piece's row: R lies
     in q, so each vertex of R lies in one closed piece, and R's rays are
@@ -319,26 +334,14 @@ def apply_round(q: Polyhedron, splits: Sequence[Split]) -> Polyhedron:
     q itself comes back when no split changes it (no generator is cut),
     and the empty polyhedron when some split leaves no point.
     """
-    levels, live = {}, []
-    for s in splits:
-        if s.pi not in levels:
-            levels[s.pi] = (a := embed_normal(s.pi, q.dim), *_levels(q, a))
-        a, vals, depth = levels[s.pi]
-        if s.pi0 in depth:
-            live.append((-depth[s.pi0], a, vals, s.pi0))
-    rows, gens, masks = list(q.rows), q.gens, q.masks
-    have = set(rows)
-    for _, a, vals, lo in sorted(live, key=itemgetter(0)):
-        row = (*a, -lo)
+    rows, gens, masks = q.rows, q.gens, q.masks
+    for _, row, a, vals, lo in _live(q, splits):
         if not any(0 < sum(map(mul, row, g)) < g[-1] for g in gens):
             continue
         hull = _split_rows(q, a, vals, lo)
         if hull is None:
             return Polyhedron.empty(q.dim)
-        new = [r for r in hull if r not in have]
-        have.update(new)
-        rows += new
-        _, gens, masks = _pointed_cone_rays(new, q.dim + 1, (len(rows) - len(new), gens, masks))
+        rows, gens, masks = _cut_by(q.dim, rows, gens, masks, hull)
     return q if tuple(gens) == q.gens else _canonical(q.dim, rows, gens, masks)
 
 

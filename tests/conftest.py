@@ -6,7 +6,8 @@ import pytest
 
 import splitlab.geometry
 from splitlab.certify import _faces
-from splitlab.geometry import _iter_lattice_points
+from splitlab.geometry import GeometryError, _iter_lattice_points, _over_denominator
+from splitlab.linalg import dot
 
 DEFAULT_SEED = 1729
 
@@ -44,6 +45,25 @@ def lattice_scans(monkeypatch) -> list[int]:
 
     monkeypatch.setattr(splitlab.geometry, "_iter_lattice_points", counting)
     return scans
+
+
+def contains(p, point) -> bool:
+    """Membership of a point in the polyhedron p, in integers: the point
+    n/d over its common denominator satisfies every row of p (the empty
+    set's t <= 0 fails)."""
+    n, d = _over_denominator(point)
+    if len(n) != p.dim:
+        raise GeometryError("point dimension mismatch")
+    h = (*n, d)
+    return all(dot(r, h) <= 0 for r in p.rows[:-1])
+
+
+def intersect(p, other):
+    """p cut by other's rows (``Polyhedron._cut``); the empty other's row
+    t <= 0 cuts every vertex."""
+    if p.dim != other.dim:
+        raise GeometryError("dimension mismatch in intersection")
+    return p._cut(other.rows)
 
 
 def all_faces(p):

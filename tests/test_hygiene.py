@@ -29,8 +29,6 @@ def test_all_resolves_without_duplicates():
 NO_CALLER_NEEDED = {
     "__version__": "package metadata",
     "necessity_witness": "the 3D catalogue of ROADMAP item 4 builds on it",
-    "Polyhedron.contains": "a reference the tests compare against",
-    "Polyhedron.intersect": "a reference the tests compare against",
 }
 
 
@@ -126,32 +124,32 @@ def test_no_unused_imports(path):
 
 # the integer kernel: elimination, primitive scaling, the double description
 # with its one step, its adjacency test, its incidence bitmasks and both
-# conversion directions, the stored state of a polyhedron, its cuts and
-# intersections, its membership, relative-interior and containment tests,
-# its equality rows, facet rows and edge list, lattice-point enumeration,
-# its cached scan and the interior-point scan, a split direction's
-# levels, the row values of a split's sides, an edge's crossing point and
-# the plane sections, the polar join and the hull of a split, a round of
-# splits with its skip test, the start line and apex sector of the 2D sweep,
-# the face incidence of the 2-hyperplane check and the affine-basis
-# labeling of the 2-partitionability search, and facet repair
+# conversion directions, the stored state of a polyhedron, its cuts, its
+# relative-interior and containment tests, its equality rows, facet rows
+# and edge list, lattice-point enumeration, its cached scan and the
+# interior-point scan, a split direction's levels, the row values of a
+# split's sides, an edge's crossing point and the plane sections, the
+# polar join and the hull of a split, a round of splits with its live
+# splits, its skip test and its cut, the top vertex a last round reads, the
+# start line and apex sector of the 2D sweep, the face incidence of the
+# 2-hyperplane check and the affine-basis labeling of the
+# 2-partitionability search, and facet repair
 INTEGER_ONLY = {
     "linalg.py": ("_integer_rows", "_echelon", "scale_primitive"),
     "geometry.py": (
         "_adjacent", "_pointed_cone_rays", "_combine", "_primitive", "cone_rays",
         "_h_to_v", "_v_to_h", "_transpose", "_unrivalled", "_facets",
-        "_polyhedron", "_canonical", "_from_homogeneous", "Polyhedron._cut",
-        "Polyhedron.contains", "Polyhedron.contains_polyhedron", "Polyhedron._equalities",
+        "_polyhedron", "_canonical", "_from_homogeneous", "_cut_by", "Polyhedron._cut",
+        "Polyhedron.contains_polyhedron", "Polyhedron._equalities",
         "Polyhedron._facet_rows", "Polyhedron._edges", "Polyhedron._lattice_points",
-        "Polyhedron.relint_contains", "Polyhedron.intersect", "_iter_lattice_points",
-        "interior_integer_point",
+        "Polyhedron.relint_contains", "_iter_lattice_points", "interior_integer_point",
     ),
     "splits.py": (
-        "_levels", "_sides", "_crossing", "_section", "_join", "_split_rows", "apply_round",
-        "_sweep_sector",
+        "_levels", "_sides", "_crossing", "_section", "_join", "_split_rows", "_live",
+        "apply_round", "_sweep_sector",
     ),
     "certify.py": ("_faces", "is_2partitionable"),
-    "ranks.py": ("rotate_facet",),
+    "ranks.py": ("_top", "rotate_facet"),
 }
 
 

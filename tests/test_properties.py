@@ -27,7 +27,7 @@ from splitlab.ranks import (
 )
 from splitlab.splits import Split, SplitSequence, apply_split
 
-from conftest import make_rng
+from conftest import contains, make_rng
 
 F = Fraction
 
@@ -216,5 +216,5 @@ def test_integer_preservation_randomized():
         for z in lattice_points(q):
             val = dot(s.pi, z)
             if val <= s.pi0 or val >= s.pi0 + 1:
-                assert out.contains(z)
+                assert contains(out, z)
         done += 1

@@ -1,5 +1,6 @@
 """Lifted cones, height probing, the finite-rank executor, facet repair."""
 
+import sys
 from fractions import Fraction
 from math import ceil, floor
 
@@ -375,33 +376,81 @@ L_P_MODEL = CornerModel.make((F(1, 2), F(1, 2), F(1, 2)), [(1, 0, 0), (0, 1, 0),
 @pytest.mark.parametrize(
     "model, body, floor, box, rounds, work, tops",
     [
-        (TYPE1_MODEL, TYPE1_T, 4, PROBE_BOX, 3, [8, 8, 16, 91, 62], [1, F(1, 2), F(1, 4), F(1, 8)]),
-        (L_P_MODEL, L_P, 1, None, 1, [18, 11, 29, 139, 129], [1, F(8, 23)]),
+        (TYPE1_MODEL, TYPE1_T, 4, PROBE_BOX, 3, [8, 8, 16, 91, 90], [1, F(1, 2), F(1, 4), F(1, 8)]),
+        (L_P_MODEL, L_P, 1, None, 1, [7, 7, 11, 85, 111], [1, F(8, 23)]),
     ],
     ids=["type1", "l_p"],
 )
 def test_probe_work_is_pinned(monkeypatch, model, body, floor, box, rounds, work, tops):
-    """The deterministic work of a probe: split hulls, polar joins and DD
-    passes of splits, and the adjacency tests and ray combinations of
-    geometry, counted over an enumerated probe (bound 1; L_P's box is its
-    own widened by 1).  A change to how much DD work a probe does shows
-    up here, with the same maximum heights."""
+    """The deterministic work of a probe: split hulls, polar joins, DD
+    passes, adjacency tests and ray combinations, counted over an
+    enumerated probe (bound 1; L_P's box is its own widened by 1) through
+    every binding of each function in every module of the package.  A
+    change to how much DD work a probe does shows up here, with the same
+    maximum heights."""
     cone = lift(model, body, floor=floor)
     box = box or tuple((lo - 1, hi + 1) for lo, hi in body.bounding_box())
-    names = [(splits, "_split_rows"), (splits, "_join"), (splits, "_pointed_cone_rays"),
-             (geometry, "_adjacent"), (geometry, "_combine")]
-    calls = dict.fromkeys(names, 0)
-    for mod, name in names:
-        fn = getattr(mod, name)
+    fns = [splits._split_rows, splits._join, geometry._pointed_cone_rays,
+           geometry._adjacent, geometry._combine]
+    calls = [0] * len(fns)
+    for mod in [m for n, m in sys.modules.items() if n.startswith("splitlab.")]:
+        for name, value in list(vars(mod).items()):
+            for k, fn in enumerate(fns):
+                if value is fn:
 
-        def counting(*args, key=(mod, name), fn=fn):
-            calls[key] += 1
-            return fn(*args)
+                    def counting(*args, k=k, fn=fn):
+                        calls[k] += 1
+                        return fn(*args)
 
-        monkeypatch.setattr(mod, name, counting)
+                    monkeypatch.setattr(mod, name, counting)
     report = probe_rounds(cone, EnumerateStrategy(1, box), rounds, [model.f])
-    assert list(calls.values()) == work
+    assert calls == work
     assert [p.global_max for p in report.profiles] == tops
+
+
+QUAD = convex_hull([(F(1, 2), F(-1, 2)), (F(3, 2), F(1, 2)), (F(1, 2), F(3, 2)), (F(-1, 2), F(1, 2))])
+T3 = convex_hull([(0, F(3, 2), F(1, 2)), (1, 2, 0), (F(3, 2), F(5, 2), -1), (3, 0, F(-3, 2))])
+N3 = convex_hull([(F(-1, 2), F(-3, 2), 2), (4, 0, 3), (4, F(5, 2), F(1, 2)), (4, 3, -1)])
+
+
+def test_last_round_profile_is_the_round_profile():
+    """``_round_profile`` reads a round only at its top vertex and the
+    witnesses' fiber tops, and gives ``_profile`` of the whole round.
+    Bound-1 rounds 1 and 2, each also as seeded rounds of one split, on
+    the lifts of the bench's 2D bodies and L_P under seeded unimodular
+    maps and shifts and of T3 and N3, at seeded floors 1..8, with the
+    vertex centroid, the body's vertices and a point far outside (an
+    empty fiber) as witnesses; and two rounds that empty q: a split with
+    both pieces empty, and two splits whose hulls meet nowhere."""
+    rng = make_rng()
+    bodies = [T3, N3]
+    for l in (TYPE1_T, UNIT_SQ, T2, QUAD, L_P):
+        m = l.dim
+        u = [[int(i == j) for j in range(m)] for i in range(m)]
+        for i, j in rng.sample([(i, j) for i in range(m) for j in range(m) if i != j], 2):
+            k = rng.choice((-1, 1))
+            u[i] = [a + k * b for a, b in zip(u[i], u[j])]
+        bodies.append(geometry.apply_unimodular(l, u, [rng.randint(-3, 3) for _ in range(m)]))
+    for l in bodies:
+        f = tuple(sum(c) / len(l.vertices) for c in zip(*l.vertices))
+        model = CornerModel.make(f, [tuple(c - x for c, x in zip(v, f)) for v in l.vertices])
+        box = tuple((lo - 1, hi + 1) for lo, hi in l.bounding_box())
+        splits = EnumerateStrategy(1, box).splits_for_round(1)
+        witnesses = [f, *l.vertices, tuple(x + 100 for x in f)]
+        q = lift(model, l, floor=rng.randint(1, 8)).poly
+        for _ in range(2):
+            for s in (splits, *([one] for one in rng.sample(splits, 3))):
+                want = ranks._profile(apply_round(q, s), witnesses)
+                assert ranks._round_profile(q, s, witnesses) == want
+            q = apply_round(q, splits)
+    thin = convex_hull([(F(1, 4), 0), (F(3, 4), 0), (F(1, 2), 1)])
+    corner = convex_hull([(*x, z) for x in ((0, F(1, 2)), (F(1, 2), 0), (F(1, 2), F(1, 2)))
+                          for z in (0, 1)])
+    for q, s, w in ((thin, [Split.make((1,), 0)], (F(1, 2),)),
+                    (corner, [Split.make((1, 0), 0), Split.make((0, 1), 0)], (0, F(1, 2)))):
+        assert apply_round(q, s).is_empty
+        empty = ranks.HeightProfile(((w, None),), None)
+        assert ranks._round_profile(q, s, [w]) == ranks._profile(apply_round(q, s), [w]) == empty
 
 
 def test_executor_slab():

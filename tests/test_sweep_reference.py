@@ -30,7 +30,7 @@ from splitlab.splits import (
     sweep_sequence_2d,
 )
 
-from conftest import make_rng
+from conftest import contains, make_rng
 from test_properties import invert_unimodular, random_unimodular, transport_split
 
 F = Fraction
@@ -118,7 +118,7 @@ def ref_sweep(q: Polyhedron, chv: Split, p) -> SplitSequence:
     current = q
     for a0, a1 in ((end0, end1), (end1, end0)):
         u = scale_primitive(tuple(x - y for x, y in zip(a1, a0)))
-        if not seg.contains(tuple(a0[i] + u[i] for i in range(2))):
+        if not contains(seg, tuple(a0[i] + u[i] for i in range(2))):
             raise GeometryError("segment too short")
         d = _choose_translation(pi, u)
         kmax = _sweep_scan_bound(qbar, pp, a0, u, d)
