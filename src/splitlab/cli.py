@@ -22,7 +22,7 @@ from typing import Optional
 from . import serialize
 from .certify import _infinite_rank_2d, classify_2d, has_2hyperplane_property
 from .cuts import intersection_cut
-from .geometry import GeometryError, Polyhedron
+from .geometry import GeometryError
 from .ranks import (
     DEFAULT_FLOOR,
     EnumerateStrategy,
@@ -57,10 +57,6 @@ def _write(text: str, out: Optional[str]) -> None:
 
 def _parse_witness(text: str) -> tuple[Fraction, ...]:
     return tuple(serialize.parse_rational(part) for part in text.split(","))
-
-
-def _expanded_box(l: Polyhedron) -> tuple[tuple[Fraction, Fraction], ...]:
-    return tuple((lo - 1, hi + 1) for lo, hi in l.bounding_box())
 
 
 def cmd_cut(args) -> str:
@@ -102,12 +98,10 @@ def cmd_probe(args) -> str:
         # at least one round, so that the strategy refuses an empty program
         budget = args.rounds if args.rounds is not None else len(seq.splits) or 1
     else:
-        strategy = EnumerateStrategy(1 if args.bound is None else args.bound, _expanded_box(l))
+        box = tuple((lo - 1, hi + 1) for lo, hi in l.bounding_box())
+        strategy = EnumerateStrategy(1 if args.bound is None else args.bound, box)
         budget = args.rounds if args.rounds is not None else 3
     witnesses = [_parse_witness(w) for w in args.witness] or [model.f]
-    for w in witnesses:
-        if len(w) != model.dim:
-            raise GeometryError("witness dimension does not match the model")
     report = probe_rounds(cone, strategy, budget, witnesses)
     if args.format == "csv":
         return serialize.probe_report_to_csv(report)

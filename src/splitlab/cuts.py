@@ -105,9 +105,7 @@ def boundary_hull(model: CornerModel, l: Polyhedron) -> Polyhedron:
 
     The points lie in L, so their hull is L exactly when they include
     every vertex of L.  L is then returned as it is, without a conversion
-    pass, and it keeps its cached views, such as its lattice scan.
-    """
-    if not l.interior_contains(model.f):
-        raise GeometryError("reference point must lie in the interior")
+    pass, and it keeps its cached views, such as its lattice scan.  An f
+    outside L's interior is refused by ``gauge``, at the first ray."""
     pts = [boundary_point(l, model.f, r) for r in model.rays]
     return l if set(pts) >= set(l.vertices) else convex_hull(pts)

@@ -40,14 +40,14 @@ def _integer_rows(rows: Sequence[Sequence]) -> list[list[int]]:
 
 
 def scale_primitive(vec: Sequence) -> IntVector:
-    """Scale a nonzero rational vector to a coprime integer vector.
-
-    Direction (including sign) is preserved.
-    """
+    """Scale a nonzero rational vector to the coprime integer vector of its
+    direction.  Each caller's vector is nonzero: a row of ``_homog_rows``
+    (a ≠ 0 or b < 0), a ray that ``from_generators`` or ``CornerModel.make``
+    took, an image (U·n + shift·t, t) in ``apply_unimodular`` (t ≥ 1, or
+    n ≠ 0 and U invertible), or two distinct endpoints' difference in
+    ``sweep_sequence_2d``."""
     ints = _integer_rows([vec])[0]
     g = gcd(*ints)
-    if g == 0:
-        raise ValueError("zero vector has no primitive form")
     return tuple(v // g for v in ints)
 
 

@@ -21,7 +21,7 @@ from functools import cached_property
 from itertools import chain, pairwise, takewhile
 from math import gcd
 from operator import mul
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence
 
 from .certify import Face, has_2hyperplane_property
 from .cuts import CornerModel
@@ -71,7 +71,6 @@ class LiftedCone:
 
     poly: Polyhedron
     apex: Point
-    floor: int
     base: Polyhedron  # l itself, the cone's z = 0 slice
 
     @property
@@ -131,9 +130,6 @@ class ExplicitStrategy:
         return [seq[r - 1]] if r <= len(seq) else []
 
 
-Strategy = Union[EnumerateStrategy, ExplicitStrategy]
-
-
 def lift(model: CornerModel, l: Polyhedron, floor: int = DEFAULT_FLOOR) -> LiftedCone:
     """Build the truncated lifted cone of the model over l.
 
@@ -171,7 +167,7 @@ def lift(model: CornerModel, l: Polyhedron, floor: int = DEFAULT_FLOOR) -> Lifte
     tight = [1 | sum(2 << i for i, b in enumerate(l.masks) if b >> k & 1) for k in range(len(rows))]
     facets, masks = _facets(gens, [*rows, (0,) * m + (-1, -floor)], tight + [(1 << len(gens)) - 2])
     apex = tuple(model.f) + (Fraction(1),)
-    return LiftedCone(_polyhedron(m + 1, facets, gens, masks), apex, floor, l)
+    return LiftedCone(_polyhedron(m + 1, facets, gens, masks), apex, l)
 
 
 def height_at(q: Polyhedron, x: Sequence) -> Optional[Fraction]:
@@ -187,8 +183,8 @@ def height_at(q: Polyhedron, x: Sequence) -> Optional[Fraction]:
     apex bounds it above.
     """
     n, d = _over_denominator(x)
-    if len(n) != q.dim - 1:
-        raise GeometryError("witness point must live in the x-space of q")
+    if len(n) != (m := q.dim - 1):
+        raise GeometryError(f"witness point has {len(n)} coordinates, but the x-space of q has {m}")
     # the homogenizing row −t <= 0 has c = 0 and s = −d, so it always holds
     rows = [(r[-2], dot(r[:-2], n) + r[-1] * d) for r in q.rows]
     if any(c == 0 and s > 0 for c, s in rows):
@@ -316,7 +312,7 @@ def _drive(
 
 def probe_rounds(
     cone: LiftedCone,
-    strategy: Strategy,
+    strategy: EnumerateStrategy | ExplicitStrategy,
     budget: int,
     witnesses: Sequence[Sequence],
 ) -> ProbeReport:

@@ -352,10 +352,7 @@ def enumerate_splits(bound: int, box: Sequence[tuple[Fraction, Fraction]]) -> li
     The identification (pi, pi0) ~ (-pi, -pi0-1) is resolved by keeping
     the representative whose leading nonzero entry is positive.  Each
     direction's range of pi0 is read in integers, over the box's common
-    denominator.
-    """
-    if bound < 1:
-        return []
+    denominator.  The list is empty for bound < 1: no direction is nonzero."""
     dim = len(box)
     # the box over a common denominator d: pi·x ranges over [lo/d, hi/d]
     ends, d = _over_denominator([c for lo, hi in box for c in (lo, hi)])

@@ -143,15 +143,15 @@ def test_probe_csv(files, capsys):
 
 
 def test_probe_bad_witness(files, capsys):
-    code, _, err = run(
+    code, out, err = run(
         capsys,
         "probe",
         files("m.json", MODEL),
         files("l.json", BODY),
         "--witness", "1,2,3",
     )
-    assert code == 2
-    assert "witness" in err
+    assert (code, out) == (2, "")
+    assert err == "error: witness point has 3 coordinates, but the x-space of q has 2\n"
 
 
 def test_rotate_facet(files, capsys):

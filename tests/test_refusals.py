@@ -10,6 +10,7 @@ from splitlab import serialize
 from splitlab.certify import classify_2d
 from splitlab.cuts import CornerModel, boundary_hull
 from splitlab.geometry import GeometryError, Polyhedron, apply_unimodular, convex_hull
+from splitlab.ranks import height_at, lift
 from splitlab.splits import Split, classify_split, embed_normal, split_confines, sweep_sequence_2d
 
 F = Fraction
@@ -55,6 +56,12 @@ REFUSALS = {
     "boundary_hull_outside": (
         lambda: boundary_hull(CornerModel.make((F(5, 2), F(1, 2)), [(1, 0)]), TRIANGLE),
         "reference point must lie in the interior",
+    ),
+    "witness_off_dim": (
+        lambda: height_at(
+            lift(CornerModel.make(HALF, [(-1, -1), (3, -1), (-1, 3)]), TRIANGLE).poly, (1, 2, 3)
+        ),
+        "witness point has 3 coordinates, but the x-space of q has 2",
     ),
     "normal_too_long": (
         lambda: embed_normal((1, 0, 0), 2),

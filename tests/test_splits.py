@@ -287,6 +287,10 @@ def test_enumerate_splits_counts():
     assert len(enumerate_splits(1, box1)) == 20
     box2 = ((F(-1), F(3)), (F(-1), F(3)))
     assert len(enumerate_splits(2, box2)) == 88
+    # bound 0 leaves only the zero direction, and a negative bound none
+    box3 = box1 + ((F(0), F(2)),)
+    for b in (-1, 0):
+        assert enumerate_splits(b, box1) == enumerate_splits(b, box3) == []
     # canonical: all leading nonzeros positive, no duplicates
     seen = set()
     for s in enumerate_splits(2, box2):
